@@ -47,9 +47,6 @@ from .cohomology import (
     BlockAnalysis,
     CohomologyReport,
     bl_dim,
-    block_analysis,
-    gg_block_is_lie_coboundary,
-    graded_cohomology,
     hl_dim,
     leibniz_h_with_coefficients,
     lie_ce_h,
@@ -70,15 +67,12 @@ from .linalg import (
     SparseRationalMatrix,
     Subspace,
     column_space,
-    embed,
     kernel_basis,
     project,
     rank,
-    rank_modular,
     restrict_to_coords,
     solve,
     subspace_equal,
-    subspace_sum_dim,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +93,6 @@ __all__ = [
     "Subspace",
     "adjoint_bimodule",
     "bl_dim",
-    "block_analysis",
     "check_bimodule_axioms",
     "check_grading",
     "coboundary_matrix",
@@ -112,9 +105,6 @@ __all__ = [
     "derived_series",
     "direct_sum",
     "dumps_algebra",
-    "embed",
-    "gg_block_is_lie_coboundary",
-    "graded_cohomology",
     "graded_columns",
     "graded_submatrix",
     "hl_dim",
@@ -131,7 +121,6 @@ __all__ = [
     "matrix_to_cochain",
     "project",
     "rank",
-    "rank_modular",
     "restrict_to_coords",
     "right_mult_operator",
     "save_algebra",
@@ -140,7 +129,6 @@ __all__ = [
     "solve",
     "squares_ideal",
     "subspace_equal",
-    "subspace_sum_dim",
     "symmetric_bimodule",
     "zl_dim",
 ]

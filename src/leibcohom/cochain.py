@@ -229,42 +229,3 @@ def graded_submatrix(
         sub[(pr, pc)] = v
     return SparseRationalMatrix(len(rows), len(cols), sub)
 
-
-@dataclass(frozen=True)
-class GradedBlock:
-    """One argument-signature block inside a fixed-degree component.
-
-    ``signature`` lists the argument degrees followed by the target
-    degree; ``coords`` are the flat column indices the block occupies.
-    Blocks of equal (arity, degree) partition the degree component.
-    """
-
-    arity: int
-    degree: int
-    signature: tuple[int, ...]
-    coords: tuple[int, ...]
-
-
-def graded_blocks(
-    algebra: AlgebraStructure,
-    grading: Grading,
-    module_degrees: Sequence[int],
-    n: int,
-    degree: int,
-) -> tuple[GradedBlock, ...]:
-    """Signature blocks of the degree component, in flat-index order."""
-    degs, mdegs = _check_degrees(algebra, grading, module_degrees)
-    dl = algebra.dim
-    dm = len(mdegs)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    flat_base = 0
-    for args in itertools.product(range(dl), repeat=n):
-        arg_degs = tuple(degs[a] for a in args)
-        s = sum(arg_degs)
-        for k in range(dm):
-            if mdegs[k] - s == degree:
-                buckets.setdefault(arg_degs + (mdegs[k],), []).append(flat_base + k)
-        flat_base += dm
-    return tuple(
-        GradedBlock(n, degree, sig, tuple(buckets[sig])) for sig in sorted(buckets)
-    )

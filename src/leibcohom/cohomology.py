@@ -4,8 +4,7 @@ The totals ZL^n = ker d^n, BL^n = im d^{n-1} and HL^n = ZL^n / BL^n are
 computed from the coboundary matrices by exact elimination. For a graded
 algebra acting on itself, :class:`AdjointCohomology` additionally splits
 everything by cochain degree and by argument-signature block, caching the
-matrices and kernels so a verification run never rebuilds them. The
-module-level functions are thin pure wrappers around a fresh instance.
+matrices and kernels so a verification run never rebuilds them.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part; a tag pair such as ("I", "G") selects the
@@ -145,8 +144,7 @@ class AdjointCohomology:
         self._rank: dict[int, int] = {}
         self._cols: dict[tuple[int, int], tuple[int, ...]] = {}
         self._sub: dict[tuple[int, int], SparseRationalMatrix] = {}
-        self._sub_rank: dict[tuple[int, int], int] = {}
-        self._zl_basis: dict[int, Subspace] = {}
+        self._kernel: dict[tuple[int, int], Subspace] = {}
 
     # matrices and totals
 
@@ -198,23 +196,24 @@ class AdjointCohomology:
             )
         return self._sub[key]
 
-    def _graded_rank(self, n: int, degree: int) -> int:
+    def _graded_kernel(self, n: int, degree: int) -> Subspace:
+        """Kernel of the degree block of d^n, in block-local coordinates;
+        one elimination per block serves its rank and its cocycles."""
         key = (n, degree)
-        if key not in self._sub_rank:
-            self._sub_rank[key] = rank(self.graded_sub(n, degree))
-        return self._sub_rank[key]
+        if key not in self._kernel:
+            self._kernel[key] = kernel_basis(self.graded_sub(n, degree))
+        return self._kernel[key]
 
     def graded_zl_dim(self, n: int, degree: int) -> int:
-        return self.graded_sub(n, degree).cols - self._graded_rank(n, degree)
+        return self._graded_kernel(n, degree).dim
 
     def graded_bl_dim(self, n: int, degree: int) -> int:
-        return self._graded_rank(n - 1, degree)
+        sub = self.graded_sub(n - 1, degree)
+        return sub.cols - self._graded_kernel(n - 1, degree).dim
 
     def zl_graded_basis(self, degree: int) -> Subspace:
         """Kernel of the degree block of d^2, in block-local coordinates."""
-        if degree not in self._zl_basis:
-            self._zl_basis[degree] = kernel_basis(self.graded_sub(2, degree))
-        return self._zl_basis[degree]
+        return self._graded_kernel(2, degree)
 
     def report(self, n: int) -> CohomologyReport:
         """Totals plus the per-degree split, cross-checked against each
@@ -330,22 +329,6 @@ class AdjointCohomology:
         sub = self.degree_zero_part()
         d1 = coboundary_matrix(sub, adjoint_bimodule(sub), 1)
         return subspace_equal(projected, column_space(d1))
-
-
-def graded_cohomology(
-    algebra: AlgebraStructure, grading: Grading, n: int
-) -> CohomologyReport:
-    return AdjointCohomology(algebra, grading).report(n)
-
-
-def block_analysis(
-    algebra: AlgebraStructure, grading: Grading, degree: int, block: BlockSpec
-) -> BlockAnalysis:
-    return AdjointCohomology(algebra, grading).block_analysis(degree, block)
-
-
-def gg_block_is_lie_coboundary(algebra: AlgebraStructure, grading: Grading) -> bool:
-    return AdjointCohomology(algebra, grading).gg_block_is_lie_coboundary()
 
 
 # Chevalley-Eilenberg cohomology for Lie algebras, via the right action.

@@ -7,13 +7,29 @@ a mapping from ``(row, col)`` to nonzero entries, and :class:`Subspace`,
 which stores a canonical reduced-echelon basis so that two subspaces are
 equal exactly when their stored bases are equal.
 
-Elimination is fraction free: each row is scaled to integers and reduced
-by cross-multiplication against earlier pivot rows, with the content
-(gcd) stripped after every combination step so entries stay small. Rows
-are processed sparsest first, which keeps fill-in low on the highly
-structured matrices this package produces. :func:`rank_modular` runs the
-same elimination mod a few word-size primes; it is a cross-check and an
-accelerator, never the source of truth.
+There is one elimination, :func:`_echelon`. It is fraction free: each
+row is scaled to integers and reduced by cross-multiplication against
+earlier pivot rows, with the content (gcd) stripped after every
+combination step so entries stay small. Rows are processed sparsest
+first, which keeps fill-in low on the highly structured matrices this
+package produces, and each pivot row leads at its smallest column.
+:func:`rank` counts its pivots. Everything else adds one back-substitution,
+:func:`_reduce`, which brings the pivot rows to reduced echelon form:
+
+* :meth:`Subspace.from_spanning` (and so :func:`column_space`,
+  :func:`project` and :func:`restrict_to_coords`) stores the reduced rows
+  of a spanning set as its canonical basis;
+* :func:`solve` reads the solution off the reduced rows of the augmented
+  matrix, in the right-hand-side column;
+* :func:`kernel_basis` eliminates with the columns reversed, so each
+  pivot leads at its largest original column. The kernel vector of a free
+  column then has its lowest coordinate, 1, at that column and vanishes
+  at every other free column, which is already the canonical basis.
+
+:func:`rank_modular` runs its own elimination mod a few word-size primes.
+It is an independent cross-check of :func:`rank` for the tests, never the
+source of truth, and no faster than the rational rank on the matrices of
+this package.
 """
 
 from __future__ import annotations
@@ -224,8 +240,10 @@ def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]):
     return None
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Row echelon pivot table ``{leading column: integer row}``."""
+def _echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Row echelon pivot table ``{leading column: integer row}``, built
+    from the integer rows sparsest first."""
+    rows.sort(key=len)
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         res = _eliminate(row, pivots)
@@ -234,15 +252,36 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _matrix_pivots(matrix: SparseRationalMatrix) -> dict[int, dict[int, int]]:
-    rows = [_integer_row(r) for r in matrix.row_dicts().values()]
-    rows.sort(key=len)
-    return _echelon(rows)
+def _reduce(pivots: Mapping[int, dict[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced echelon form of a pivot table: each row scaled to 1 at its
+    lead and cleared at every other pivot column.
+
+    Rows are reduced from the largest lead down, so every pivot column a
+    row meets past its lead already holds a reduced row; subtracting that
+    row clears the column and touches only non-pivot columns.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        lead = row[p]
+        out = {c: Fraction(v, lead) for c, v in row.items()}
+        for q in [c for c in row if c != p and c in pivots]:
+            f = out.pop(q)
+            for c, v in reduced[q].items():
+                if c == q:
+                    continue
+                nv = out.get(c, _ZERO) - f * v
+                if nv:
+                    out[c] = nv
+                else:
+                    out.pop(c, None)
+        reduced[p] = out
+    return reduced
 
 
 def rank(matrix: SparseRationalMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(_matrix_pivots(matrix))
+    return len(_echelon([_integer_row(r) for r in matrix.row_dicts().values()]))
 
 
 def rank_modular(
@@ -291,32 +330,26 @@ def rank_modular(
 
 
 def kernel_basis(matrix: SparseRationalMatrix) -> Subspace:
-    """Canonical basis of the exact null space ``{v : Mv = 0}``."""
-    pivots = _matrix_pivots(matrix)
-    pivot_cols = sorted(pivots)
-    pivot_set = set(pivot_cols)
-    vectors: list[dict[int, Fraction]] = []
-    for fc in range(matrix.cols):
-        if fc in pivot_set:
-            continue
-        v: dict[int, Fraction] = {fc: Fraction(1)}
-        for pc in reversed(pivot_cols):
-            if pc > fc:
-                # pivot rows have support at columns >= pc > fc, where v
-                # vanishes, so the solved coordinate is zero.
-                continue
-            row = pivots[pc]
-            s = _ZERO
-            for c, val in row.items():
-                if c == pc:
-                    continue
-                vc = v.get(c)
-                if vc:
-                    s += val * vc
-            if s:
-                v[pc] = -s / row[pc]
-        vectors.append(v)
-    return Subspace.from_spanning(vectors, matrix.cols)
+    """Canonical basis of the exact null space ``{v : Mv = 0}``.
+
+    The elimination runs on reversed columns, so the reduced row of pivot
+    column p has its other entries at free columns c < p only. The kernel
+    vector of free column c is 1 at c and -row[c] at each such p: its
+    lowest coordinate is c and it vanishes at every other free column.
+    """
+    last = matrix.cols - 1
+    reduced = _reduce(_echelon([
+        _integer_row({last - c: v for c, v in row.items()})
+        for row in matrix.row_dicts().values()
+    ]))
+    vectors = {
+        f: {f: Fraction(1)} for f in range(matrix.cols) if last - f not in reduced
+    }
+    for p, row in reduced.items():
+        for c, v in row.items():
+            if c != p:
+                vectors[last - c][last - p] = -v
+    return Subspace(matrix.cols, tuple(vectors.values()))
 
 
 def column_space(matrix: SparseRationalMatrix) -> Subspace:
@@ -343,26 +376,13 @@ def solve(matrix: SparseRationalMatrix, rhs: VectorLike):
     aug_rows: dict[int, dict[int, Fraction]] = matrix.row_dicts()
     for r, v in b.items():
         aug_rows.setdefault(r, {})[sentinel] = v
-    int_rows = [_integer_row(row) for row in aug_rows.values()]
-    int_rows.sort(key=len)
-    pivots = _echelon(int_rows)
-    x: dict[int, Fraction] = {}
-    for pc in sorted(pivots, reverse=True):
-        if pc == sentinel:
-            continue
-        row = pivots[pc]
-        s = _ZERO
-        for c, val in row.items():
-            if c == pc:
-                continue
-            if c == sentinel:
-                s -= val
-            else:
-                xv = x.get(c)
-                if xv:
-                    s += val * xv
-        if s:
-            x[pc] = -s / row[pc]
+    pivots = _echelon([_integer_row(row) for row in aug_rows.values()])
+    # a pivot in the sentinel column marks an inconsistent system; it is
+    # left out so the other rows keep their right-hand sides
+    pivots.pop(sentinel, None)
+    x = {
+        p: row[sentinel] for p, row in _reduce(pivots).items() if sentinel in row
+    }
     residual = matrix.apply(x)
     for r, v in b.items():
         cur = residual.get(r, _ZERO) - v
@@ -423,8 +443,8 @@ class Subspace:
 
     @staticmethod
     def from_spanning(vectors: Iterable[VectorLike], ambient_dim: int) -> Subspace:
-        """Canonicalize a spanning set by full Gauss-Jordan reduction."""
-        reduced: list[tuple[int, dict[int, Fraction]]] = []
+        """Canonicalize a spanning set: its reduced echelon rows."""
+        rows: list[dict[int, int]] = []
         for vec in vectors:
             w: dict[int, Fraction] = {}
             for c, v in _vector_items(vec):
@@ -433,33 +453,10 @@ class Subspace:
                     if not 0 <= c < ambient_dim:
                         raise ValueError(f"coordinate {c} out of range")
                     w[c] = fv
-            for p, r in reduced:
-                cv = w.get(p)
-                if cv:
-                    for c, rv in r.items():
-                        nv = w.get(c, _ZERO) - cv * rv
-                        if nv:
-                            w[c] = nv
-                        else:
-                            w.pop(c, None)
-            if not w:
-                continue
-            p = min(w)
-            pv = w[p]
-            if pv != 1:
-                w = {c: v / pv for c, v in w.items()}
-            for _, r in reduced:
-                cv = r.get(p)
-                if cv:
-                    for c, wv in w.items():
-                        nv = r.get(c, _ZERO) - cv * wv
-                        if nv:
-                            r[c] = nv
-                        else:
-                            r.pop(c, None)
-            reduced.append((p, w))
-        reduced.sort(key=lambda item: item[0])
-        return Subspace(ambient_dim, tuple(r for _, r in reduced))
+            if w:
+                rows.append(_integer_row(w))
+        reduced = _reduce(_echelon(rows))
+        return Subspace(ambient_dim, tuple(reduced[p] for p in sorted(reduced)))
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
@@ -562,6 +559,4 @@ def subspace_sum_dim(a: Subspace, b: Subspace) -> int:
     """Dimension of the (not necessarily direct) sum of two subspaces."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    rows = [_integer_row(v) for v in a.basis + b.basis]
-    rows.sort(key=len)
-    return len(_echelon(rows))
+    return len(_echelon([_integer_row(v) for v in a.basis + b.basis]))

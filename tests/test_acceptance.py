@@ -6,6 +6,7 @@ pytest output. The expensive objects are computed once per session and
 shared across criteria.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -257,3 +258,28 @@ def test_c10_report_determinism(tmp_path, capsys):
     if payload["summary"]["fail"] != 0:
         failures.append("claims failed inside the report")
     announce(capsys, 10, "verify-paper output is byte-identical across runs", failures)
+
+
+# sha256 of reports that an earlier release produced; a refactor of the
+# exact elimination must leave every byte of them unchanged. The
+# derivations report carries the solve coordinates and the canonical
+# derivation basis.
+PINNED_REPORTS = {
+    ("verify-paper", "--m-range", "2..5", "--deep", "--format", "json"):
+        "f65c5e523104c019c66180045c70356e425dc850b75c09f7ea1c4073f351f42b",
+    ("derivations", "--m", "2", "--format", "json"):
+        "41f70d9ad8f6efa09b2aa324ca6ed0d72bd30f7d033d7308ac8282033deda52b",
+}
+
+
+def test_c11_pinned_report_digests(capsys):
+    failures = []
+    for argv, expected in PINNED_REPORTS.items():
+        code = main(list(argv))
+        out = capsys.readouterr().out.encode("utf-8")
+        if code != 0:
+            failures.append(f"{argv[0]} exit code {code}")
+        got = hashlib.sha256(out).hexdigest()
+        if got != expected:
+            failures.append(f"{' '.join(argv)}: sha256 {got[:8]}, expected {expected[:8]}")
+    announce(capsys, 11, "reports are byte-identical to the pinned digests", failures)

@@ -18,9 +18,6 @@ from leibcohom.cohomology import (
     BlockAnalysis,
     CohomologyReport,
     bl_dim,
-    block_analysis,
-    gg_block_is_lie_coboundary,
-    graded_cohomology,
     hl_dim,
     leibniz_h_with_coefficients,
     lie_ce_h,
@@ -65,7 +62,7 @@ class TestTotals:
 class TestGradedReport:
     def test_m2_ladder(self):
         algebra, grading = simple_leibniz_sl2(2)
-        report = graded_cohomology(algebra, grading, 2)
+        report = AdjointCohomology(algebra, grading).report(2)
         assert report.dim_z == report.dim_b == 31
         assert report.dim_h == 0
         assert report.per_degree == {
@@ -77,7 +74,7 @@ class TestGradedReport:
 
     def test_m3_ladder(self):
         algebra, grading = simple_leibniz_sl2(3)
-        report = graded_cohomology(algebra, grading, 2)
+        report = AdjointCohomology(algebra, grading).report(2)
         assert report.per_degree == {
             -2: (0, 0, 0),
             -1: (12, 12, 0),
@@ -127,11 +124,6 @@ class TestBlockAnalyses:
         assert analysis.supported_dim <= analysis.projection_dim
         assert analysis.blocks == (("I", "G"),)
 
-    def test_module_level_wrapper(self):
-        algebra, grading = simple_leibniz_sl2(2)
-        analysis = block_analysis(algebra, grading, 0, ("G", "G"))
-        assert analysis.projection_dim == 6
-
     def test_bad_tags_rejected(self):
         algebra, grading = simple_leibniz_sl2(2)
         coh = AdjointCohomology(algebra, grading)
@@ -150,7 +142,7 @@ class TestBlockAnalyses:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_gg_block_is_lie_coboundary(self, m):
         algebra, grading = simple_leibniz_sl2(m)
-        assert gg_block_is_lie_coboundary(algebra, grading)
+        assert AdjointCohomology(algebra, grading).gg_block_is_lie_coboundary()
 
     def test_gg_projection_is_skew(self):
         algebra, grading = simple_leibniz_sl2(2)

@@ -1,4 +1,5 @@
-"""Exact sparse linear algebra: frozen examples plus randomized identities."""
+"""Exact sparse linear algebra: frozen examples, randomized identities,
+and exact agreement with an independent Fraction Gauss-Jordan reference."""
 
 import random
 from fractions import Fraction
@@ -36,6 +37,117 @@ def random_matrix(rng, rows, cols, density=0.4, span=9):
                 if v:
                     entries[(r, c)] = F(v)
     return SparseRationalMatrix(rows, cols, entries)
+
+
+def reference_span(vectors, ambient_dim):
+    """Canonical reduced-echelon basis by Fraction Gauss-Jordan reduction,
+    independent of the package's elimination."""
+    reduced = []
+    for vec in vectors:
+        w = {c: F(v) for c, v in vec.items() if v}
+        assert all(0 <= c < ambient_dim for c in w)
+        for p, r in reduced:
+            cv = w.get(p)
+            if cv:
+                for c, rv in r.items():
+                    nv = w.get(c, F(0)) - cv * rv
+                    if nv:
+                        w[c] = nv
+                    else:
+                        w.pop(c, None)
+        if not w:
+            continue
+        p = min(w)
+        pv = w[p]
+        w = {c: v / pv for c, v in w.items()}
+        for _, r in reduced:
+            cv = r.get(p)
+            if cv:
+                for c, wv in w.items():
+                    nv = r.get(c, F(0)) - cv * wv
+                    if nv:
+                        r[c] = nv
+                    else:
+                        r.pop(c, None)
+        reduced.append((p, w))
+    reduced.sort(key=lambda item: item[0])
+    return tuple(r for _, r in reduced)
+
+
+def reference_kernel(m):
+    """One back-solve per free column against the reference echelon rows,
+    then canonicalized by :func:`reference_span`."""
+    pivots = {min(r): r for r in reference_span(m.row_dicts().values(), m.cols)}
+    vectors = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        v = {fc: F(1)}
+        for pc in sorted(pivots, reverse=True):
+            row = pivots[pc]
+            s = sum((val * v.get(c, F(0)) for c, val in row.items() if c != pc), F(0))
+            if s:
+                v[pc] = -s / row[pc]
+        vectors.append(v)
+    return reference_span(vectors, m.cols)
+
+
+def reference_solve(m, b):
+    """The solution with every free variable zero, read off the reference
+    reduced rows of ``[M | b]``, or None when the system is inconsistent."""
+    aug = m.row_dicts()
+    for r, v in b.items():
+        aug.setdefault(r, {})[m.cols] = v
+    x = {}
+    for row in reference_span(aug.values(), m.cols + 1):
+        p = min(row)
+        if p == m.cols:
+            return None
+        if m.cols in row:
+            x[p] = row[m.cols]
+    return x
+
+
+def random_fraction(rng, span=6):
+    return F(rng.randint(-span, span), rng.randint(1, span))
+
+
+def random_fractional_matrix(rng, rows, cols):
+    """Dense, sparse or rank-deficient, with p/q entries and some rows and
+    columns forced to zero."""
+    kind = rng.choice(("dense", "sparse", "low_rank"))
+    if kind == "low_rank" and rows and cols:
+        k = rng.randint(0, min(rows, cols) - 1)
+        left = {(r, i): random_fraction(rng) for r in range(rows) for i in range(k)}
+        right = {(i, c): random_fraction(rng) for i in range(k) for c in range(cols)}
+        m = SparseRationalMatrix(rows, k, left) @ SparseRationalMatrix(k, cols, right)
+        entries = dict(m.entries)
+    else:
+        density = 0.9 if kind == "dense" else 0.25
+        entries = {
+            (r, c): random_fraction(rng)
+            for r in range(rows)
+            for c in range(cols)
+            if rng.random() < density
+        }
+    dead_rows = {r for r in range(rows) if rng.random() < 0.15}
+    dead_cols = {c for c in range(cols) if rng.random() < 0.15}
+    entries = {
+        (r, c): v
+        for (r, c), v in entries.items()
+        if r not in dead_rows and c not in dead_cols
+    }
+    return SparseRationalMatrix(rows, cols, entries)
+
+
+def fractional_family(seed, count=60):
+    """Seeded random matrices, including the empty shapes 0 x n and n x 0."""
+    rng = random.Random(seed)
+    out = [SparseRationalMatrix(0, 4, {}), SparseRationalMatrix(4, 0, {}),
+           SparseRationalMatrix(0, 0, {})]
+    for _ in range(count):
+        out.append(random_fractional_matrix(rng, rng.randint(0, 8), rng.randint(0, 8)))
+    return out
 
 
 class TestMatrixBasics:
@@ -199,3 +311,65 @@ class TestSubspace:
         assert subspace_sum_dim(a, b) == 2
         c = Subspace.from_spanning([{2: F(1)}], 3)
         assert subspace_sum_dim(a, c) == 2
+
+
+class TestAgainstReference:
+    """Exact equality with the Fraction Gauss-Jordan reference on matrices
+    whose kernels and spans carry genuine denominators."""
+
+    def test_kernel_basis(self):
+        for m in fractional_family(11):
+            assert kernel_basis(m).basis == reference_kernel(m)
+
+    def test_from_spanning_and_column_space(self):
+        for m in fractional_family(12):
+            rows = list(m.row_dicts().values())
+            assert Subspace.from_spanning(rows, m.cols).basis == reference_span(rows, m.cols)
+            cols = [col for _, col in sorted(m.column_dicts().items())]
+            assert column_space(m).basis == reference_span(cols, m.rows)
+
+    def test_project_and_restrict(self):
+        rng = random.Random(13)
+        for m in fractional_family(14):
+            space = Subspace.from_spanning(m.row_dicts().values(), m.cols)
+            coords = [c for c in range(m.cols) if rng.random() < 0.5]
+            pos = {c: i for i, c in enumerate(coords)}
+            projected = [
+                {pos[c]: v for c, v in b.items() if c in pos} for b in space.basis
+            ]
+            assert project(space, coords).basis == reference_span(projected, len(coords))
+            # vectors supported on coords: combinations y of the basis whose
+            # entries outside coords cancel, i.e. the kernel of that block
+            outside = [c for c in range(m.cols) if c not in pos]
+            block = SparseRationalMatrix(len(outside), space.dim, {
+                (r, i): b[c]
+                for i, b in enumerate(space.basis)
+                for r, c in enumerate(outside)
+                if c in b
+            })
+            supported = []
+            for y in reference_kernel(block):
+                v = {}
+                for i, coeff in y.items():
+                    for c, val in space.basis[i].items():
+                        v[c] = v.get(c, F(0)) + coeff * val
+                supported.append(v)
+            assert restrict_to_coords(space, coords).basis == reference_span(
+                supported, m.cols
+            )
+
+    def test_solve(self):
+        rng = random.Random(15)
+        for m in fractional_family(16):
+            if rng.random() < 0.5:
+                b = m.apply({c: random_fraction(rng) for c in range(m.cols)})
+            else:
+                b = {r: random_fraction(rng) for r in range(m.rows)}
+            b = {r: v for r, v in b.items() if v}
+            expected = reference_solve(m, b)
+            x, residual = solve(m, b)
+            if expected is None:
+                assert residual != {}
+            else:
+                assert residual == {}
+                assert x == expected
