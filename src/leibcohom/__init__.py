@@ -17,8 +17,6 @@ from .algebra import (
     adjoint_bimodule,
     check_bimodule_axioms,
     check_grading,
-    derived_series,
-    is_solvable,
     leibniz_defects,
     squares_ideal,
     symmetric_bimodule,
@@ -36,7 +34,6 @@ from .catalog import (
     sl2,
 )
 from .cochain import (
-    CochainIndex,
     coboundary_matrix,
     cochain_degrees,
     graded_columns,
@@ -83,7 +80,6 @@ __all__ = [
     "AlgebraStructure",
     "Bimodule",
     "BlockAnalysis",
-    "CochainIndex",
     "CohomologyReport",
     "DerivationDecomposition",
     "Grading",
@@ -102,7 +98,6 @@ __all__ = [
     "decompose_derivation",
     "delta_generator",
     "derivation_space",
-    "derived_series",
     "direct_sum",
     "dumps_algebra",
     "graded_columns",
@@ -110,7 +105,6 @@ __all__ = [
     "hl_dim",
     "ideal_projection",
     "irreducible_sl2_module",
-    "is_solvable",
     "kernel_basis",
     "leibniz_defects",
     "leibniz_h_with_coefficients",

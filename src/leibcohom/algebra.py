@@ -90,15 +90,6 @@ class AlgebraStructure:
                 _add_scaled(out, prod, c)
         return out
 
-    def bracket_vectors(self, u: Mapping[int, Fraction], v: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for p, cu in u.items():
-            for q, cv in v.items():
-                prod = self.tensor.get((p, q))
-                if prod:
-                    _add_scaled(out, prod, cu * cv)
-        return out
-
 
 @dataclass(frozen=True)
 class Grading(object):
@@ -247,34 +238,6 @@ def squares_ideal(algebra: AlgebraStructure) -> Subspace:
                     "squares span not closed under right multiplication"
                 )
     return span
-
-
-def derived_series(algebra: AlgebraStructure, max_steps: int = 64) -> list[int]:
-    """Dimensions along L >= [L,L] >= [[L,L],[L,L]] >= ...
-
-    Stops early once a term vanishes or the dimension stabilizes (the
-    chain is then constant forever). At most ``max_steps`` entries.
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    current = Subspace.full(algebra.dim)
-    dims = [current.dim]
-    while len(dims) < max_steps and dims[-1] > 0:
-        vectors = [
-            algebra.bracket_vectors(u, v)
-            for u in current.basis
-            for v in current.basis
-        ]
-        nxt = Subspace.from_spanning(vectors, algebra.dim)
-        dims.append(nxt.dim)
-        if nxt.dim == current.dim:
-            break
-        current = nxt
-    return dims
-
-
-def is_solvable(algebra: AlgebraStructure) -> bool:
-    return derived_series(algebra, algebra.dim + 2)[-1] == 0
 
 
 def check_grading(algebra: AlgebraStructure, grading: Grading) -> bool:

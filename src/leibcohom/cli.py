@@ -94,11 +94,25 @@ def _load(args: argparse.Namespace) -> tuple[AlgebraStructure, Grading | None, s
     return algebra, grading, args.algebra
 
 
+def _load_leibniz(args: argparse.Namespace) -> tuple[AlgebraStructure, Grading | None, str]:
+    """The algebra of a computing command; one that fails the Leibniz
+    identity, or declares a grading its product does not respect, is an
+    input error (ValueError)."""
+    algebra, grading, label = _load(args)
+    if leibniz_defects(algebra):
+        raise ValueError("the algebra does not satisfy the Leibniz identity")
+    if grading is not None and not check_grading(algebra, grading):
+        raise ValueError("the declared grading is not respected by the multiplication")
+    return algebra, grading, label
+
+
 def _frac(value: Fraction) -> str:
     return str(value)
 
 
-def _emit(args: argparse.Namespace, payload: dict, pretty_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, pretty_lines: list[str]) -> int:
+    """Write the report; returns 0, or 2 when the output file cannot be
+    written."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
@@ -107,11 +121,15 @@ def _emit(args: argparse.Namespace, payload: dict, pretty_lines: list[str]) -> N
         text = "\n".join(pretty_lines) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(f"cannot write {out}: {exc}")
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _to_csv(payload: dict) -> str:
@@ -169,15 +187,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
     try:
-        algebra, grading, label = _load(args)
+        algebra, grading, label = _load_leibniz(args)
     except (AlgebraFileError, OSError, ValueError) as exc:
         return _fail(str(exc))
     if (args.graded or args.blocks) and grading is None:
         return _fail("per-degree and per-block output need a graded algebra")
     if args.blocks and args.n != 2:
         return _fail("block analysis is defined for n=2 cocycles only")
-    if leibniz_defects(algebra):
-        return _fail("the algebra does not satisfy the Leibniz identity")
 
     payload: dict = {"algebra": label, "n": args.n}
     pretty = [f"{label}: cohomology of the algebra acting on itself, n={args.n}"]
@@ -216,8 +232,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
                 f" injective {analysis.projection_injective}"
             )
         payload["blocks"] = rows
-    _emit(args, payload, pretty)
-    return 0
+    return _emit(args, payload, pretty)
 
 
 # derivations
@@ -225,11 +240,9 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 def cmd_derivations(args: argparse.Namespace) -> int:
     try:
-        algebra, grading, label = _load(args)
+        algebra, grading, label = _load_leibniz(args)
     except (AlgebraFileError, OSError, ValueError) as exc:
         return _fail(str(exc))
-    if leibniz_defects(algebra):
-        return _fail("the algebra does not satisfy the Leibniz identity")
     space = derivation_space(algebra)
     payload: dict = {"algebra": label, "dim": space.dim}
     pretty = [f"{label}: derivation space has dimension {space.dim}"]
@@ -280,8 +293,7 @@ def cmd_derivations(args: argparse.Namespace) -> int:
         payload["basis_decompositions"] = rows
     elif grading is not None:
         pretty.append("  (grading degrees are not {0, 1}; no canonical decomposition)")
-    _emit(args, payload, pretty)
-    return exit_code
+    return _emit(args, payload, pretty) or exit_code
 
 
 # verify-paper
@@ -548,6 +560,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         first, last = _parse_m_range(args.m_range)
     except ValueError as exc:
         return _fail(str(exc))
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        return _fail(f"cannot write {args.out}: no such directory")
     ms = list(range(first, last + 1))
     workers = 1
     env = os.environ.get(WORKERS_ENV)
@@ -605,8 +619,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         f"total: {summary['claims']} claims, {summary['pass']} pass,"
         f" {summary['fail']} fail, {summary['skipped']} skipped"
     )
-    _emit(args, payload, pretty)
-    return 0 if counts["fail"] == 0 else 1
+    return _emit(args, payload, pretty) or (0 if counts["fail"] == 0 else 1)
 
 
 def _add_algebra_source(parser: argparse.ArgumentParser) -> None:

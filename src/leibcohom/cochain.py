@@ -12,8 +12,8 @@ argument tuple to zero. Flat indices run lexicographically in
               f(x_1, ..., x_{p-1}, [x_p, x_q], x_{p+1}, ..., ^x_q, ..., x_{n+1})
 
 with ^ marking an omitted argument, the first bracket the left module
-action and the second the right one. For an algebra grading and module
-degrees, a cochain has degree i when it shifts the total argument degree
+action and the second the right one. For a graded algebra acting on
+itself, a cochain has degree i when it shifts the total argument degree
 by i; the coboundary preserves that degree, which
 :func:`graded_submatrix` verifies entry by entry while extracting a
 block.
@@ -22,7 +22,6 @@ block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,45 +29,6 @@ from .algebra import AlgebraStructure, Bimodule, Grading
 from .linalg import SparseRationalMatrix
 
 MAX_ARITY = 3
-
-
-@dataclass(frozen=True)
-class CochainIndex:
-    """Flat enumeration of the basis of Hom(L^arity, M)."""
-
-    algebra_dim: int
-    module_dim: int
-    arity: int
-
-    def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ValueError("arity must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return self.algebra_dim**self.arity * self.module_dim
-
-    def flat(self, args: Sequence[int], target: int) -> int:
-        if len(args) != self.arity:
-            raise ValueError("argument tuple has the wrong length")
-        idx = 0
-        for a in args:
-            if not 0 <= a < self.algebra_dim:
-                raise ValueError(f"algebra index {a} out of range")
-            idx = idx * self.algebra_dim + a
-        if not 0 <= target < self.module_dim:
-            raise ValueError(f"module index {target} out of range")
-        return idx * self.module_dim + target
-
-    def unflat(self, index: int) -> tuple[tuple[int, ...], int]:
-        if not 0 <= index < self.size:
-            raise ValueError("flat index out of range")
-        index, target = divmod(index, self.module_dim)
-        args = []
-        for _ in range(self.arity):
-            index, a = divmod(index, self.algebra_dim)
-            args.append(a)
-        return tuple(reversed(args)), target
 
 
 def coboundary_matrix(
@@ -143,76 +103,65 @@ def coboundary_matrix(
     return SparseRationalMatrix(rows, cols, entries)
 
 
-def _check_degrees(
-    algebra: AlgebraStructure, grading: Grading, module_degrees: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _check_degrees(algebra: AlgebraStructure, grading: Grading) -> tuple[int, ...]:
     if len(grading.degrees) != algebra.dim:
         raise ValueError("grading length does not match the algebra")
-    return grading.degrees, tuple(int(d) for d in module_degrees)
+    return grading.degrees
 
 
 def graded_columns(
-    algebra: AlgebraStructure,
-    grading: Grading,
-    module_degrees: Sequence[int],
-    n: int,
-    degree: int,
+    algebra: AlgebraStructure, grading: Grading, n: int, degree: int
 ) -> tuple[int, ...]:
-    """Flat indices of the basis cochains of the given degree.
+    """Flat indices of the basis cochains of Hom(L^n, L) of the given degree.
 
     The cochain ``(i_1, ..., i_n; k)`` has degree
-    ``module_degrees[k] - sum(grading[i_p])``.
+    ``grading[k] - sum(grading[i_p])``.
     """
-    degs, mdegs = _check_degrees(algebra, grading, module_degrees)
+    degs = _check_degrees(algebra, grading)
     dl = algebra.dim
-    dm = len(mdegs)
     out: list[int] = []
     flat_base = 0
     for args in itertools.product(range(dl), repeat=n):
         s = 0
         for a in args:
             s += degs[a]
-        for k in range(dm):
-            if mdegs[k] - s == degree:
+        for k in range(dl):
+            if degs[k] - s == degree:
                 out.append(flat_base + k)
-        flat_base += dm
+        flat_base += dl
     return tuple(out)
 
 
 def cochain_degrees(
-    algebra: AlgebraStructure,
-    grading: Grading,
-    module_degrees: Sequence[int],
-    n: int,
+    algebra: AlgebraStructure, grading: Grading, n: int
 ) -> tuple[int, ...]:
-    """All degrees realized by nonzero components of Hom(L^n, M)."""
-    degs, mdegs = _check_degrees(algebra, grading, module_degrees)
+    """All degrees realized by nonzero components of Hom(L^n, L)."""
+    degs = _check_degrees(algebra, grading)
     if algebra.dim == 0 and n > 0:
         return ()
     arg_sums = {0}
     values = set(degs)
     for _ in range(n):
         arg_sums = {s + d for s in arg_sums for d in values} if values else set()
-    return tuple(sorted({mk - s for mk in mdegs for s in arg_sums}))
+    return tuple(sorted({mk - s for mk in degs for s in arg_sums}))
 
 
 def graded_submatrix(
     d: SparseRationalMatrix,
     algebra: AlgebraStructure,
     grading: Grading,
-    module_degrees: Sequence[int],
     n: int,
     degree: int,
 ) -> SparseRationalMatrix:
     """Block of a coboundary matrix between fixed-degree components.
 
-    Restricts d (the arity-n coboundary) to the degree-``degree`` columns
-    of Hom(L^n, M) and rows of Hom(L^{n+1}, M). Any entry leading from
-    such a column to a row of a different degree makes the claimed
-    grading invalid and raises ValueError.
+    Restricts d (the arity-n coboundary of L acting on itself) to the
+    degree-``degree`` columns of Hom(L^n, L) and rows of Hom(L^{n+1}, L).
+    Any entry leading from such a column to a row of a different degree
+    makes the claimed grading invalid and raises ValueError.
     """
-    cols = graded_columns(algebra, grading, module_degrees, n, degree)
-    rows = graded_columns(algebra, grading, module_degrees, n + 1, degree)
+    cols = graded_columns(algebra, grading, n, degree)
+    rows = graded_columns(algebra, grading, n + 1, degree)
     col_pos = {c: i for i, c in enumerate(cols)}
     row_pos = {r: i for i, r in enumerate(rows)}
     sub: dict[tuple[int, int], Fraction] = {}

@@ -14,6 +14,7 @@ part the cochain degree forces.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,6 @@ from .linalg import (
 )
 
 _TAG_DEGREE = {"G": 0, "I": 1}
-_DEGREE_TAG = {0: "G", 1: "I"}
 
 BlockSpec = Sequence[str] | Iterable[Sequence[str]]
 
@@ -173,26 +173,19 @@ class AdjointCohomology:
     # graded pieces
 
     def degrees(self, n: int) -> tuple[int, ...]:
-        return cochain_degrees(self.algebra, self.grading, self.grading.degrees, n)
+        return cochain_degrees(self.algebra, self.grading, n)
 
     def graded_cols(self, n: int, degree: int) -> tuple[int, ...]:
         key = (n, degree)
         if key not in self._cols:
-            self._cols[key] = graded_columns(
-                self.algebra, self.grading, self.grading.degrees, n, degree
-            )
+            self._cols[key] = graded_columns(self.algebra, self.grading, n, degree)
         return self._cols[key]
 
     def graded_sub(self, n: int, degree: int) -> SparseRationalMatrix:
         key = (n, degree)
         if key not in self._sub:
             self._sub[key] = graded_submatrix(
-                self.coboundary(n),
-                self.algebra,
-                self.grading,
-                self.grading.degrees,
-                n,
-                degree,
+                self.coboundary(n), self.algebra, self.grading, n, degree
             )
         return self._sub[key]
 
@@ -350,6 +343,55 @@ def _require_right_module(algebra: AlgebraStructure, module: Bimodule) -> None:
         )
 
 
+def _ce_coboundary(
+    algebra: AlgebraStructure, module: Bimodule, n: int
+) -> SparseRationalMatrix:
+    """Matrix of the Chevalley-Eilenberg coboundary d^n on alternating
+    n-cochains,
+
+        (d f)(x_0, ..., x_n) = sum_i (-1)^i x_i . f(x_0, ..., ^x_i, ..., x_n)
+            + sum_{i<j} (-1)^{i+j} f([x_i, x_j], x_0, ..., ^x_i, ..., ^x_j, ..., x_n)
+
+    with x.m = -[m, x]. An n-cochain coordinate (i_1 < ... < i_n; k) sits
+    at (position of the tuple among the increasing n-tuples) * dim M + k.
+    """
+    dm = module.module_dim
+    cols = {
+        args: pos for pos, args in enumerate(itertools.combinations(range(algebra.dim), n))
+    }
+    rows = list(itertools.combinations(range(algebra.dim), n + 1))
+    entries: dict[tuple[int, int], Fraction] = {}
+
+    def add(r: int, c: int, v: Fraction) -> None:
+        cur = entries.get((r, c), Fraction(0)) + v
+        if cur:
+            entries[(r, c)] = cur
+        else:
+            entries.pop((r, c), None)
+
+    for row_pos, xs in enumerate(rows):
+        row_base = row_pos * dm
+        for i, x in enumerate(xs):
+            col_base = cols[xs[:i] + xs[i + 1 :]] * dm
+            # (-1)^i x_i . m = (-1)^{i+1} [m, x_i]
+            sign = 1 if i % 2 else -1
+            for (out, inp), v in module.right_action[x].items():
+                add(row_base + out, col_base + inp, sign * v)
+        for i, j in itertools.combinations(range(n + 1), 2):
+            rest = xs[:i] + xs[i + 1 : j] + xs[j + 1 :]
+            for t, c in algebra.product(xs[i], xs[j]).items():
+                # moving t into its sorted place in rest adds (-1)^pos, and
+                # an alternating cochain vanishes on a repeated argument
+                pos = bisect.bisect_left(rest, t)
+                if pos < len(rest) and rest[pos] == t:
+                    continue
+                col_base = cols[rest[:pos] + (t,) + rest[pos:]] * dm
+                coeff = c if (i + j + pos) % 2 == 0 else -c
+                for k in range(dm):
+                    add(row_base + k, col_base + k, coeff)
+    return SparseRationalMatrix(len(rows) * dm, len(cols) * dm, entries)
+
+
 def lie_ce_h(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
     """dim H^n of the Chevalley-Eilenberg complex, n in {1, 2}.
 
@@ -364,86 +406,9 @@ def lie_ce_h(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
         raise ValueError("module is over an algebra of different dimension")
     _require_lie(algebra)
     _require_right_module(algebra, module)
-    g = algebra.dim
-    dm = module.module_dim
-    rho = tuple(
-        {key: -v for key, v in act.items()} for act in module.right_action
-    )
-
-    def build(entries):
-        def add(r, c, v):
-            key = (r, c)
-            cur = entries.get(key, Fraction(0)) + v
-            if cur:
-                entries[key] = cur
-            else:
-                entries.pop(key, None)
-
-        return add
-
-    pairs = list(itertools.combinations(range(g), 2))
-    pair_pos = {pq: i for i, pq in enumerate(pairs)}
-
-    # d0: M -> Hom(G, M)
-    e0: dict[tuple[int, int], Fraction] = {}
-    add0 = build(e0)
-    for p in range(g):
-        for (out, inp), v in rho[p].items():
-            add0(p * dm + out, inp, v)
-    d0 = SparseRationalMatrix(g * dm, dm, e0)
-
-    # d1: Hom(G, M) -> Hom(/\2 G, M)
-    e1: dict[tuple[int, int], Fraction] = {}
-    add1 = build(e1)
-    for p, q in pairs:
-        row_base = pair_pos[(p, q)] * dm
-        for (out, inp), v in rho[p].items():
-            add1(row_base + out, q * dm + inp, v)
-        for (out, inp), v in rho[q].items():
-            add1(row_base + out, p * dm + inp, -v)
-        for t, c in algebra.product(p, q).items():
-            for k in range(dm):
-                add1(row_base + k, t * dm + k, -c)
-    d1 = SparseRationalMatrix(len(pairs) * dm, g * dm, e1)
-
-    if n == 1:
-        ker = g * dm - rank(d1)
-        return ker - rank(d0)
-
-    # d2: Hom(/\2 G, M) -> Hom(/\3 G, M)
-    triples = list(itertools.combinations(range(g), 3))
-    e2: dict[tuple[int, int], Fraction] = {}
-    add2 = build(e2)
-
-    def alternating(t: int, partner: int):
-        if t == partner:
-            return None
-        if t < partner:
-            return pair_pos[(t, partner)], 1
-        return pair_pos[(partner, t)], -1
-
-    for tri_pos, (p, q, r) in enumerate(triples):
-        row_base = tri_pos * dm
-        for x, pq, sign in ((p, (q, r), 1), (q, (p, r), -1), (r, (p, q), 1)):
-            col_base = pair_pos[pq] * dm
-            for (out, inp), v in rho[x].items():
-                add2(row_base + out, col_base + inp, sign * v)
-        for (a, b), partner, sign in (
-            ((p, q), r, -1),
-            ((p, r), q, 1),
-            ((q, r), p, -1),
-        ):
-            for t, c in algebra.product(a, b).items():
-                hit = alternating(t, partner)
-                if hit is None:
-                    continue
-                col, orient = hit
-                coeff = sign * orient * c
-                for k in range(dm):
-                    add2(row_base + k, col * dm + k, coeff)
-    d2 = SparseRationalMatrix(len(triples) * dm, len(pairs) * dm, e2)
-    ker = len(pairs) * dm - rank(d2)
-    return ker - rank(d1)
+    d_prev = _ce_coboundary(algebra, module, n - 1)
+    d = _ce_coboundary(algebra, module, n)
+    return d.cols - rank(d) - rank(d_prev)
 
 
 def leibniz_h_with_coefficients(

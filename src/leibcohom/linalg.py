@@ -92,35 +92,12 @@ class SparseRationalMatrix:
                 clean[(r, c)] = fv
         object.__setattr__(self, "entries", clean)
 
-    @classmethod
-    def identity(cls, n: int) -> SparseRationalMatrix:
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, dense_rows: Sequence[Sequence]) -> SparseRationalMatrix:
-        rows = len(dense_rows)
-        cols = len(dense_rows[0]) if dense_rows else 0
-        entries = {}
-        for r, row in enumerate(dense_rows):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                fv = _as_rational(v)
-                if fv:
-                    entries[(r, c)] = fv
-        return cls(rows, cols, entries)
-
     @property
     def nnz(self) -> int:
         return len(self.entries)
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def transpose(self) -> SparseRationalMatrix:
-        return SparseRationalMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def row_dicts(self) -> dict[int, dict[int, Fraction]]:
         """Nonzero rows as ``{row: {col: value}}``."""
@@ -457,12 +434,6 @@ class Subspace:
                 rows.append(_integer_row(w))
         reduced = _reduce(_echelon(rows))
         return Subspace(ambient_dim, tuple(reduced[p] for p in sorted(reduced)))
-
-    @staticmethod
-    def full(ambient_dim: int) -> Subspace:
-        return Subspace(
-            ambient_dim, tuple({i: Fraction(1)} for i in range(ambient_dim))
-        )
 
     def contains(self, vec: VectorLike) -> bool:
         w: dict[int, Fraction] = {}

@@ -11,8 +11,6 @@ from leibcohom.algebra import (
     adjoint_bimodule,
     check_bimodule_axioms,
     check_grading,
-    derived_series,
-    is_solvable,
     leibniz_defects,
     squares_ideal,
     symmetric_bimodule,
@@ -21,10 +19,6 @@ from leibcohom.catalog import irreducible_sl2_module, simple_leibniz_sl2, sl2
 from leibcohom.linalg import Subspace, subspace_equal
 
 F = Fraction
-
-
-def abelian(n):
-    return AlgebraStructure(n, tuple(f"a{i}" for i in range(n)), {})
 
 
 def perturbed_family_algebra():
@@ -45,9 +39,12 @@ class TestAlgebraStructure:
     def test_bracket_vectors_bilinear(self):
         g = sl2()
         u = {0: F(2), 2: F(1)}   # 2e + h
-        v = {1: F(3)}            # 3f
-        # [2e + h, 3f] = 6[e,f] + 3[h,f] = 6h + 6f
-        assert g.bracket_vectors(u, v) == {2: F(6), 1: F(6)}
+        # [2e + h, f] = 2[e,f] + [h,f] = 2h + 2f
+        assert g.bracket_vector_basis(u, 1) == {2: F(2), 1: F(2)}
+        # [f, 2e + h] = -2h - 2f
+        assert g.bracket_basis_vector(1, u) == {2: F(-2), 1: F(-2)}
+        # [e, 2e + h] = [e, h] = 2e: the square term drops out
+        assert g.bracket_basis_vector(0, u) == {0: F(2)}
 
     def test_rejects_bad_tensor_index(self):
         with pytest.raises(ValueError):
@@ -91,21 +88,6 @@ class TestSquaresIdeal:
 
     def test_lie_algebra_squares_vanish(self):
         assert squares_ideal(sl2()).dim == 0
-
-
-class TestDerivedSeries:
-    def test_abelian(self):
-        assert derived_series(abelian(3)) == [3, 0]
-        assert is_solvable(abelian(3))
-
-    def test_sl2_not_solvable(self):
-        series = derived_series(sl2())
-        assert series[-1] == 3
-        assert not is_solvable(sl2())
-
-    def test_family_not_solvable(self):
-        algebra, _ = simple_leibniz_sl2(2)
-        assert not is_solvable(algebra)
 
 
 class TestGrading:

@@ -6,14 +6,28 @@ import json
 
 import pytest
 
-from leibcohom.catalog import save_algebra, simple_leibniz_sl2, sl2
+from leibcohom.catalog import dumps_algebra, save_algebra, simple_leibniz_sl2, sl2
 from leibcohom.cli import main
 
 
-def run(capsys, argv):
+def run_err(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
-    return code, captured.out
+    return code, captured.out, captured.err
+
+
+def run(capsys, argv):
+    code, out, _ = run_err(capsys, argv)
+    return code, out
+
+
+@pytest.fixture
+def badly_graded(tmp_path):
+    """sl2 with the grading 0 0 1, which [e, h] = 2e does not respect."""
+    path = tmp_path / "badly_graded.alg"
+    text = dumps_algebra(sl2()).replace("basis e f h\n", "basis e f h\ngrading 0 0 1\n")
+    path.write_text(text)
+    return path
 
 
 class TestCheck:
@@ -53,6 +67,11 @@ class TestCheck:
     def test_invalid_m_exits_2(self, capsys):
         code, _ = run(capsys, ["check", "--m", "1"])
         assert code == 2
+
+    def test_bad_grading_exits_1(self, capsys, badly_graded):
+        code, out = run(capsys, ["check", "--algebra", str(badly_graded)])
+        assert code == 1
+        assert "NOT respected" in out
 
 
 class TestCohomology:
@@ -114,6 +133,13 @@ class TestCohomology:
         assert code == 0
         assert json.loads(out)["dim_h"] == 0
 
+    @pytest.mark.parametrize("extra", [[], ["--graded"]])
+    def test_bad_grading_exits_2(self, capsys, badly_graded, extra):
+        code, out, err = run_err(capsys, ["cohomology", "--algebra", str(badly_graded), *extra])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "grading" in err
+
     def test_csv_format(self, capsys):
         code, out = run(capsys, ["cohomology", "--m", "2", "--format", "csv"])
         assert code == 0
@@ -150,6 +176,22 @@ class TestDerivations:
         payload = json.loads(out)
         assert payload["dim"] == 3
         assert "basis_decompositions" not in payload
+
+    def test_bad_grading_exits_2(self, capsys, badly_graded):
+        code, out, err = run_err(capsys, ["derivations", "--algebra", str(badly_graded)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "grading" in err
+
+    def test_identity_violation_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "broken.alg"
+        path.write_text(
+            "algebra-file 1\ndim 2\nbasis a b\n"
+            "product 0 1 0 1\nproduct 1 0 1 1\n"
+        )
+        code, _, err = run_err(capsys, ["derivations", "--algebra", str(path)])
+        assert code == 2
+        assert "Leibniz identity" in err
 
 
 class TestVerifyPaper:
@@ -201,6 +243,31 @@ class TestVerifyPaper:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_out_into_missing_directory_fails_fast(self, capsys, tmp_path, monkeypatch):
+        import leibcohom.cli as cli
+
+        def never(task):
+            raise AssertionError("computed a parameter value before failing")
+
+        monkeypatch.setattr(cli, "_verify_worker", never)
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_err(capsys, [
+            "verify-paper", "--m-range", "2..3", "--format", "json", "--out", str(target),
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.parent.exists()
+
+    def test_out_write_failure_exits_2(self, capsys, tmp_path):
+        # the target exists but is a directory, so opening it fails
+        code, out, err = run_err(capsys, [
+            "verify-paper", "--m-range", "2..2", "--format", "json", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch):
         serial = tmp_path / "serial.json"

@@ -1,6 +1,7 @@
 """Cohomology dimensions, graded reports, block analyses, and the Lie
 comparison theorems."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,21 +11,97 @@ from leibcohom.algebra import (
     Bimodule,
     Grading,
     adjoint_bimodule,
+    leibniz_defects,
     symmetric_bimodule,
 )
-from leibcohom.catalog import irreducible_sl2_module, simple_leibniz_sl2, sl2
+from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
 from leibcohom.cohomology import (
     AdjointCohomology,
     BlockAnalysis,
     CohomologyReport,
+    _ce_coboundary,
     bl_dim,
     hl_dim,
     leibniz_h_with_coefficients,
     lie_ce_h,
     zl_dim,
 )
+from leibcohom.derivations import derivation_space
 
 F = Fraction
+
+# the 2-dimensional non-abelian Lie algebra, [a, b] = b
+R2 = AlgebraStructure(2, ("a", "b"), {(0, 1): {1: F(1)}, (1, 0): {1: F(-1)}})
+# the Heisenberg algebra, [x, y] = z
+H3 = AlgebraStructure(3, ("x", "y", "z"), {(0, 1): {2: F(1)}, (1, 0): {2: F(-1)}})
+
+
+def trivial_module(algebra):
+    zero = tuple({} for _ in range(algebra.dim))
+    return Bimodule(algebra.dim, 1, zero, zero)
+
+
+def inverse_and_det(p):
+    """Exact inverse and determinant of a square integer matrix by
+    Fraction Gauss-Jordan elimination; (None, 0) when it is singular."""
+    n = len(p)
+    rows = [[F(v) for v in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(p)]
+    det = F(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return None, 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        pv = rows[c][c]
+        det *= pv
+        rows[c] = [v / pv for v in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows], det
+
+
+def conjugate(algebra, seed):
+    """The algebra in the basis b'_i = sum_a P[a][i] b_a for a seeded
+    integer P with determinant other than 0 and +-1, drawn again until
+
+        c'_{ij}^k = sum_{a,b,t} P[a][i] P[b][j] c_{ab}^t Pinv[k][t]
+
+    has a fractional constant and at least three times the nonzero
+    constants of the algebra, so that P mixes the basis."""
+    n = algebra.dim
+    nnz = sum(len(vec) for vec in algebra.tensor.values())
+    rng = random.Random(seed)
+    while True:
+        p = [
+            [rng.choice((1, 2)) if a == i else
+             (rng.choice((-2, -1, 1, 2)) if rng.random() < 0.1 else 0)
+             for i in range(n)]
+            for a in range(n)
+        ]
+        q, det = inverse_and_det(p)
+        if det in (0, 1, -1):
+            continue
+        tensor = {}
+        for (a, b), vec in algebra.tensor.items():
+            for t, c in vec.items():
+                for i in range(n):
+                    for j in range(n):
+                        w = p[a][i] * p[b][j] * c
+                        if not w:
+                            continue
+                        for k in range(n):
+                            if q[k][t]:
+                                out = tensor.setdefault((i, j), {})
+                                out[k] = out.get(k, F(0)) + w * q[k][t]
+        values = [c for vec in tensor.values() for c in vec.values() if c]
+        if len(values) >= 3 * nnz and any(c.denominator != 1 for c in values):
+            break
+    labels = tuple(f"b{i}" for i in range(n))
+    return AlgebraStructure(n, labels, tensor)
 
 
 class TestTotals:
@@ -180,6 +257,37 @@ class TestLieCohomology:
         assert lie_ce_h(two, trivial, 1) == 2
         assert lie_ce_h(two, trivial, 2) == 1
 
+    @pytest.mark.parametrize(
+        "algebra,module,expected",
+        [
+            # Betti numbers 1, 1, 0
+            (R2, trivial_module(R2), (1, 0)),
+            # r2 is complete: no outer derivations, no deformations
+            (R2, adjoint_bimodule(R2), (0, 0)),
+            # Betti numbers 1, 2, 2, 1
+            (H3, trivial_module(H3), (2, 2)),
+            # H^1 = dim Der - dim ad = 6 - 2; H^2 from the Euler
+            # characteristic 0 and Poincare duality H^3 = H_0 = h3 / [h3, h3]
+            (H3, adjoint_bimodule(H3), (4, 5)),
+        ],
+        ids=["r2-trivial", "r2-adjoint", "h3-trivial", "h3-adjoint"],
+    )
+    def test_bracket_signs(self, algebra, module, expected):
+        # nonzero brackets exercise the f([x_i, x_j], ...) terms and their
+        # (-1)^{i+j} signs, which vanish for abelian algebras
+        assert (lie_ce_h(algebra, module, 1), lie_ce_h(algebra, module, 2)) == expected
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_complex_property(self, n):
+        for algebra, module in (
+            (H3, adjoint_bimodule(H3)),
+            (sl2(), irreducible_sl2_module(3)),
+            (direct_sum(sl2(), R2), adjoint_bimodule(direct_sum(sl2(), R2))),
+        ):
+            d = _ce_coboundary(algebra, module, n)
+            d_next = _ce_coboundary(algebra, module, n + 1)
+            assert (d_next @ d).is_zero()
+
     def test_requires_lie_algebra(self):
         algebra, _ = simple_leibniz_sl2(2)
         module = adjoint_bimodule(algebra)
@@ -227,3 +335,20 @@ class TestLeibnizWithCoefficients:
         bad = Bimodule(3, 3, module.left_action, tuple(right))
         with pytest.raises(ValueError):
             leibniz_h_with_coefficients(sl2(), bad, 2)
+
+
+class TestBasisChangeInvariance:
+    """Conjugated family members carry fractional structure constants and
+    no grading, so every number comes from full-matrix elimination on
+    fractional matrices."""
+
+    @pytest.mark.parametrize("m,seed,z2,der", [(2, 1, 31, 5), (3, 2, 45, 4)])
+    def test_dimensions_survive_conjugation(self, m, seed, z2, der):
+        algebra = conjugate(simple_leibniz_sl2(m)[0], seed)
+        assert leibniz_defects(algebra) == []
+        module = adjoint_bimodule(algebra)
+        # HL^2 = ZL^2 - BL^2 = 0
+        assert zl_dim(algebra, module, 2) == bl_dim(algebra, module, 2) == z2
+        assert zl_dim(algebra, module, 1) == der
+        assert bl_dim(algebra, module, 1) == 3
+        assert derivation_space(algebra).dim == der
