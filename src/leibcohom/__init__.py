@@ -60,7 +60,6 @@ from .derivations import (
     right_mult_operator,
 )
 from .linalg import (
-    Rational,
     SparseRationalMatrix,
     Subspace,
     column_space,
@@ -84,7 +83,6 @@ __all__ = [
     "DerivationDecomposition",
     "Grading",
     "IdentityViolation",
-    "Rational",
     "SparseRationalMatrix",
     "Subspace",
     "adjoint_bimodule",

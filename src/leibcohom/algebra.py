@@ -13,31 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import Subspace, _as_rational
+from .linalg import Subspace, _add, _as_rational, _axpy, _sparse
 
 _EMPTY: dict[int, Fraction] = {}
 
 ActionMatrix = Mapping[tuple[int, int], Fraction]
-
-
-def _clean_vector(vec: Mapping[int, Fraction], dim: int, what: str) -> dict[int, Fraction]:
-    out = {}
-    for k, v in vec.items():
-        if not 0 <= k < dim:
-            raise ValueError(f"{what}: basis index {k} out of range")
-        fv = _as_rational(v)
-        if fv:
-            out[k] = fv
-    return out
-
-
-def _add_scaled(acc: dict[int, Fraction], vec: Mapping[int, Fraction], scale: Fraction) -> None:
-    for k, v in vec.items():
-        cur = acc.get(k, 0) + scale * v
-        if cur:
-            acc[k] = cur
-        else:
-            acc.pop(k, None)
 
 
 @dataclass(frozen=True)
@@ -62,7 +42,7 @@ class AlgebraStructure:
         for (i, j), vec in self.tensor.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"product ({i}, {j}) out of range")
-            cv = _clean_vector(vec, self.dim, f"product ({i}, {j})")
+            cv = _sparse(vec, self.dim, f"product ({i}, {j})")
             if cv:
                 clean[(i, j)] = cv
         object.__setattr__(self, "tensor", clean)
@@ -78,7 +58,7 @@ class AlgebraStructure:
         for t, c in vec.items():
             prod = self.tensor.get((i, t))
             if prod:
-                _add_scaled(out, prod, c)
+                _axpy(out, prod, c)
         return out
 
     def bracket_vector_basis(self, vec: Mapping[int, Fraction], j: int) -> dict[int, Fraction]:
@@ -87,7 +67,7 @@ class AlgebraStructure:
         for t, c in vec.items():
             prod = self.tensor.get((t, j))
             if prod:
-                _add_scaled(out, prod, c)
+                _axpy(out, prod, c)
         return out
 
 
@@ -205,8 +185,8 @@ def leibniz_defects(algebra: AlgebraStructure) -> list[IdentityViolation]:
                 if not (p_jk or p_ij or p_ik):
                     continue
                 defect = algebra.bracket_basis_vector(i, p_jk)
-                _add_scaled(defect, algebra.bracket_vector_basis(p_ij, k), Fraction(-1))
-                _add_scaled(defect, algebra.bracket_vector_basis(p_ik, j), Fraction(1))
+                _axpy(defect, algebra.bracket_vector_basis(p_ij, k), Fraction(-1))
+                _axpy(defect, algebra.bracket_vector_basis(p_ik, j), Fraction(1))
                 if defect:
                     violations.append(IdentityViolation((i, j, k), defect))
     return violations
@@ -224,7 +204,7 @@ def squares_ideal(algebra: AlgebraStructure) -> Subspace:
     for i in range(n):
         for j in range(i, n):
             v = dict(algebra.product(i, j))
-            _add_scaled(v, algebra.product(j, i), Fraction(1))
+            _axpy(v, algebra.product(j, i), Fraction(1))
             if v:
                 vectors.append(v)
     span = Subspace.from_spanning(vectors, n)
@@ -264,22 +244,8 @@ def _compose(x: ActionMatrix, y: ActionMatrix) -> dict[tuple[int, int], Fraction
         if not hits:
             continue
         for r, xv in hits:
-            key = (r, c)
-            cur = out.get(key, 0) + xv * yv
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+            _add(out, (r, c), xv * yv)
     return out
-
-
-def _mat_accum(acc: dict[tuple[int, int], Fraction], mat: ActionMatrix, scale) -> None:
-    for key, v in mat.items():
-        cur = acc.get(key, 0) + scale * v
-        if cur:
-            acc[key] = cur
-        else:
-            acc.pop(key, None)
 
 
 def check_bimodule_axioms(algebra: AlgebraStructure, module: Bimodule) -> list[IdentityViolation]:
@@ -310,19 +276,19 @@ def check_bimodule_axioms(algebra: AlgebraStructure, module: Bimodule) -> list[I
             rj_li = _compose(r_j, l_i)
 
             d1 = _compose(r_j, r_i)
-            _mat_accum(d1, _compose(r_i, r_j), Fraction(-1))
+            _axpy(d1, _compose(r_i, r_j), Fraction(-1))
             for t, c in c_ij.items():
-                _mat_accum(d1, module.right_action[t], -c)
+                _axpy(d1, module.right_action[t], -c)
 
             d2 = _compose(l_i, r_j)
-            _mat_accum(d2, rj_li, Fraction(-1))
+            _axpy(d2, rj_li, Fraction(-1))
             for t, c in c_ij.items():
-                _mat_accum(d2, module.left_action[t], c)
+                _axpy(d2, module.left_action[t], c)
 
             d3 = _compose(l_i, l_j)
-            _mat_accum(d3, rj_li, Fraction(1))
+            _axpy(d3, rj_li, Fraction(1))
             for t, c in c_ij.items():
-                _mat_accum(d3, module.left_action[t], -c)
+                _axpy(d3, module.left_action[t], -c)
 
             for axiom, defect in ((1, d1), (2, d2), (3, d3)):
                 if not defect:

@@ -123,16 +123,8 @@ def lie_as_leibniz(algebra: AlgebraStructure) -> AlgebraStructure:
     """
     for i in range(algebra.dim):
         for j in range(i, algebra.dim):
-            forward = dict(algebra.product(i, j))
-            back = algebra.product(j, i)
-            for t, c in back.items():
-                cur = forward.get(t, 0) + c
-                if cur:
-                    raise ValueError(
-                        f"bracket is not antisymmetric at ({i}, {j})"
-                    )
-                forward.pop(t, None)
-            if forward:
+            back = {t: -c for t, c in algebra.product(j, i).items()}
+            if algebra.product(i, j) != back:
                 raise ValueError(f"bracket is not antisymmetric at ({i}, {j})")
     defects = leibniz_defects(algebra)
     if defects:

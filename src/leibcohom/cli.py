@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .algebra import (
@@ -194,6 +193,8 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         return _fail("per-degree and per-block output need a graded algebra")
     if args.blocks and args.n != 2:
         return _fail("block analysis is defined for n=2 cocycles only")
+    if args.blocks and not set(grading.degrees) <= {0, 1}:
+        return _fail("block analysis needs a grading with degrees in {0, 1}")
 
     payload: dict = {"algebra": label, "n": args.n}
     pretty = [f"{label}: cohomology of the algebra acting on itself, n={args.n}"]
@@ -222,7 +223,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         for degree, pairs in STANDARD_BLOCKS:
             try:
                 analysis = coh.block_analysis(degree, pairs)
-            except ValueError:
+            except ValueError:  # the block has no target component in this degree
                 continue
             rows.append(analysis.to_dict())
             tags = " + ".join("*".join(p) for p in pairs)
@@ -573,6 +574,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 
     tasks = [(m, args.deep) for m in ms]
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_verify_worker, tasks))
     else:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import AlgebraStructure, Bimodule, Grading
-from .linalg import SparseRationalMatrix
+from .linalg import SparseRationalMatrix, _add
 
 MAX_ARITY = 3
 
@@ -52,18 +52,6 @@ def coboundary_matrix(
     tensor = algebra.tensor
     entries: dict[tuple[int, int], Fraction] = {}
 
-    def add(r: int, c: int, v: Fraction) -> None:
-        key = (r, c)
-        cur = entries.get(key)
-        if cur is None:
-            entries[key] = v
-        else:
-            s = cur + v
-            if s:
-                entries[key] = s
-            else:
-                del entries[key]
-
     def base(t: Sequence[int]) -> int:
         idx = 0
         for a in t:
@@ -75,17 +63,17 @@ def coboundary_matrix(
         # [x_1, f(x_2, ..., x_{n+1})]
         col_base = base(args[1:])
         for (out, inp), v in left[args[0]].items():
-            add(row_base + out, col_base + inp, v)
+            _add(entries, (row_base + out, col_base + inp), v)
         # (-1)^p [f(..., ^x_p, ...), x_p], p = 2..n+1 one-based
         for p in range(1, n + 1):
             sign = 1 if p % 2 else -1
             col_b = base(args[:p] + args[p + 1 :])
             if sign == 1:
                 for (out, inp), v in right[args[p]].items():
-                    add(row_base + out, col_b + inp, v)
+                    _add(entries, (row_base + out, col_b + inp), v)
             else:
                 for (out, inp), v in right[args[p]].items():
-                    add(row_base + out, col_b + inp, -v)
+                    _add(entries, (row_base + out, col_b + inp), -v)
         # (-1)^{q+1} f(..., [x_p, x_q], ..., ^x_q, ...), p < q one-based
         for p in range(n + 1):
             for q in range(p + 1, n + 1):
@@ -99,7 +87,7 @@ def coboundary_matrix(
                     col_b = base(mid + (t,) + tail)
                     s = coeff if sign == 1 else -coeff
                     for k in range(dm):
-                        add(row_base + k, col_b + k, s)
+                        _add(entries, (row_base + k, col_b + k), s)
     return SparseRationalMatrix(rows, cols, entries)
 
 

@@ -37,6 +37,7 @@ from .cochain import (
 from .linalg import (
     SparseRationalMatrix,
     Subspace,
+    _add,
     column_space,
     kernel_basis,
     project,
@@ -361,14 +362,6 @@ def _ce_coboundary(
     }
     rows = list(itertools.combinations(range(algebra.dim), n + 1))
     entries: dict[tuple[int, int], Fraction] = {}
-
-    def add(r: int, c: int, v: Fraction) -> None:
-        cur = entries.get((r, c), Fraction(0)) + v
-        if cur:
-            entries[(r, c)] = cur
-        else:
-            entries.pop((r, c), None)
-
     for row_pos, xs in enumerate(rows):
         row_base = row_pos * dm
         for i, x in enumerate(xs):
@@ -376,7 +369,7 @@ def _ce_coboundary(
             # (-1)^i x_i . m = (-1)^{i+1} [m, x_i]
             sign = 1 if i % 2 else -1
             for (out, inp), v in module.right_action[x].items():
-                add(row_base + out, col_base + inp, sign * v)
+                _add(entries, (row_base + out, col_base + inp), sign * v)
         for i, j in itertools.combinations(range(n + 1), 2):
             rest = xs[:i] + xs[i + 1 : j] + xs[j + 1 :]
             for t, c in algebra.product(xs[i], xs[j]).items():
@@ -388,7 +381,7 @@ def _ce_coboundary(
                 col_base = cols[rest[:pos] + (t,) + rest[pos:]] * dm
                 coeff = c if (i + j + pos) % 2 == 0 else -c
                 for k in range(dm):
-                    add(row_base + k, col_base + k, coeff)
+                    _add(entries, (row_base + k, col_base + k), coeff)
     return SparseRationalMatrix(len(rows) * dm, len(cols) * dm, entries)
 
 

@@ -23,6 +23,8 @@ from .algebra import AlgebraStructure, Grading
 from .linalg import (
     SparseRationalMatrix,
     Subspace,
+    _add,
+    _axpy,
     kernel_basis,
     rank,
     restrict_to_coords,
@@ -39,26 +41,17 @@ def derivation_space(algebra: AlgebraStructure) -> Subspace:
     """
     n = algebra.dim
     entries: dict[tuple[int, int], Fraction] = {}
-
-    def add(r: int, c: int, v: Fraction) -> None:
-        key = (r, c)
-        cur = entries.get(key, Fraction(0)) + v
-        if cur:
-            entries[key] = cur
-        else:
-            entries.pop(key, None)
-
     for i in range(n):
         for j in range(n):
             row_base = (i * n + j) * n
             for k, c in algebra.product(i, j).items():
                 for t in range(n):
-                    add(row_base + t, k * n + t, c)
+                    _add(entries, (row_base + t, k * n + t), c)
             for k in range(n):
                 for t, c in algebra.product(k, j).items():
-                    add(row_base + t, i * n + k, -c)
+                    _add(entries, (row_base + t, i * n + k), -c)
                 for t, c in algebra.product(i, k).items():
-                    add(row_base + t, j * n + k, -c)
+                    _add(entries, (row_base + t, j * n + k), -c)
     constraints = SparseRationalMatrix(n * n * n, n * n, entries)
     return kernel_basis(constraints)
 
@@ -74,12 +67,7 @@ def right_mult_operator(
     for z in range(n):
         acc: dict[int, Fraction] = {}
         for s, xs in element.items():
-            for t, c in algebra.product(z, s).items():
-                cur = acc.get(t, Fraction(0)) + xs * c
-                if cur:
-                    acc[t] = cur
-                else:
-                    acc.pop(t, None)
+            _axpy(acc, algebra.product(z, s), xs)
         for t, v in acc.items():
             entries[(t, z)] = v
     return SparseRationalMatrix(n, n, entries)
@@ -192,8 +180,8 @@ def decompose_derivation(
     entries: dict[tuple[int, int], Fraction] = {}
 
     def put(op: SparseRationalMatrix, col: int) -> None:
-        for (t, z), v in op.entries.items():
-            entries[(z * n + t, col)] = v
+        for flat, v in matrix_to_cochain(op).items():
+            entries[(flat, col)] = v
 
     for pos, s in enumerate(g_idx):
         put(right_mult_operator(algebra, s), pos)
@@ -207,8 +195,7 @@ def decompose_derivation(
         raise ValueError(
             "canonical spanning family is linearly dependent for this algebra"
         )
-    rhs = {z * n + t: v for (t, z), v in deriv.entries.items()}
-    x, residual_vec = solve(family, rhs)
+    x, residual_vec = solve(family, matrix_to_cochain(deriv))
     coeffs = tuple(x.get(p, Fraction(0)) for p in range(ng))
     lam = x.get(ng, Fraction(0))
     delta_entries = {

@@ -16,9 +16,12 @@ package produces, and each pivot row leads at its smallest column.
 :func:`rank` counts its pivots. Everything else adds one back-substitution,
 :func:`_reduce`, which brings the pivot rows to reduced echelon form:
 
-* :meth:`Subspace.from_spanning` (and so :func:`column_space`,
-  :func:`project` and :func:`restrict_to_coords`) stores the reduced rows
-  of a spanning set as its canonical basis;
+* :meth:`Subspace.from_spanning` (and so :func:`column_space` and
+  :func:`project`) stores the reduced rows of a spanning set as its
+  canonical basis;
+* :func:`restrict_to_coords` eliminates a basis with the outside
+  coordinates ordered first; the pivot rows that lead at a chosen
+  coordinate span the vectors supported on the chosen ones;
 * :func:`solve` reads the solution off the reduced rows of the augmented
   matrix, in the right-hand-side column;
 * :func:`kernel_basis` eliminates with the columns reversed, so each
@@ -30,6 +33,13 @@ package produces, and each pivot row leads at its smallest column.
 It is an independent cross-check of :func:`rank` for the tests, never the
 source of truth, and no faster than the rational rank on the matrices of
 this package.
+
+Sparse vectors from outside the module pass through one check,
+:func:`_sparse` (indices in range, exact scalars, zeros dropped), and
+every sparse accumulation in the package goes through :func:`_add` (one
+entry) or :func:`_axpy` (a scaled vector), which drop entries that
+cancel. Only the integer row update inside :func:`_eliminate` and the
+modular loop of :func:`rank_modular` stay inline, for speed.
 """
 
 from __future__ import annotations
@@ -39,31 +49,60 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
-_ZERO = Fraction(0)
-
 # Word-size primes for the modular rank cross-check.
 DEFAULT_PRIMES = (2147483647, 1000000007, 998244353)
 
-VectorLike = Mapping[int, Rational] | Sequence[Rational]
+VectorLike = Mapping[int, Fraction]
 
 
 def _as_rational(value) -> Fraction:
-    """Coerce an exact scalar to Fraction; floats are rejected outright."""
+    """Coerce an exact scalar (Fraction or int) to Fraction; anything
+    else, floats and strings included, is rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def _vector_items(vec: VectorLike):
-    if isinstance(vec, Mapping):
-        return vec.items()
-    return enumerate(vec)
+def _sparse(vec: VectorLike, dim: int, what: str) -> dict[int, Fraction]:
+    """Checked copy of a sparse vector: every index in ``range(dim)``,
+    checked before its value is read, every value an exact scalar, and
+    zeros dropped."""
+    try:
+        items = vec.items()
+    except AttributeError:
+        raise TypeError(f"{what}: not a sparse mapping: {vec!r}") from None
+    out: dict[int, Fraction] = {}
+    for k, v in items:
+        if not 0 <= k < dim:
+            raise ValueError(f"{what}: index {k} out of range")
+        fv = _as_rational(v)
+        if fv:
+            out[k] = fv
+    return out
+
+
+def _add(acc: dict, key, value: Fraction) -> None:
+    """``acc[key] += value`` for a nonzero value, dropping the entry when
+    it cancels. A new key stores ``value`` itself: no ``0 + value``."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = value
+    else:
+        cur += value
+        if cur:
+            acc[key] = cur
+        else:
+            del acc[key]
+
+
+def _axpy(acc: dict, vec: Mapping, scale: Fraction) -> None:
+    """``acc += scale * vec`` for a vector of nonzero entries, dropping
+    entries that cancel. A zero scale adds nothing."""
+    if scale:
+        for k, v in vec.items():
+            _add(acc, k, scale * v)
 
 
 @dataclass(frozen=True)
@@ -114,22 +153,12 @@ class SparseRationalMatrix:
 
     def apply(self, vec: VectorLike) -> dict[int, Fraction]:
         """Matrix-vector product, returned as a sparse mapping."""
-        dense: dict[int, Fraction] = {}
-        for c, v in _vector_items(vec):
-            fv = _as_rational(v)
-            if fv:
-                if not 0 <= c < self.cols:
-                    raise ValueError(f"vector coordinate {c} out of range")
-                dense[c] = fv
+        x = _sparse(vec, self.cols, "vector")
         out: dict[int, Fraction] = {}
         for (r, c), v in self.entries.items():
-            xv = dense.get(c)
+            xv = x.get(c)
             if xv:
-                cur = out.get(r, _ZERO) + v * xv
-                if cur:
-                    out[r] = cur
-                else:
-                    out.pop(r, None)
+                _add(out, r, v * xv)
         return out
 
     def __matmul__(self, other: SparseRationalMatrix) -> SparseRationalMatrix:
@@ -141,15 +170,9 @@ class SparseRationalMatrix:
         acc: dict[tuple[int, int], Fraction] = {}
         for (r, c), v in self.entries.items():
             row = other_rows.get(c)
-            if not row:
-                continue
-            for c2, w in row.items():
-                key = (r, c2)
-                cur = acc.get(key, _ZERO) + v * w
-                if cur:
-                    acc[key] = cur
-                else:
-                    acc.pop(key, None)
+            if row:
+                for c2, w in row.items():
+                    _add(acc, (r, c2), v * w)
         return SparseRationalMatrix(self.rows, other.cols, acc)
 
 
@@ -235,7 +258,8 @@ def _reduce(pivots: Mapping[int, dict[int, int]]) -> dict[int, dict[int, Fractio
 
     Rows are reduced from the largest lead down, so every pivot column a
     row meets past its lead already holds a reduced row; subtracting that
-    row clears the column and touches only non-pivot columns.
+    row (1 at its lead) clears the column and touches only non-pivot
+    columns.
     """
     reduced: dict[int, dict[int, Fraction]] = {}
     for p in sorted(pivots, reverse=True):
@@ -243,15 +267,7 @@ def _reduce(pivots: Mapping[int, dict[int, int]]) -> dict[int, dict[int, Fractio
         lead = row[p]
         out = {c: Fraction(v, lead) for c, v in row.items()}
         for q in [c for c in row if c != p and c in pivots]:
-            f = out.pop(q)
-            for c, v in reduced[q].items():
-                if c == q:
-                    continue
-                nv = out.get(c, _ZERO) - f * v
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
+            _axpy(out, reduced[q], -out[q])
         reduced[p] = out
     return reduced
 
@@ -342,13 +358,7 @@ def solve(matrix: SparseRationalMatrix, rhs: VectorLike):
     Returns ``(x, residual)`` as sparse mappings; the residual ``M x - b``
     is empty exactly when the system is consistent.
     """
-    b: dict[int, Fraction] = {}
-    for r, v in _vector_items(rhs):
-        fv = _as_rational(v)
-        if fv:
-            if not 0 <= r < matrix.rows:
-                raise ValueError(f"rhs coordinate {r} out of range")
-            b[r] = fv
+    b = _sparse(rhs, matrix.rows, "rhs")
     sentinel = matrix.cols
     aug_rows: dict[int, dict[int, Fraction]] = matrix.row_dicts()
     for r, v in b.items():
@@ -361,12 +371,7 @@ def solve(matrix: SparseRationalMatrix, rhs: VectorLike):
         p: row[sentinel] for p, row in _reduce(pivots).items() if sentinel in row
     }
     residual = matrix.apply(x)
-    for r, v in b.items():
-        cur = residual.get(r, _ZERO) - v
-        if cur:
-            residual[r] = cur
-        else:
-            residual.pop(r, None)
+    _axpy(residual, b, Fraction(-1))
     return x, residual
 
 
@@ -423,36 +428,18 @@ class Subspace:
         """Canonicalize a spanning set: its reduced echelon rows."""
         rows: list[dict[int, int]] = []
         for vec in vectors:
-            w: dict[int, Fraction] = {}
-            for c, v in _vector_items(vec):
-                fv = _as_rational(v)
-                if fv:
-                    if not 0 <= c < ambient_dim:
-                        raise ValueError(f"coordinate {c} out of range")
-                    w[c] = fv
+            w = _sparse(vec, ambient_dim, "vector")
             if w:
                 rows.append(_integer_row(w))
         reduced = _reduce(_echelon(rows))
         return Subspace(ambient_dim, tuple(reduced[p] for p in sorted(reduced)))
 
     def contains(self, vec: VectorLike) -> bool:
-        w: dict[int, Fraction] = {}
-        for c, v in _vector_items(vec):
-            fv = _as_rational(v)
-            if fv:
-                if not 0 <= c < self.ambient_dim:
-                    raise ValueError(f"coordinate {c} out of range")
-                w[c] = fv
+        w = _sparse(vec, self.ambient_dim, "vector")
         for b in self.basis:
-            p = min(b)
-            cv = w.get(p)
+            cv = w.get(min(b))
             if cv:
-                for c, rv in b.items():
-                    nv = w.get(c, _ZERO) - cv * rv
-                    if nv:
-                        w[c] = nv
-                    else:
-                        w.pop(c, None)
+                _axpy(w, b, -cv)
         return not w
 
 
@@ -475,31 +462,22 @@ def restrict_to_coords(space: Subspace, coords: Iterable[int]) -> Subspace:
     """Subspace of vectors supported entirely on the chosen coordinates.
 
     Unlike :func:`project` this returns vectors in the full ambient
-    space; its dimension never exceeds the projection's.
+    space; its dimension never exceeds the projection's. The basis is
+    eliminated with every outside coordinate ordered before every chosen
+    one, so a pivot row leading at a chosen coordinate has no outside
+    entry, and those rows span the answer.
     """
-    cs = set(_check_coords(coords, space.ambient_dim))
-    k = space.dim
-    constraint: dict[int, dict[int, Fraction]] = {}
-    for i, b in enumerate(space.basis):
-        for c, v in b.items():
-            if c not in cs:
-                constraint.setdefault(c, {})[i] = v
-    rows = {}
-    for r, (_, row) in enumerate(sorted(constraint.items())):
-        for i, v in row.items():
-            rows[(r, i)] = v
-    combos = kernel_basis(SparseRationalMatrix(len(constraint), k, rows))
-    vectors = []
-    for y in combos.basis:
-        v: dict[int, Fraction] = {}
-        for i, coeff in y.items():
-            for c, val in space.basis[i].items():
-                cur = v.get(c, _ZERO) + coeff * val
-                if cur:
-                    v[c] = cur
-                else:
-                    v.pop(c, None)
-        vectors.append(v)
+    chosen = _check_coords(coords, space.ambient_dim)
+    kept = set(chosen)
+    order = [c for c in range(space.ambient_dim) if c not in kept] + list(chosen)
+    first = space.ambient_dim - len(chosen)
+    pos = {c: i for i, c in enumerate(order)}
+    pivots = _echelon([
+        _integer_row({pos[c]: v for c, v in b.items()}) for b in space.basis
+    ])
+    vectors = [
+        {order[c]: v for c, v in row.items()} for p, row in pivots.items() if p >= first
+    ]
     return Subspace.from_spanning(vectors, space.ambient_dim)
 
 

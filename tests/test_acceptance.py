@@ -263,12 +263,17 @@ def test_c10_report_determinism(tmp_path, capsys):
 # sha256 of reports that an earlier release produced; a refactor of the
 # exact elimination must leave every byte of them unchanged. The
 # derivations report carries the solve coordinates and the canonical
-# derivation basis.
+# derivation basis; the cohomology reports carry the per-degree split and
+# the block projections and restrictions.
 PINNED_REPORTS = {
     ("verify-paper", "--m-range", "2..5", "--deep", "--format", "json"):
         "f65c5e523104c019c66180045c70356e425dc850b75c09f7ea1c4073f351f42b",
     ("derivations", "--m", "2", "--format", "json"):
         "41f70d9ad8f6efa09b2aa324ca6ed0d72bd30f7d033d7308ac8282033deda52b",
+    ("cohomology", "--m", "3", "--graded", "--blocks", "--format", "json"):
+        "be51946b87647788eeb8e373caa3fe2ff13595345c658bf0beb9bb5f3f82ee2c",
+    ("cohomology", "--m", "4", "--n", "1", "--graded", "--format", "json"):
+        "d0c060c8ea05fd362ad6e16d0f125ae401ef9677f30b3cabca489045984323cb",
 }
 
 

@@ -45,6 +45,8 @@ class TestAlgebraStructure:
         assert g.bracket_basis_vector(1, u) == {2: F(-2), 1: F(-2)}
         # [e, 2e + h] = [e, h] = 2e: the square term drops out
         assert g.bracket_basis_vector(0, u) == {0: F(2)}
+        # a zero coefficient contributes nothing, not a stored zero
+        assert g.bracket_basis_vector(0, {2: F(0)}) == {}
 
     def test_rejects_bad_tensor_index(self):
         with pytest.raises(ValueError):
@@ -53,6 +55,14 @@ class TestAlgebraStructure:
     def test_rejects_float_coefficient(self):
         with pytest.raises(TypeError):
             AlgebraStructure(1, ("a",), {(0, 0): {0: 0.5}})
+
+    def test_rejects_string_coefficient(self):
+        with pytest.raises(TypeError):
+            AlgebraStructure(1, ("a",), {(0, 0): {0: "1/2"}})
+
+    def test_rejects_zero_at_bad_index(self):
+        with pytest.raises(ValueError, match="out of range"):
+            AlgebraStructure(2, ("a", "b"), {(0, 1): {0: F(1), 2: F(0)}})
 
 
 class TestLeibnizIdentity:

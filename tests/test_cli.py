@@ -140,6 +140,19 @@ class TestCohomology:
         assert out == ""
         assert err.startswith("error: ") and "grading" in err
 
+    def test_blocks_need_degrees_0_and_1(self, capsys, tmp_path):
+        # a valid grading of sl2, but not one the G/I blocks are defined for
+        path = tmp_path / "sl2_weights.alg"
+        path.write_text(
+            dumps_algebra(sl2()).replace("basis e f h\n", "basis e f h\ngrading 1 -1 0\n")
+        )
+        code, out, err = run_err(
+            capsys, ["cohomology", "--algebra", str(path), "--blocks", "--format", "json"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "{0, 1}" in err
+
     def test_csv_format(self, capsys):
         code, out = run(capsys, ["cohomology", "--m", "2", "--format", "csv"])
         assert code == 0

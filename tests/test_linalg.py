@@ -179,6 +179,39 @@ class TestMatrixBasics:
         assert out == {0: F(5)}
 
 
+class TestRejectedInput:
+    """Scalars are Fraction or int, vectors are index -> value mappings,
+    and every index is range-checked before its value is read."""
+
+    m = mat(2, 2, {(0, 0): 1, (1, 1): 2})
+    space = Subspace.from_spanning([{0: F(1)}], 2)
+    takers = {
+        "apply": lambda v: TestRejectedInput.m.apply(v),
+        "solve": lambda v: solve(TestRejectedInput.m, v),
+        "from_spanning": lambda v: Subspace.from_spanning([v], 2),
+        "contains": lambda v: TestRejectedInput.space.contains(v),
+    }
+
+    def test_string_scalar_in_matrix(self):
+        with pytest.raises(TypeError):
+            SparseRationalMatrix(1, 1, {(0, 0): "1/2"})
+
+    @pytest.mark.parametrize("name", sorted(takers))
+    def test_string_scalar_in_vector(self, name):
+        with pytest.raises(TypeError):
+            self.takers[name]({0: "1/2"})
+
+    @pytest.mark.parametrize("name", sorted(takers))
+    def test_list_vector(self, name):
+        with pytest.raises(TypeError):
+            self.takers[name]([F(1), F(0)])
+
+    @pytest.mark.parametrize("name", sorted(takers))
+    def test_zero_at_out_of_range_index(self, name):
+        with pytest.raises(ValueError, match="out of range"):
+            self.takers[name]({0: F(1), 2: F(0)})
+
+
 class TestRankAndKernel:
     def test_rank_dependent_rows(self):
         m = mat(2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4})
