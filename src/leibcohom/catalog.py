@@ -62,8 +62,8 @@ def sl2() -> AlgebraStructure:
 def simple_leibniz_sl2(m: int) -> tuple[AlgebraStructure, Grading]:
     """The simple Leibniz algebra sl2 + V_m on (e, f, h, x_0..x_m), m >= 2.
 
-    The sl2 block multiplies as in :func:`sl2`; the module block is only
-    hit from the right:
+    The sl2 block multiplies as in :func:`sl2`; the x-block is
+    :func:`irreducible_sl2_module`, hit only from the right:
 
         [x_k, e] = -k(m+1-k) x_{k-1}    (1 <= k <= m)
         [x_k, f] = x_{k+1}              (0 <= k <= m-1)
@@ -75,16 +75,11 @@ def simple_leibniz_sl2(m: int) -> tuple[AlgebraStructure, Grading]:
     """
     if m < 2:
         raise ValueError("the simple family needs m >= 2")
-    base = sl2()
-    tensor = dict(base.tensor)
-    for k in range(m + 1):
-        xk = 3 + k
-        if k >= 1:
-            tensor[(xk, 0)] = {xk - 1: Fraction(-k * (m + 1 - k))}
-        if k <= m - 1:
-            tensor[(xk, 1)] = {xk + 1: Fraction(1)}
-        if m != 2 * k:
-            tensor[(xk, 2)] = {xk: Fraction(m - 2 * k)}
+    tensor = dict(sl2().tensor)
+    # [x_inp, b] = v x_out for each entry (out, inp) -> v of the action of b
+    for b, action in enumerate(irreducible_sl2_module(m).right_action):
+        for (out, inp), v in action.items():
+            tensor[(3 + inp, b)] = {3 + out: v}
     labels = ("e", "f", "h") + tuple(f"x{k}" for k in range(m + 1))
     algebra = AlgebraStructure(m + 4, labels, tensor)
     grading = Grading((0, 0, 0) + (1,) * (m + 1))

@@ -52,7 +52,6 @@ from .catalog import (
 from .cohomology import (
     AdjointCohomology,
     bl_dim,
-    hl_dim,
     leibniz_h_with_coefficients,
     lie_ce_h,
     zl_dim,
@@ -198,14 +197,15 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
     payload: dict = {"algebra": label, "n": args.n}
     pretty = [f"{label}: cohomology of the algebra acting on itself, n={args.n}"]
-    if grading is not None:
+    # the engine eliminates every degree block, which only the per-degree
+    # and per-block output need; the totals alone come from the full matrix
+    if args.graded or args.blocks:
         coh = AdjointCohomology(algebra, grading)
-        z, b, h = coh.zl_dim(args.n), coh.bl_dim(args.n), coh.hl_dim(args.n)
+        z, b = coh.zl_dim(args.n), coh.bl_dim(args.n)
     else:
         module = adjoint_bimodule(algebra)
-        z = zl_dim(algebra, module, args.n)
-        b = bl_dim(algebra, module, args.n)
-        h = z - b
+        z, b = zl_dim(algebra, module, args.n), bl_dim(algebra, module, args.n)
+    h = z - b
     payload.update({"dim_z": z, "dim_b": b, "dim_h": h})
     pretty.append(f"  dim Z = {z}   dim B = {b}   dim H = {h}")
 
@@ -252,7 +252,14 @@ def cmd_derivations(args: argparse.Namespace) -> int:
     decomposable = set(classes) == {0, 1}
     exit_code = 0
     if decomposable:
-        delta = delta_generator(algebra, grading)
+        try:
+            delta = delta_generator(algebra, grading)
+            decompositions = [
+                decompose_derivation(algebra, grading, cochain_to_matrix(dict(vec), algebra.dim))
+                for vec in space.basis
+            ]
+        except ValueError as exc:  # the canonical family does not fit this algebra
+            return _fail(str(exc))
         if delta is None:
             payload["delta_generator"] = None
             pretty.append("  no derivation maps the degree-0 part into the ideal")
@@ -268,10 +275,7 @@ def cmd_derivations(args: argparse.Namespace) -> int:
             )
         rows = []
         pretty.append("  canonical decomposition of a derivation basis:")
-        for pos, vec in enumerate(space.basis):
-            dec = decompose_derivation(
-                algebra, grading, cochain_to_matrix(dict(vec), algebra.dim)
-            )
+        for pos, dec in enumerate(decompositions):
             rows.append(
                 {
                     "right_mult": [_frac(c) for c in dec.coefficients],

@@ -2,9 +2,10 @@
 
 The totals ZL^n = ker d^n, BL^n = im d^{n-1} and HL^n = ZL^n / BL^n are
 computed from the coboundary matrices by exact elimination. For a graded
-algebra acting on itself, :class:`AdjointCohomology` additionally splits
-everything by cochain degree and by argument-signature block, caching the
-matrices and kernels so a verification run never rebuilds them.
+algebra acting on itself, :class:`AdjointCohomology` splits everything by
+cochain degree and by argument-signature block and reads its totals off
+the degree blocks, caching the matrices and block kernels so a
+verification run never rebuilds them.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part; a tag pair such as ("I", "G") selects the
@@ -130,9 +131,10 @@ class BlockAnalysis:
 class AdjointCohomology:
     """Graded cocycle analysis of CL^*(L, L) for one graded algebra.
 
-    Construction validates the grading. All coboundary matrices, ranks,
-    graded blocks and kernel bases are computed once and cached on the
-    instance, which keeps repeated block queries cheap.
+    Construction validates the grading. The coboundary matrices and the
+    kernels of their degree blocks are computed once and cached on the
+    instance; totals, graded dimensions and block queries all read those
+    kernels, so each degree block is eliminated once.
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -142,9 +144,7 @@ class AdjointCohomology:
         self.grading = grading
         self.module = adjoint_bimodule(algebra)
         self._cob: dict[int, SparseRationalMatrix] = {}
-        self._rank: dict[int, int] = {}
         self._cols: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._sub: dict[tuple[int, int], SparseRationalMatrix] = {}
         self._kernel: dict[tuple[int, int], Subspace] = {}
 
     # matrices and totals
@@ -155,13 +155,16 @@ class AdjointCohomology:
         return self._cob[n]
 
     def _cob_rank(self, n: int) -> int:
-        if n not in self._rank:
-            self._rank[n] = rank(self.coboundary(n))
-        return self._rank[n]
+        """rank d^n, summed over its degree blocks: graded_submatrix rejects
+        an entry that leaves its degree, so once the blocks' columns add up
+        to those of d^n, d^n is block diagonal up to a permutation."""
+        kernels = [self._graded_kernel(n, i) for i in self.degrees(n)]
+        if sum(k.ambient_dim for k in kernels) != self.coboundary(n).cols:
+            raise AssertionError(f"the degree blocks do not cover the columns of d^{n}")
+        return sum(k.ambient_dim - k.dim for k in kernels)
 
     def zl_dim(self, n: int) -> int:
-        d = self.coboundary(n)
-        return d.cols - self._cob_rank(n)
+        return self.coboundary(n).cols - self._cob_rank(n)
 
     def bl_dim(self, n: int) -> int:
         if n not in (1, 2):
@@ -182,28 +185,22 @@ class AdjointCohomology:
             self._cols[key] = graded_columns(self.algebra, self.grading, n, degree)
         return self._cols[key]
 
-    def graded_sub(self, n: int, degree: int) -> SparseRationalMatrix:
-        key = (n, degree)
-        if key not in self._sub:
-            self._sub[key] = graded_submatrix(
-                self.coboundary(n), self.algebra, self.grading, n, degree
-            )
-        return self._sub[key]
-
     def _graded_kernel(self, n: int, degree: int) -> Subspace:
         """Kernel of the degree block of d^n, in block-local coordinates;
         one elimination per block serves its rank and its cocycles."""
         key = (n, degree)
         if key not in self._kernel:
-            self._kernel[key] = kernel_basis(self.graded_sub(n, degree))
+            self._kernel[key] = kernel_basis(graded_submatrix(
+                self.coboundary(n), self.algebra, self.grading, n, degree
+            ))
         return self._kernel[key]
 
     def graded_zl_dim(self, n: int, degree: int) -> int:
         return self._graded_kernel(n, degree).dim
 
     def graded_bl_dim(self, n: int, degree: int) -> int:
-        sub = self.graded_sub(n - 1, degree)
-        return sub.cols - self._graded_kernel(n - 1, degree).dim
+        kernel = self._graded_kernel(n - 1, degree)
+        return kernel.ambient_dim - kernel.dim
 
     def zl_graded_basis(self, degree: int) -> Subspace:
         """Kernel of the degree block of d^2, in block-local coordinates."""
@@ -211,7 +208,7 @@ class AdjointCohomology:
 
     def report(self, n: int) -> CohomologyReport:
         """Totals plus the per-degree split, cross-checked against each
-        other: the graded dimensions must sum to the ungraded ones."""
+        other: the graded dimensions must sum to the totals."""
         if n not in (1, 2):
             raise ValueError("reports are supported for n in {1, 2}")
         per: dict[int, tuple[int, int, int]] = {}

@@ -60,6 +60,18 @@ class TestFamily:
         # [x1, h] = (m-2k) x1 = 2 x1
         assert algebra.product(4, 2) == {4: F(2)}
 
+    def test_whole_table_matches_the_weight_formulas(self):
+        for m in range(2, 31):
+            expected = dict(sl2().tensor)
+            for k in range(m + 1):
+                if k >= 1:
+                    expected[(3 + k, 0)] = {2 + k: F(-k * (m + 1 - k))}
+                if k < m:
+                    expected[(3 + k, 1)] = {4 + k: F(1)}
+                if m != 2 * k:
+                    expected[(3 + k, 2)] = {3 + k: F(m - 2 * k)}
+            assert simple_leibniz_sl2(m)[0].tensor == expected
+
     def test_zero_weight_entry_omitted(self):
         algebra, _ = simple_leibniz_sl2(2)
         # [x1, h] = (2-2) x1 = 0: no tensor entry at all

@@ -206,6 +206,20 @@ class TestDerivations:
         assert code == 2
         assert "Leibniz identity" in err
 
+    @pytest.mark.parametrize("text,message", [
+        # no products: right multiplication by a is zero, so the family is dependent
+        ("dim 2\nbasis a b\ngrading 0 1\n", "linearly dependent"),
+        # no products: a -> b and a -> c are two independent derivations
+        ("dim 3\nbasis a b c\ngrading 0 1 1\n", "several independent"),
+    ])
+    def test_unfit_canonical_family_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "abelian.alg"
+        path.write_text("algebra-file 1\n" + text)
+        code, out, err = run_err(capsys, ["derivations", "--algebra", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
 
 class TestVerifyPaper:
     def test_all_claims_pass(self, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import leibcohom.cohomology as cohomology
 from leibcohom.algebra import (
     AlgebraStructure,
     Bimodule,
@@ -64,21 +65,24 @@ def inverse_and_det(p):
     return [row[n:] for row in rows], det
 
 
-def conjugate(algebra, seed):
+def conjugate(algebra, seed, grading=None):
     """The algebra in the basis b'_i = sum_a P[a][i] b_a for a seeded
     integer P with determinant other than 0 and +-1, drawn again until
 
         c'_{ij}^k = sum_{a,b,t} P[a][i] P[b][j] c_{ab}^t Pinv[k][t]
 
     has a fractional constant and at least three times the nonzero
-    constants of the algebra, so that P mixes the basis."""
+    constants of the algebra, so that P mixes the basis. With a grading,
+    P only mixes basis elements of equal degree, so the grading holds in
+    the new basis too."""
     n = algebra.dim
     nnz = sum(len(vec) for vec in algebra.tensor.values())
+    degs = grading.degrees if grading is not None else (0,) * n
     rng = random.Random(seed)
     while True:
         p = [
             [rng.choice((1, 2)) if a == i else
-             (rng.choice((-2, -1, 1, 2)) if rng.random() < 0.1 else 0)
+             (rng.choice((-2, -1, 1, 2)) if degs[a] == degs[i] and rng.random() < 0.1 else 0)
              for i in range(n)]
             for a in range(n)
         ]
@@ -352,3 +356,54 @@ class TestBasisChangeInvariance:
         assert zl_dim(algebra, module, 1) == der
         assert bl_dim(algebra, module, 1) == 3
         assert derivation_space(algebra).dim == der
+
+
+# the block analyses that verify-paper claims
+VERIFY_BLOCKS = (
+    (0, ("G", "I")),
+    (0, ("G", "G")),
+    (0, ("I", "G")),
+    (-1, ("G", "I")),
+    (-1, (("G", "I"), ("I", "G"))),
+)
+
+
+class TestGradedBasisChange:
+    """A P that maps G to G and I to I keeps the grading, so the graded
+    engine itself runs on fractional matrices."""
+
+    @pytest.mark.parametrize("m,seed", [(2, 1), (3, 2), (4, 3)])
+    def test_graded_analysis_survives_conjugation(self, m, seed):
+        algebra, grading = simple_leibniz_sl2(m)
+        twisted = conjugate(algebra, seed, grading)
+        assert any(c.denominator != 1 for vec in twisted.tensor.values() for c in vec.values())
+        plain = AdjointCohomology(algebra, grading)
+        coh = AdjointCohomology(twisted, grading)
+        for n in (1, 2):
+            assert coh.report(n) == plain.report(n)
+        for degree, block in VERIFY_BLOCKS:
+            assert coh.block_analysis(degree, block) == plain.block_analysis(degree, block)
+        assert coh.gg_block_is_lie_coboundary() and plain.gg_block_is_lie_coboundary()
+        module = adjoint_bimodule(twisted)
+        for n in (1, 2):
+            assert coh.zl_dim(n) == zl_dim(twisted, module, n)
+            assert coh.bl_dim(n) == bl_dim(twisted, module, n)
+
+
+class TestEngineTotals:
+    """The engine's totals are sums over the degree blocks of d^n."""
+
+    def test_uncovered_columns_raise(self, monkeypatch):
+        real = cohomology.cochain_degrees
+        monkeypatch.setattr(cohomology, "cochain_degrees", lambda *args: real(*args)[1:])
+        coh = AdjointCohomology(*simple_leibniz_sl2(2))
+        with pytest.raises(AssertionError, match="do not cover the columns"):
+            coh.zl_dim(2)
+
+    def test_full_matrix_rank_is_off_the_engine_path(self, monkeypatch):
+        def no_rank(matrix):
+            raise RuntimeError("full-matrix rank on the engine path")
+
+        monkeypatch.setattr(cohomology, "rank", no_rank)
+        report = AdjointCohomology(*simple_leibniz_sl2(3)).report(2)
+        assert (report.dim_z, report.dim_b, report.dim_h) == (45, 45, 0)
