@@ -12,45 +12,47 @@ argument tuple to zero. Flat indices run lexicographically in
               f(x_1, ..., x_{p-1}, [x_p, x_q], x_{p+1}, ..., ^x_q, ..., x_{n+1})
 
 with ^ marking an omitted argument, the first bracket the left module
-action and the second the right one. For a graded algebra acting on
-itself, a cochain has degree i when it shifts the total argument degree
-by i; the coboundary preserves that degree, which
-:func:`graded_submatrix` verifies entry by entry while extracting a
-block.
+action and the second the right one. One loop, :func:`_coboundary_rows`,
+evaluates these three sums for both builders:
+
+* :func:`coboundary_matrix` assembles d^n as a Fraction matrix, for any
+  bimodule; it is the ungraded path and the reference for the graded one;
+* :func:`coboundary_blocks` builds every degree block of d^n for a graded
+  algebra acting on itself as integer rows (the structure constants
+  scaled by one common denominator), without assembling d^n.
+
+A cochain has degree i when it shifts the total argument degree by i;
+the coboundary preserves that degree, which :func:`coboundary_blocks`
+verifies entry by entry while it builds the blocks.
+:func:`graded_submatrix` cuts the same blocks out of a full matrix, with
+the same check, and serves as the builder's reference.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-from .algebra import AlgebraStructure, Bimodule, Grading
+from .algebra import AlgebraStructure, Bimodule, Grading, adjoint_bimodule
 from .linalg import SparseRationalMatrix, _add
 
 MAX_ARITY = 3
 
 
-def coboundary_matrix(
-    algebra: AlgebraStructure, module: Bimodule, n: int
-) -> SparseRationalMatrix:
-    """Matrix of d: Hom(L^n, M) -> Hom(L^{n+1}, M) in flat coordinates.
+def _coboundary_rows(
+    left: Sequence[Mapping], right: Sequence[Mapping], tensor: Mapping, dm: int, n: int
+) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[int, int], Any]]]:
+    """The rows of d^n, one argument tuple at a time.
 
-    Supported for n in 0..3; higher arities are rejected because nothing
-    downstream needs them and the index spaces grow geometrically.
+    Yields ``(args, row_base, entries)`` for every ``args`` in L^{n+1}, in
+    flat order: ``entries`` maps ``(row_base + k, column)`` to the nonzero
+    coefficients of the rows ``(args; k)``. Scalars are whatever the
+    actions and the tensor hold, so integer inputs give integer rows.
     """
-    if not 0 <= n <= MAX_ARITY:
-        raise ValueError(f"coboundary arity must be between 0 and {MAX_ARITY}")
-    if module.algebra_dim != algebra.dim:
-        raise ValueError("module is over an algebra of different dimension")
-    dl = algebra.dim
-    dm = module.module_dim
-    rows = dl ** (n + 1) * dm
-    cols = dl**n * dm
-    left = module.left_action
-    right = module.right_action
-    tensor = algebra.tensor
-    entries: dict[tuple[int, int], Fraction] = {}
+    dl = len(left)
 
     def base(t: Sequence[int]) -> int:
         idx = 0
@@ -60,6 +62,7 @@ def coboundary_matrix(
 
     for args in itertools.product(range(dl), repeat=n + 1):
         row_base = base(args)
+        entries: dict[tuple[int, int], Any] = {}
         # [x_1, f(x_2, ..., x_{n+1})]
         col_base = base(args[1:])
         for (out, inp), v in left[args[0]].items():
@@ -88,7 +91,101 @@ def coboundary_matrix(
                     s = coeff if sign == 1 else -coeff
                     for k in range(dm):
                         _add(entries, (row_base + k, col_b + k), s)
-    return SparseRationalMatrix(rows, cols, entries)
+        yield args, row_base, entries
+
+
+def _check_arity(n: int) -> None:
+    if not 0 <= n <= MAX_ARITY:
+        raise ValueError(f"coboundary arity must be between 0 and {MAX_ARITY}")
+
+
+def coboundary_matrix(
+    algebra: AlgebraStructure, module: Bimodule, n: int
+) -> SparseRationalMatrix:
+    """Matrix of d: Hom(L^n, M) -> Hom(L^{n+1}, M) in flat coordinates.
+
+    Supported for n in 0..3; higher arities are rejected because nothing
+    downstream needs them and the index spaces grow geometrically.
+    """
+    _check_arity(n)
+    if module.algebra_dim != algebra.dim:
+        raise ValueError("module is over an algebra of different dimension")
+    dm = module.module_dim
+    entries: dict[tuple[int, int], Fraction] = {}
+    for _, _, row_entries in _coboundary_rows(
+        module.left_action, module.right_action, algebra.tensor, dm, n
+    ):
+        entries.update(row_entries)
+    return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm, entries)
+
+
+class IntegerBlock(NamedTuple):
+    """One degree block of a coboundary, scaled to integers: ``rows`` maps
+    each nonzero block-local row to ``{block-local column: value}``."""
+
+    ncols: int
+    rows: dict[int, dict[int, int]]
+
+
+def _integral(vec: Mapping, scale: int) -> dict:
+    return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+
+
+def coboundary_blocks(
+    algebra: AlgebraStructure, grading: Grading, n: int
+) -> tuple[int, dict[int, IntegerBlock]]:
+    """Every degree block of d^n for L acting on itself, as integer rows.
+
+    Returns ``(scale, blocks)``: ``scale`` is the least common denominator
+    of the structure constants, and ``blocks[degree]`` is ``scale`` times
+    :func:`graded_submatrix` of d^n for that degree, built straight from
+    the tensor without assembling d^n. Any entry whose column has another
+    degree than its row makes the grading invalid and raises ValueError.
+    """
+    _check_arity(n)
+    degs = _check_degrees(algebra, grading)
+    scale = lcm(*(v.denominator for vec in algebra.tensor.values() for v in vec.values()))
+    module = adjoint_bimodule(algebra)
+    left = [_integral(act, scale) for act in module.left_action]
+    right = [_integral(act, scale) for act in module.right_action]
+    tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
+
+    # each column's degree and its position in graded_columns order
+    dl = algebra.dim
+    col_degree = [0] * (dl ** (n + 1))
+    col_local = [0] * (dl ** (n + 1))
+    blocks: dict[int, IntegerBlock] = {}
+    for degree in cochain_degrees(algebra, grading, n):
+        cols = graded_columns(algebra, grading, n, degree)
+        for p, c in enumerate(cols):
+            col_degree[c] = degree
+            col_local[c] = p
+        blocks[degree] = IntegerBlock(len(cols), {})
+    # rows run in flat order, so the block-local index of row (args; k) is
+    # the number of rows of its degree before args, start[degree], plus
+    # the number of basis elements before k with the degree of k
+    class_size = Counter(degs)
+    rank_in_class = [degs[:k].count(degs[k]) for k in range(dl)]
+    start: Counter[int] = Counter()
+    # the adjoint module has dimension dl
+    for args, row_base, entries in _coboundary_rows(left, right, tensor, dl, n):
+        s = 0
+        for a in args:
+            s += degs[a]
+        for (r, c), v in entries.items():
+            k = r - row_base
+            degree = degs[k] - s
+            if col_degree[c] != degree:
+                raise ValueError(
+                    "coboundary does not preserve the grading: entry "
+                    f"({r}, {c}) of d^{n} joins a degree {degree} row to a"
+                    f" degree {col_degree[c]} column"
+                )
+            row = start[degree] + rank_in_class[k]
+            blocks[degree].rows.setdefault(row, {})[col_local[c]] = v
+        for d, size in class_size.items():
+            start[d - s] += size
+    return scale, blocks
 
 
 def _check_degrees(algebra: AlgebraStructure, grading: Grading) -> tuple[int, ...]:
@@ -146,7 +243,9 @@ def graded_submatrix(
     Restricts d (the arity-n coboundary of L acting on itself) to the
     degree-``degree`` columns of Hom(L^n, L) and rows of Hom(L^{n+1}, L).
     Any entry leading from such a column to a row of a different degree
-    makes the claimed grading invalid and raises ValueError.
+    makes the claimed grading invalid and raises ValueError. The graded
+    engine builds its blocks with :func:`coboundary_blocks`; this is the
+    reference that builder is tested against.
     """
     cols = graded_columns(algebra, grading, n, degree)
     rows = graded_columns(algebra, grading, n + 1, degree)

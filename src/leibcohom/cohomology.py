@@ -3,9 +3,13 @@
 The totals ZL^n = ker d^n, BL^n = im d^{n-1} and HL^n = ZL^n / BL^n are
 computed from the coboundary matrices by exact elimination. For a graded
 algebra acting on itself, :class:`AdjointCohomology` splits everything by
-cochain degree and by argument-signature block and reads its totals off
-the degree blocks, caching the matrices and block kernels so a
-verification run never rebuilds them.
+cochain degree and by argument-signature block and never assembles a
+full coboundary: it builds the degree blocks of each d^n as integer rows
+(:func:`~leibcohom.cochain.coboundary_blocks`, which also rejects an
+entry that leaves its degree), eliminates each block once, and reads the
+totals off the block ranks. Only the d^2 blocks whose cocycle basis a
+query reads are reduced to a kernel, and d^{n+1} d^n = 0 is checked one
+degree block at a time.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part; a tag pair such as ("I", "G") selects the
@@ -30,17 +34,20 @@ from .algebra import (
     check_grading,
 )
 from .cochain import (
+    IntegerBlock,
+    coboundary_blocks,
     cochain_degrees,
     coboundary_matrix,
     graded_columns,
-    graded_submatrix,
 )
 from .linalg import (
     SparseRationalMatrix,
     Subspace,
     _add,
+    _axpy,
+    _reversed_echelon,
+    _reversed_kernel,
     column_space,
-    kernel_basis,
     project,
     rank,
     restrict_to_coords,
@@ -48,6 +55,7 @@ from .linalg import (
 )
 
 _TAG_DEGREE = {"G": 0, "I": 1}
+_NO_BLOCK = IntegerBlock(0, {})
 
 BlockSpec = Sequence[str] | Iterable[Sequence[str]]
 
@@ -131,10 +139,11 @@ class BlockAnalysis:
 class AdjointCohomology:
     """Graded cocycle analysis of CL^*(L, L) for one graded algebra.
 
-    Construction validates the grading. The coboundary matrices and the
-    kernels of their degree blocks are computed once and cached on the
-    instance; totals, graded dimensions and block queries all read those
-    kernels, so each degree block is eliminated once.
+    Construction validates the grading. The degree blocks of each d^n are
+    built once, as integer rows straight from the tensor, and each block
+    is eliminated once into a cached reversed-column echelon: its pivot
+    count is the block's rank, and only a block whose cocycle basis is
+    read (:meth:`zl_graded_basis`) is reduced further into a kernel.
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -143,28 +152,53 @@ class AdjointCohomology:
         self.algebra = algebra
         self.grading = grading
         self.module = adjoint_bimodule(algebra)
-        self._cob: dict[int, SparseRationalMatrix] = {}
+        self._blocks: dict[int, dict[int, IntegerBlock]] = {}
         self._cols: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._kernel: dict[tuple[int, int], Subspace] = {}
+        self._pivots: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+        self._kernel: dict[int, Subspace] = {}
 
-    # matrices and totals
+    # degree blocks and totals
 
-    def coboundary(self, n: int) -> SparseRationalMatrix:
-        if n not in self._cob:
-            self._cob[n] = coboundary_matrix(self.algebra, self.module, n)
-        return self._cob[n]
+    def _block(self, n: int, degree: int) -> IntegerBlock:
+        """The degree block of d^n; empty for a degree no cochain has."""
+        if n not in self._blocks:
+            self._blocks[n] = coboundary_blocks(self.algebra, self.grading, n)[1]
+        return self._blocks[n].get(degree, _NO_BLOCK)
+
+    def _echelon(self, n: int, degree: int) -> dict[int, dict[int, int]]:
+        """Reversed-column echelon of the degree block of d^n."""
+        key = (n, degree)
+        if key not in self._pivots:
+            block = self._block(n, degree)
+            self._pivots[key] = _reversed_echelon(block.rows.values(), block.ncols)
+        return self._pivots[key]
+
+    def squares_to_zero(self, n: int) -> bool:
+        """Whether d^{n+1} after d^n is zero, one degree block at a time:
+        the builder rejects an entry that leaves its degree, so the
+        composite is the sum of the products of equal-degree blocks."""
+        for degree in self.degrees(n):
+            lower = self._block(n, degree).rows
+            for row in self._block(n + 1, degree).rows.values():
+                acc: dict[int, int] = {}
+                for c, v in row.items():
+                    if c in lower:
+                        _axpy(acc, lower[c], v)
+                if acc:
+                    return False
+        return True
 
     def _cob_rank(self, n: int) -> int:
-        """rank d^n, summed over its degree blocks: graded_submatrix rejects
-        an entry that leaves its degree, so once the blocks' columns add up
+        """rank d^n, summed over its degree blocks: the builder rejects an
+        entry that leaves its degree, so once the blocks' columns add up
         to those of d^n, d^n is block diagonal up to a permutation."""
-        kernels = [self._graded_kernel(n, i) for i in self.degrees(n)]
-        if sum(k.ambient_dim for k in kernels) != self.coboundary(n).cols:
+        degrees = self.degrees(n)
+        if sum(self._block(n, i).ncols for i in degrees) != self.algebra.dim ** (n + 1):
             raise AssertionError(f"the degree blocks do not cover the columns of d^{n}")
-        return sum(k.ambient_dim - k.dim for k in kernels)
+        return sum(len(self._echelon(n, i)) for i in degrees)
 
     def zl_dim(self, n: int) -> int:
-        return self.coboundary(n).cols - self._cob_rank(n)
+        return self.algebra.dim ** (n + 1) - self._cob_rank(n)
 
     def bl_dim(self, n: int) -> int:
         if n not in (1, 2):
@@ -185,26 +219,19 @@ class AdjointCohomology:
             self._cols[key] = graded_columns(self.algebra, self.grading, n, degree)
         return self._cols[key]
 
-    def _graded_kernel(self, n: int, degree: int) -> Subspace:
-        """Kernel of the degree block of d^n, in block-local coordinates;
-        one elimination per block serves its rank and its cocycles."""
-        key = (n, degree)
-        if key not in self._kernel:
-            self._kernel[key] = kernel_basis(graded_submatrix(
-                self.coboundary(n), self.algebra, self.grading, n, degree
-            ))
-        return self._kernel[key]
-
     def graded_zl_dim(self, n: int, degree: int) -> int:
-        return self._graded_kernel(n, degree).dim
+        return self._block(n, degree).ncols - len(self._echelon(n, degree))
 
     def graded_bl_dim(self, n: int, degree: int) -> int:
-        kernel = self._graded_kernel(n - 1, degree)
-        return kernel.ambient_dim - kernel.dim
+        return len(self._echelon(n - 1, degree))
 
     def zl_graded_basis(self, degree: int) -> Subspace:
         """Kernel of the degree block of d^2, in block-local coordinates."""
-        return self._graded_kernel(2, degree)
+        if degree not in self._kernel:
+            self._kernel[degree] = _reversed_kernel(
+                self._echelon(2, degree), self._block(2, degree).ncols
+            )
+        return self._kernel[degree]
 
     def report(self, n: int) -> CohomologyReport:
         """Totals plus the per-degree split, cross-checked against each

@@ -24,10 +24,14 @@ package produces, and each pivot row leads at its smallest column.
   coordinate span the vectors supported on the chosen ones;
 * :func:`solve` reads the solution off the reduced rows of the augmented
   matrix, in the right-hand-side column;
-* :func:`kernel_basis` eliminates with the columns reversed, so each
-  pivot leads at its largest original column. The kernel vector of a free
-  column then has its lowest coordinate, 1, at that column and vanishes
-  at every other free column, which is already the canonical basis.
+* :func:`kernel_basis` eliminates with the columns reversed
+  (:func:`_reversed_echelon`), so each pivot leads at its largest
+  original column. The kernel vector of a free column then has its lowest
+  coordinate, 1, at that column and vanishes at every other free column,
+  which is already the canonical basis (:func:`_reversed_kernel`). A
+  caller that holds integer rows and may never need the basis keeps the
+  reversed echelon, counts its pivots for the rank, and reduces it only
+  when the basis is read.
 
 :func:`rank_modular` runs its own elimination mod a few word-size primes.
 It is an independent cross-check of :func:`rank` for the tests, never the
@@ -322,27 +326,40 @@ def rank_modular(
     return best
 
 
-def kernel_basis(matrix: SparseRationalMatrix) -> Subspace:
-    """Canonical basis of the exact null space ``{v : Mv = 0}``.
+def _reversed_echelon(
+    rows: Iterable[Mapping[int, int]], cols: int
+) -> dict[int, dict[int, int]]:
+    """Echelon of integer rows with the columns reversed, c -> cols - 1 - c,
+    so each pivot leads at its largest original column. Its pivot count is
+    the rank; :func:`_reversed_kernel` reads the kernel off it."""
+    last = cols - 1
+    return _echelon([{last - c: v for c, v in row.items()} for row in rows])
 
-    The elimination runs on reversed columns, so the reduced row of pivot
-    column p has its other entries at free columns c < p only. The kernel
-    vector of free column c is 1 at c and -row[c] at each such p: its
-    lowest coordinate is c and it vanishes at every other free column.
+
+def _reversed_kernel(pivots: Mapping[int, dict[int, int]], cols: int) -> Subspace:
+    """Canonical kernel basis from a :func:`_reversed_echelon` table.
+
+    The reduced row of pivot column p has its other entries at free
+    columns c < p only. The kernel vector of free column c is 1 at c and
+    -row[c] at each such p: its lowest coordinate is c and it vanishes at
+    every other free column.
     """
-    last = matrix.cols - 1
-    reduced = _reduce(_echelon([
-        _integer_row({last - c: v for c, v in row.items()})
-        for row in matrix.row_dicts().values()
-    ]))
-    vectors = {
-        f: {f: Fraction(1)} for f in range(matrix.cols) if last - f not in reduced
-    }
+    last = cols - 1
+    reduced = _reduce(pivots)
+    vectors = {f: {f: Fraction(1)} for f in range(cols) if last - f not in reduced}
     for p, row in reduced.items():
         for c, v in row.items():
             if c != p:
                 vectors[last - c][last - p] = -v
-    return Subspace(matrix.cols, tuple(vectors.values()))
+    return Subspace(cols, tuple(vectors.values()))
+
+
+def kernel_basis(matrix: SparseRationalMatrix) -> Subspace:
+    """Canonical basis of the exact null space ``{v : Mv = 0}``."""
+    pivots = _reversed_echelon(
+        (_integer_row(row) for row in matrix.row_dicts().values()), matrix.cols
+    )
+    return _reversed_kernel(pivots, matrix.cols)
 
 
 def column_space(matrix: SparseRationalMatrix) -> Subspace:

@@ -11,12 +11,14 @@ import pytest
 from leibcohom.algebra import Grading, adjoint_bimodule
 from leibcohom.catalog import simple_leibniz_sl2, sl2
 from leibcohom.cochain import (
+    coboundary_blocks,
     coboundary_matrix,
     cochain_degrees,
     graded_columns,
     graded_submatrix,
 )
 from leibcohom.linalg import kernel_basis, rank
+from test_cohomology import conjugate
 
 F = Fraction
 
@@ -276,13 +278,17 @@ class TestGradedStructure:
             parts += sub.cols - rank(sub)
         assert parts == total == 31
 
-    def test_invalid_grading_rejected(self):
+    @pytest.mark.parametrize("extract", [
+        lambda algebra, bogus: graded_submatrix(
+            coboundary_matrix(algebra, adjoint_bimodule(algebra), 2), algebra, bogus, 2, 0
+        ),
+        lambda algebra, bogus: coboundary_blocks(algebra, bogus, 2),
+    ], ids=["graded_submatrix", "coboundary_blocks"])
+    def test_invalid_grading_rejected(self, extract):
         algebra, _ = simple_leibniz_sl2(2)
-        module = adjoint_bimodule(algebra)
-        d2 = coboundary_matrix(algebra, module, 2)
         bogus = Grading((0, 0, 0, 1, 1, 2))
         with pytest.raises(ValueError, match="grading"):
-            graded_submatrix(d2, algebra, bogus, 2, 0)
+            extract(algebra, bogus)
 
     def test_kernel_vectors_are_cocycles(self):
         algebra, grading = simple_leibniz_sl2(2)
@@ -296,3 +302,38 @@ class TestGradedStructure:
             # re-expand local coordinates to the full cochain space
             full = {cols[p]: v for p, v in vec.items()}
             assert d2.apply(full) == {}
+
+
+def assert_blocks_match_reference(algebra, grading, n):
+    """Every block of the integer builder is its scale times the block that
+    graded_submatrix cuts out of the full Fraction matrix; returns the scale."""
+    scale, blocks = coboundary_blocks(algebra, grading, n)
+    d = coboundary_matrix(algebra, adjoint_bimodule(algebra), n)
+    degrees = cochain_degrees(algebra, grading, n)
+    assert tuple(blocks) == degrees
+    for degree in degrees:
+        ref = graded_submatrix(d, algebra, grading, n, degree)
+        block = blocks[degree]
+        assert block.ncols == ref.cols
+        got = {(r, c): v for r, row in block.rows.items() for c, v in row.items()}
+        assert all(type(v) is int for v in got.values())
+        assert got == {key: v * scale for key, v in ref.entries.items()}
+    return scale
+
+
+class TestCoboundaryBlocks:
+    """The engine's integer block builder against the Fraction matrix."""
+
+    @pytest.mark.parametrize("m,n", [
+        (m, n) for m in (2, 3, 4, 5) for n in range(4) if n < 3 or m <= 3
+    ])
+    def test_blocks_match_graded_submatrix(self, m, n):
+        algebra, grading = simple_leibniz_sl2(m)
+        assert assert_blocks_match_reference(algebra, grading, n) == 1
+
+    @pytest.mark.parametrize("m,seed", [(2, 1), (3, 2), (4, 3)])
+    def test_fractional_conjugates_are_scaled(self, m, seed):
+        algebra, grading = simple_leibniz_sl2(m)
+        twisted = conjugate(algebra, seed, grading)
+        for n in (0, 1, 2):
+            assert assert_blocks_match_reference(twisted, grading, n) > 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import leibcohom.cohomology as cohomology
+import leibcohom.linalg as linalg
 from leibcohom.algebra import (
     AlgebraStructure,
     Bimodule,
@@ -16,6 +17,7 @@ from leibcohom.algebra import (
     symmetric_bimodule,
 )
 from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
+from leibcohom.cochain import coboundary_matrix
 from leibcohom.cohomology import (
     AdjointCohomology,
     BlockAnalysis,
@@ -407,3 +409,57 @@ class TestEngineTotals:
         monkeypatch.setattr(cohomology, "rank", no_rank)
         report = AdjointCohomology(*simple_leibniz_sl2(3)).report(2)
         assert (report.dim_z, report.dim_b, report.dim_h) == (45, 45, 0)
+
+    def test_ranks_do_not_reduce(self, monkeypatch):
+        calls = []
+        real = linalg._reduce
+
+        def counted(pivots):
+            calls.append(len(pivots))
+            return real(pivots)
+
+        monkeypatch.setattr(linalg, "_reduce", counted)
+        coh = AdjointCohomology(*simple_leibniz_sl2(3))
+        assert (coh.zl_dim(2), coh.hl_dim(2)) == (45, 0)
+        coh.report(2)
+        assert calls == []
+        # reading a cocycle basis reduces that block, once
+        coh.zl_graded_basis(0)
+        coh.zl_graded_basis(0)
+        assert len(calls) == 1
+
+
+def family_with_left_action():
+    """The m=2 family algebra with [x1, e] changed from -2*x0 to -3*x0: it
+    still respects the grading, and fails the Leibniz identity."""
+    algebra, _ = simple_leibniz_sl2(2)
+    tensor = {key: dict(vec) for key, vec in algebra.tensor.items()}
+    tensor[(4, 0)] = {3: F(-3)}
+    return AlgebraStructure(algebra.dim, algebra.basis_labels, tensor)
+
+
+class TestBlockwiseComplex:
+    """squares_to_zero(n) composes d^{n+1} and d^n block by block; the full
+    Fraction product is its reference."""
+
+    @staticmethod
+    def full_product_is_zero(algebra, n):
+        module = adjoint_bimodule(algebra)
+        d = coboundary_matrix(algebra, module, n)
+        return (coboundary_matrix(algebra, module, n + 1) @ d).is_zero()
+
+    @pytest.mark.parametrize("degrees", [(0, 0, 0, 1, 1, 1), (0,) * 6])
+    def test_failed_identity_detected(self, degrees):
+        bad = family_with_left_action()
+        assert leibniz_defects(bad)
+        coh = AdjointCohomology(bad, Grading(degrees))
+        assert not coh.squares_to_zero(1)
+        for n in (0, 1, 2):
+            assert coh.squares_to_zero(n) == self.full_product_is_zero(bad, n)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_family_complex(self, m):
+        algebra, grading = simple_leibniz_sl2(m)
+        coh = AdjointCohomology(algebra, grading)
+        for n in (0, 1, 2):
+            assert coh.squares_to_zero(n) and self.full_product_is_zero(algebra, n)
