@@ -120,10 +120,12 @@ def coboundary_matrix(
 
 
 class IntegerBlock(NamedTuple):
-    """One degree block of a coboundary, scaled to integers: ``rows`` maps
-    each nonzero block-local row to ``{block-local column: value}``."""
+    """One degree block of a coboundary, scaled to integers: ``columns``
+    holds its columns' flat indices in :func:`graded_columns` order, and
+    ``rows`` maps each nonzero block-local row to ``{block-local column:
+    value}``."""
 
-    ncols: int
+    columns: tuple[int, ...]
     rows: dict[int, dict[int, int]]
 
 
@@ -150,9 +152,10 @@ def coboundary_blocks(
     right = [_integral(act, scale) for act in module.right_action]
     tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
 
-    # each column's degree and its position in graded_columns order
+    # each column's degree and its position in graded_columns order; a
+    # column no degree claims keeps None and fails the check below
     dl = algebra.dim
-    col_degree = [0] * (dl ** (n + 1))
+    col_degree: list[int | None] = [None] * (dl ** (n + 1))
     col_local = [0] * (dl ** (n + 1))
     blocks: dict[int, IntegerBlock] = {}
     for degree in cochain_degrees(algebra, grading, n):
@@ -160,7 +163,7 @@ def coboundary_blocks(
         for p, c in enumerate(cols):
             col_degree[c] = degree
             col_local[c] = p
-        blocks[degree] = IntegerBlock(len(cols), {})
+        blocks[degree] = IntegerBlock(cols, {})
     # rows run in flat order, so the block-local index of row (args; k) is
     # the number of rows of its degree before args, start[degree], plus
     # the number of basis elements before k with the degree of k

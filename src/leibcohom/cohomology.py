@@ -38,7 +38,6 @@ from .cochain import (
     coboundary_blocks,
     cochain_degrees,
     coboundary_matrix,
-    graded_columns,
 )
 from .linalg import (
     SparseRationalMatrix,
@@ -55,7 +54,7 @@ from .linalg import (
 )
 
 _TAG_DEGREE = {"G": 0, "I": 1}
-_NO_BLOCK = IntegerBlock(0, {})
+_NO_BLOCK = IntegerBlock((), {})
 
 BlockSpec = Sequence[str] | Iterable[Sequence[str]]
 
@@ -153,7 +152,6 @@ class AdjointCohomology:
         self.grading = grading
         self.module = adjoint_bimodule(algebra)
         self._blocks: dict[int, dict[int, IntegerBlock]] = {}
-        self._cols: dict[tuple[int, int], tuple[int, ...]] = {}
         self._pivots: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
         self._kernel: dict[int, Subspace] = {}
 
@@ -170,7 +168,7 @@ class AdjointCohomology:
         key = (n, degree)
         if key not in self._pivots:
             block = self._block(n, degree)
-            self._pivots[key] = _reversed_echelon(block.rows.values(), block.ncols)
+            self._pivots[key] = _reversed_echelon(block.rows.values(), len(block.columns))
         return self._pivots[key]
 
     def squares_to_zero(self, n: int) -> bool:
@@ -193,7 +191,7 @@ class AdjointCohomology:
         entry that leaves its degree, so once the blocks' columns add up
         to those of d^n, d^n is block diagonal up to a permutation."""
         degrees = self.degrees(n)
-        if sum(self._block(n, i).ncols for i in degrees) != self.algebra.dim ** (n + 1):
+        if sum(len(self.graded_cols(n, i)) for i in degrees) != self.algebra.dim ** (n + 1):
             raise AssertionError(f"the degree blocks do not cover the columns of d^{n}")
         return sum(len(self._echelon(n, i)) for i in degrees)
 
@@ -214,13 +212,10 @@ class AdjointCohomology:
         return cochain_degrees(self.algebra, self.grading, n)
 
     def graded_cols(self, n: int, degree: int) -> tuple[int, ...]:
-        key = (n, degree)
-        if key not in self._cols:
-            self._cols[key] = graded_columns(self.algebra, self.grading, n, degree)
-        return self._cols[key]
+        return self._block(n, degree).columns
 
     def graded_zl_dim(self, n: int, degree: int) -> int:
-        return self._block(n, degree).ncols - len(self._echelon(n, degree))
+        return len(self.graded_cols(n, degree)) - len(self._echelon(n, degree))
 
     def graded_bl_dim(self, n: int, degree: int) -> int:
         return len(self._echelon(n - 1, degree))
@@ -229,7 +224,7 @@ class AdjointCohomology:
         """Kernel of the degree block of d^2, in block-local coordinates."""
         if degree not in self._kernel:
             self._kernel[degree] = _reversed_kernel(
-                self._echelon(2, degree), self._block(2, degree).ncols
+                self._echelon(2, degree), len(self.graded_cols(2, degree))
             )
         return self._kernel[degree]
 
