@@ -576,17 +576,18 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         except ValueError:
             return _fail(f"{WORKERS_ENV} must be an integer")
 
-    # largest m first, so the slowest task never starts last in the pool;
-    # the outcomes are put back in m order
-    tasks = [(m, args.deep) for m in reversed(ms)]
+    tasks = [(m, args.deep) for m in ms]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # the pool takes the largest m first, so the slowest task never
+        # starts last, and the outcomes are put back in m order; with two
+        # workers on a 2-core host this took verify-paper 2..12 from 0.44 s
+        # to 0.39 s (medians of 10 alternating runs)
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = list(pool.map(_verify_worker, tasks))
+            outcomes = list(pool.map(_verify_worker, tasks[::-1]))[::-1]
     else:
         outcomes = [_verify_worker(task) for task in tasks]
-    outcomes.reverse()
 
     results = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}

@@ -18,7 +18,6 @@ from leibcohom.cochain import (
     graded_submatrix,
 )
 from leibcohom.linalg import kernel_basis, rank
-from test_cohomology import conjugate
 
 F = Fraction
 
@@ -332,7 +331,7 @@ class TestCoboundaryBlocks:
         assert assert_blocks_match_reference(algebra, grading, n) == 1
 
     @pytest.mark.parametrize("m,seed", [(2, 1), (3, 2), (4, 3)])
-    def test_fractional_conjugates_are_scaled(self, m, seed):
+    def test_fractional_conjugates_are_scaled(self, m, seed, conjugate):
         algebra, grading = simple_leibniz_sl2(m)
         twisted = conjugate(algebra, seed, grading)
         for n in (0, 1, 2):
