@@ -582,8 +582,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 
         # the pool takes the largest m first, so the slowest task never
         # starts last, and the outcomes are put back in m order; with two
-        # workers on a 2-core host this took verify-paper 2..12 from 0.44 s
-        # to 0.39 s (medians of 10 alternating runs)
+        # workers on a 2-core host this took verify-paper 2..12 from 0.49 s
+        # to 0.44 s (medians of 10 alternating runs, BENCH_6.json)
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_verify_worker, tasks[::-1]))[::-1]
     else:
