@@ -18,8 +18,9 @@ evaluates these three sums for both builders:
 * :func:`coboundary_matrix` assembles d^n as a Fraction matrix, for any
   bimodule; it is the ungraded path and the reference for the graded one;
 * :func:`coboundary_blocks` builds every degree block of d^n for a graded
-  algebra acting on itself as integer rows (the structure constants
-  scaled by one common denominator), without assembling d^n.
+  algebra acting on itself as integer columns (the structure constants
+  scaled by one common denominator), without assembling d^n: a column
+  is d^n of one basis cochain.
 
 A cochain has degree i when it shifts the total argument degree by i;
 the coboundary preserves that degree, which :func:`coboundary_blocks`
@@ -122,11 +123,11 @@ def coboundary_matrix(
 class IntegerBlock(NamedTuple):
     """One degree block of a coboundary, scaled to integers: ``columns``
     holds its columns' flat indices in :func:`graded_columns` order, and
-    ``rows`` maps each nonzero block-local row to ``{block-local column:
-    value}``."""
+    ``by_column`` maps each nonzero block-local column to ``{block-local
+    row: value}``."""
 
     columns: tuple[int, ...]
-    rows: dict[int, dict[int, int]]
+    by_column: dict[int, dict[int, int]]
 
 
 def _integral(vec: Mapping, scale: int) -> dict:
@@ -136,7 +137,7 @@ def _integral(vec: Mapping, scale: int) -> dict:
 def coboundary_blocks(
     algebra: AlgebraStructure, grading: Grading, n: int
 ) -> tuple[int, dict[int, IntegerBlock]]:
-    """Every degree block of d^n for L acting on itself, as integer rows.
+    """Every degree block of d^n for L acting on itself, as integer columns.
 
     Returns ``(scale, blocks)``: ``scale`` is the least common denominator
     of the structure constants, and ``blocks[degree]`` is ``scale`` times
@@ -185,7 +186,7 @@ def coboundary_blocks(
                     f" degree {col_degree[c]} column"
                 )
             row = start[degree] + rank_in_class[k]
-            blocks[degree].rows.setdefault(row, {})[col_local[c]] = v
+            blocks[degree].by_column.setdefault(col_local[c], {})[row] = v
         for d, size in class_size.items():
             start[d - s] += size
     return scale, blocks

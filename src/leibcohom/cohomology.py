@@ -4,12 +4,15 @@ The totals ZL^n = ker d^n, BL^n = im d^{n-1} and HL^n = ZL^n / BL^n are
 computed from the coboundary matrices by exact elimination. For a graded
 algebra acting on itself, :class:`AdjointCohomology` splits everything by
 cochain degree and by argument-signature block and never assembles a
-full coboundary: it builds the degree blocks of each d^n as integer rows
-(:func:`~leibcohom.cochain.coboundary_blocks`, which also rejects an
-entry that leaves its degree), eliminates each block once, and reads the
-totals off the block ranks. Only the d^2 blocks whose cocycle basis a
-query reads are reduced to a kernel, and d^{n+1} d^n = 0 is checked one
-degree block at a time.
+full coboundary: it builds the degree blocks of each d^n as integer
+columns (:func:`~leibcohom.cochain.coboundary_blocks`, which also rejects
+an entry that leaves its degree), eliminates the columns of each block
+once, and reads the totals off the block ranks. d^{n+1} d^n = 0 is
+checked by applying each degree block of d^{n+1} to the columns of the
+block of d^n. A cocycle basis of degree i is the span of the d^1 columns
+when d^2 d^1 = 0 and rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i
+then fills ker d^2_i; only a degree where that chain does not close
+(HL^2 nonzero there, or a broken complex) is reduced to a kernel of d^2.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part; a tag pair such as ("I", "G") selects the
@@ -44,6 +47,7 @@ from .linalg import (
     Subspace,
     _add,
     _axpy,
+    _echelon,
     _reversed_echelon,
     _reversed_kernel,
     column_space,
@@ -139,10 +143,10 @@ class AdjointCohomology:
     """Graded cocycle analysis of CL^*(L, L) for one graded algebra.
 
     Construction validates the grading. The degree blocks of each d^n are
-    built once, as integer rows straight from the tensor, and each block
-    is eliminated once into a cached reversed-column echelon: its pivot
-    count is the block's rank, and only a block whose cocycle basis is
-    read (:meth:`zl_graded_basis`) is reduced further into a kernel.
+    built once, as integer columns straight from the tensor; each block's
+    rank is the pivot count of an echelon of its columns, computed once.
+    A cocycle basis (:meth:`zl_graded_basis`) is read off the columns of
+    d^1 where the rank chain closes, and off a kernel of d^2 elsewhere.
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -152,7 +156,8 @@ class AdjointCohomology:
         self.grading = grading
         self.module = adjoint_bimodule(algebra)
         self._blocks: dict[int, dict[int, IntegerBlock]] = {}
-        self._pivots: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
+        self._squares: dict[int, bool] = {}
         self._kernel: dict[int, Subspace] = {}
 
     # degree blocks and totals
@@ -163,27 +168,35 @@ class AdjointCohomology:
             self._blocks[n] = coboundary_blocks(self.algebra, self.grading, n)[1]
         return self._blocks[n].get(degree, _NO_BLOCK)
 
-    def _echelon(self, n: int, degree: int) -> dict[int, dict[int, int]]:
-        """Reversed-column echelon of the degree block of d^n."""
+    def _rank(self, n: int, degree: int) -> int:
+        """Rank of the degree block of d^n: the pivots of an echelon of
+        copies of its columns, which the elimination consumes."""
         key = (n, degree)
-        if key not in self._pivots:
-            block = self._block(n, degree)
-            self._pivots[key] = _reversed_echelon(block.rows.values(), len(block.columns))
-        return self._pivots[key]
+        if key not in self._ranks:
+            columns = self._block(n, degree).by_column.values()
+            self._ranks[key] = len(_echelon([dict(col) for col in columns]))
+        return self._ranks[key]
 
     def squares_to_zero(self, n: int) -> bool:
-        """Whether d^{n+1} after d^n is zero, one degree block at a time:
-        the builder rejects an entry that leaves its degree, so the
-        composite is the sum of the products of equal-degree blocks."""
-        for degree in self.degrees(n):
-            lower = self._block(n, degree).rows
-            for row in self._block(n + 1, degree).rows.values():
-                acc: dict[int, int] = {}
-                for c, v in row.items():
-                    if c in lower:
-                        _axpy(acc, lower[c], v)
-                if acc:
-                    return False
+        """Whether d^{n+1} after d^n is zero, as d^{n+1} applied to each
+        column of d^n, one degree block at a time: the builder rejects an
+        entry that leaves its degree, so the composite is the sum of the
+        products of equal-degree blocks."""
+        if n not in self._squares:
+            self._squares[n] = all(
+                self._kills_columns(n, degree) for degree in self.degrees(n)
+            )
+        return self._squares[n]
+
+    def _kills_columns(self, n: int, degree: int) -> bool:
+        upper = self._block(n + 1, degree).by_column
+        for col in self._block(n, degree).by_column.values():
+            acc: dict[int, int] = {}
+            for r, v in col.items():
+                if r in upper:
+                    _axpy(acc, upper[r], v)
+            if acc:
+                return False
         return True
 
     def _cob_rank(self, n: int) -> int:
@@ -193,7 +206,7 @@ class AdjointCohomology:
         degrees = self.degrees(n)
         if sum(len(self.graded_cols(n, i)) for i in degrees) != self.algebra.dim ** (n + 1):
             raise AssertionError(f"the degree blocks do not cover the columns of d^{n}")
-        return sum(len(self._echelon(n, i)) for i in degrees)
+        return sum(self._rank(n, i) for i in degrees)
 
     def zl_dim(self, n: int) -> int:
         return self.algebra.dim ** (n + 1) - self._cob_rank(n)
@@ -215,17 +228,30 @@ class AdjointCohomology:
         return self._block(n, degree).columns
 
     def graded_zl_dim(self, n: int, degree: int) -> int:
-        return len(self.graded_cols(n, degree)) - len(self._echelon(n, degree))
+        return len(self.graded_cols(n, degree)) - self._rank(n, degree)
 
     def graded_bl_dim(self, n: int, degree: int) -> int:
-        return len(self._echelon(n - 1, degree))
+        return self._rank(n - 1, degree)
 
     def zl_graded_basis(self, degree: int) -> Subspace:
-        """Kernel of the degree block of d^2, in block-local coordinates."""
+        """Kernel of the degree block of d^2, in block-local coordinates.
+
+        d^2 d^1 = 0 puts im d^1 inside ker d^2; when also rank d^1 +
+        rank d^2 = cols(d^2) in this degree, the two are equal and the
+        canonical basis is that of the span of the d^1 columns. Otherwise
+        the kernel is read off a reversed echelon of the d^2 rows.
+        """
         if degree not in self._kernel:
-            self._kernel[degree] = _reversed_kernel(
-                self._echelon(2, degree), len(self.graded_cols(2, degree))
-            )
+            cols = len(self.graded_cols(2, degree))
+            if self.squares_to_zero(1) and self._rank(1, degree) + self._rank(2, degree) == cols:
+                space = Subspace.from_spanning(self._block(1, degree).by_column.values(), cols)
+            else:
+                rows: dict[int, dict[int, int]] = {}
+                for c, col in self._block(2, degree).by_column.items():
+                    for r, v in col.items():
+                        rows.setdefault(r, {})[c] = v
+                space = _reversed_kernel(_reversed_echelon(rows.values(), cols), cols)
+            self._kernel[degree] = space
         return self._kernel[degree]
 
     def report(self, n: int) -> CohomologyReport:

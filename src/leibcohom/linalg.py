@@ -28,10 +28,13 @@ package produces, and each pivot row leads at its smallest column.
   (:func:`_reversed_echelon`), so each pivot leads at its largest
   original column. The kernel vector of a free column then has its lowest
   coordinate, 1, at that column and vanishes at every other free column,
-  which is already the canonical basis (:func:`_reversed_kernel`). A
-  caller that holds integer rows and may never need the basis keeps the
-  reversed echelon, counts its pivots for the rank, and reduces it only
-  when the basis is read.
+  which is already the canonical basis (:func:`_reversed_kernel`).
+
+The graded engine in :mod:`leibcohom.cohomology` holds its coboundary
+blocks as integer columns: it counts the pivots of :func:`_echelon` on
+the columns for each rank, and calls :func:`_reversed_echelon` and
+:func:`_reversed_kernel` on the rows only for a kernel it cannot read off
+the image of the previous coboundary.
 
 :func:`rank_modular` runs its own elimination mod a few word-size primes.
 It is an independent cross-check of :func:`rank` for the tests, never the
@@ -417,7 +420,7 @@ class Subspace:
         if self.ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         last_pivot = -1
-        pivot_rows: list[int] = []
+        pivots: set[int] = set()
         for vec in self.basis:
             if not vec:
                 raise ValueError("zero vector stored in a basis")
@@ -428,13 +431,12 @@ class Subspace:
                 raise ValueError("basis vector outside the ambient space")
             if vec[p] != 1:
                 raise ValueError("basis pivot entries must be 1")
-            pivot_rows.append(p)
+            pivots.add(p)
             last_pivot = p
-        pivset = set(pivot_rows)
-        for i, vec in enumerate(self.basis):
-            for p in pivset:
-                if p != pivot_rows[i] and p in vec:
-                    raise ValueError("basis is not fully reduced")
+        # each vector's only stored entry at a pivot is its own
+        for vec in self.basis:
+            if len(pivots.intersection(vec)) != 1:
+                raise ValueError("basis is not fully reduced")
 
     @property
     def dim(self) -> int:

@@ -1,10 +1,18 @@
-"""The names bench/tracer.py wraps must exist in the package.
+"""The names bench/tracer.py wraps must exist in the package, and the
+spans they record must yield every per-layer metric of the benchmark.
 
 The tracer resolves every LAYERS target by name when it installs its
 wrappers, so a renamed or deleted function makes every traced benchmark
 run fail before the command starts. These tests load the tracer without
 installing it, resolve each target by the rule ``Tracer.install`` uses,
 and run one traced command in a subprocess against the untraced report.
+
+A count metric is only recorded when a traced command calls the function
+it counts, so a change that moves a workload off ``coboundary_matrix``,
+``rank`` or ``kernel_basis`` leaves its traced result without those
+metrics. The last test feeds bench/run.py's ``layer_values`` the spans of
+a graded and of an ungraded traced pass and checks that each one yields
+every ``per_layer`` name of BENCHMARK.json.
 """
 
 import importlib
@@ -17,6 +25,8 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from leibcohom.algebra import adjoint_bimodule
 from leibcohom.catalog import simple_leibniz_sl2
@@ -74,3 +84,54 @@ def test_traced_report_equals_untraced(tmp_path):
     assert proc.stdout == buf.getvalue()
     layers = {json.loads(line)["layer"] for line in spans.read_text().splitlines()}
     assert {"cli.verify_one", "cohomology.engine"} <= layers
+
+
+def load_bench_run(monkeypatch):
+    # run.py imports its sibling modules by bare name, as when it is run
+    # as a script
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_pass(argvs, spans_dir):
+    """Run each command under the tracer, its spans in its own file, as
+    bench/run.py's traced pass does; return the reports."""
+    spans_dir.mkdir()
+    outputs = []
+    for i, argv in enumerate(argvs):
+        proc = subprocess.run(
+            [sys.executable, str(TRACER), "--spans", str(spans_dir / f"{i}.jsonl"),
+             "--", *argv],
+            capture_output=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    return outputs
+
+
+@pytest.mark.parametrize("workload", ["graded", "ungraded"])
+def test_traced_pass_yields_every_per_layer_metric(workload, tmp_path, monkeypatch):
+    run = load_bench_run(monkeypatch)
+    if workload == "graded":
+        invocations = [run.Invocation(
+            ("verify-paper", "--m-range", "2..2", "--format", "json"), lambda out: None
+        )]
+    else:
+        # the conjugated workload's commands for its first file: cohomology
+        # --n 2 and --n 1 without a grading, then derivations
+        seq, _ = run.invocations("conjugated", 1, tmp_path)
+        first = seq[0].argv[seq[0].argv.index("--algebra") + 1]
+        invocations = [inv for inv in seq if first in inv.argv]
+        assert invocations[0].argv[:3] == ("cohomology", "--n", "2")
+    outputs = traced_pass([inv.argv for inv in invocations], tmp_path / "spans")
+    for inv, out in zip(invocations, outputs):
+        assert inv.check(out) is None, inv.argv
+    values, _ = run.layer_values(tmp_path / "spans")
+    # per_layer() adds the traced minus untraced wall time of a pass
+    values["trace.overhead_s"] = 0.0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted({m["name"] for m in declared} - set(values)) == []

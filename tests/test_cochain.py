@@ -303,8 +303,9 @@ class TestGradedStructure:
 
 
 def assert_blocks_match_reference(algebra, grading, n):
-    """Every block of the integer builder is its scale times the block that
-    graded_submatrix cuts out of the full Fraction matrix; returns the scale."""
+    """Every block of the integer builder, read column by column, is its
+    scale times the block that graded_submatrix cuts out of the full
+    Fraction matrix, with no empty column stored; returns the scale."""
     scale, blocks = coboundary_blocks(algebra, grading, n)
     d = coboundary_matrix(algebra, adjoint_bimodule(algebra), n)
     degrees = cochain_degrees(algebra, grading, n)
@@ -314,7 +315,8 @@ def assert_blocks_match_reference(algebra, grading, n):
         block = blocks[degree]
         assert block.columns == graded_columns(algebra, grading, n, degree)
         assert len(block.columns) == ref.cols
-        got = {(r, c): v for r, row in block.rows.items() for c, v in row.items()}
+        got = {(r, c): v for c, col in block.by_column.items() for r, v in col.items()}
+        assert all(col for col in block.by_column.values())
         assert all(type(v) is int for v in got.values())
         assert got == {key: v * scale for key, v in ref.entries.items()}
     return scale

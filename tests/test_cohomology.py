@@ -16,7 +16,7 @@ from leibcohom.algebra import (
     symmetric_bimodule,
 )
 from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
-from leibcohom.cochain import coboundary_matrix
+from leibcohom.cochain import coboundary_matrix, graded_submatrix
 from leibcohom.cohomology import (
     AdjointCohomology,
     BlockAnalysis,
@@ -29,6 +29,7 @@ from leibcohom.cohomology import (
     zl_dim,
 )
 from leibcohom.derivations import derivation_space
+from leibcohom.linalg import kernel_basis
 
 F = Fraction
 
@@ -344,22 +345,86 @@ class TestEngineTotals:
         assert (report.dim_z, report.dim_b, report.dim_h) == (45, 45, 0)
 
     def test_ranks_do_not_reduce(self, monkeypatch):
-        calls = []
-        real = linalg._reduce
+        reduced, eliminated = [], []
+        real_reduce, real_echelon = linalg._reduce, cohomology._echelon
 
-        def counted(pivots):
-            calls.append(len(pivots))
-            return real(pivots)
+        def counted_reduce(pivots):
+            reduced.append(len(pivots))
+            return real_reduce(pivots)
 
-        monkeypatch.setattr(linalg, "_reduce", counted)
+        def counted_echelon(vectors):
+            eliminated.append(len(vectors))
+            return real_echelon(vectors)
+
+        monkeypatch.setattr(linalg, "_reduce", counted_reduce)
+        monkeypatch.setattr(cohomology, "_echelon", counted_echelon)
         coh = AdjointCohomology(*simple_leibniz_sl2(3))
         assert (coh.zl_dim(2), coh.hl_dim(2)) == (45, 0)
         coh.report(2)
-        assert calls == []
-        # reading a cocycle basis reduces that block, once
+        assert reduced == []
+        # every block rank is one elimination of the block's stored columns
+        assert sorted(eliminated) == sorted(
+            len(coh._block(n, i).by_column) for n, i in coh._ranks
+        )
+        # reading a cocycle basis reduces the span of the d^1 columns, once
         coh.zl_graded_basis(0)
         coh.zl_graded_basis(0)
-        assert len(calls) == 1
+        assert reduced == [coh.graded_bl_dim(2, 0)]
+
+
+def reference_zl_basis(algebra, grading, degree):
+    d2 = coboundary_matrix(algebra, adjoint_bimodule(algebra), 2)
+    return kernel_basis(graded_submatrix(d2, algebra, grading, 2, degree))
+
+
+def chain_closes(coh, degree):
+    return coh.graded_bl_dim(2, degree) == coh.graded_zl_dim(2, degree)
+
+
+class TestCocycleBasisRead:
+    """zl_graded_basis reads ZL^2 off the d^1 columns where the rank chain
+    closes and falls back to a kernel of d^2 elsewhere; both must give the
+    kernel of the graded_submatrix block."""
+
+    def test_sl2_plus_line_mixes_both_reads(self):
+        algebra = direct_sum(sl2(), AlgebraStructure(1, ("c",), {}))
+        grading = Grading((0, 0, 0, 1))
+        coh = AdjointCohomology(algebra, grading)
+        assert coh.hl_dim(2) == 1
+        closed = {i: chain_closes(coh, i) for i in coh.degrees(2)}
+        assert True in closed.values() and False in closed.values()
+        for degree in closed:
+            assert coh.zl_graded_basis(degree) == reference_zl_basis(algebra, grading, degree)
+
+    @pytest.mark.parametrize("degrees", [(0, 1), (0, 0)])
+    def test_abelian_plane_falls_back_everywhere(self, degrees):
+        algebra = AlgebraStructure(2, ("a", "b"), {})
+        grading = Grading(degrees)
+        coh = AdjointCohomology(algebra, grading)
+        for degree in coh.degrees(2):
+            assert not chain_closes(coh, degree)
+            basis = coh.zl_graded_basis(degree)
+            assert basis.dim == len(coh.graded_cols(2, degree))
+            assert basis == reference_zl_basis(algebra, grading, degree)
+
+    def test_changed_d1_entry_forces_the_fallback(self):
+        # doubling entry (row 7, column 1) of the degree-0 block of d^1 at
+        # m = 2 keeps rank d^1 + rank d^2 = cols(d^2) in that degree but
+        # breaks d^2 d^1 = 0, so the d^1 columns no longer span ker d^2
+        algebra, grading = simple_leibniz_sl2(2)
+        coh = AdjointCohomology(algebra, grading)
+        coh._block(1, 0).by_column[1][7] *= 2
+        assert coh._rank(1, 0) + coh._rank(2, 0) == len(coh.graded_cols(2, 0))
+        assert not coh.squares_to_zero(1)
+        assert coh.zl_graded_basis(0) == reference_zl_basis(algebra, grading, 0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_family_reads_close_the_chain(self, m):
+        algebra, grading = simple_leibniz_sl2(m)
+        coh = AdjointCohomology(algebra, grading)
+        for degree in coh.degrees(2):
+            assert chain_closes(coh, degree)
+            assert coh.zl_graded_basis(degree) == reference_zl_basis(algebra, grading, degree)
 
 
 def family_with_left_action():

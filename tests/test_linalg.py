@@ -279,9 +279,26 @@ class TestSubspace:
         assert s.dim == 1
         assert s.basis[0] == {0: F(1), 1: F(2)}
 
+    @pytest.mark.parametrize("basis,message", [
+        (({0: F(2)},), "pivot entries must be 1"),
+        (({},), "zero vector"),
+        (({1: F(1)}, {0: F(1)}), "pivots must strictly increase"),
+        (({0: F(1), 3: F(1)},), "outside the ambient space"),
+        # the first vector has an entry at the second vector's pivot
+        (({0: F(1), 2: F(5)}, {2: F(1)}), "not fully reduced"),
+        (({0: F(1), 1: F(3), 2: F(5)}, {1: F(1)}, {2: F(1)}), "not fully reduced"),
+    ])
+    def test_rejection_names_the_defect(self, basis, message):
+        with pytest.raises(ValueError, match=message):
+            Subspace(3, basis)
+
     def test_rejects_non_canonical_basis(self):
         with pytest.raises(ValueError):
             Subspace(2, ({0: F(2)},))
+
+    def test_accepts_entries_off_the_pivots(self):
+        s = Subspace(4, ({0: F(1), 1: F(2), 3: F(-1)}, {2: F(1), 3: F(7)}))
+        assert s.dim == 2
 
     def test_contains(self):
         s = Subspace.from_spanning([{0: F(1), 1: F(1)}, {2: F(1)}], 3)
