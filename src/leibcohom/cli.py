@@ -105,10 +105,6 @@ def _load_leibniz(args: argparse.Namespace) -> tuple[AlgebraStructure, Grading |
     return algebra, grading, label
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 def _emit(args: argparse.Namespace, payload: dict, pretty_lines: list[str]) -> int:
     """Write the report; returns 0, or 2 when the output file cannot be
     written."""
@@ -166,7 +162,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         for violation in defects[:5]:
             i, j, k = violation.triple
             terms = " + ".join(
-                f"({_frac(v)})*{labels[t]}" for t, v in sorted(violation.defect.items())
+                f"({v})*{labels[t]}" for t, v in sorted(violation.defect.items())
             )
             print(f"  ({labels[i]}, {labels[j]}, {labels[k]}): defect {terms}")
         if len(defects) > 5:
@@ -254,7 +250,7 @@ def cmd_derivations(args: argparse.Namespace) -> int:
     exit_code = 0
     if decomposable:
         try:
-            delta = delta_generator(algebra, grading)
+            delta = delta_generator(algebra, grading, space)
             decompositions = [
                 decompose_derivation(algebra, grading, cochain_to_matrix(dict(vec), algebra.dim))
                 for vec in space.basis
@@ -266,12 +262,12 @@ def cmd_derivations(args: argparse.Namespace) -> int:
             pretty.append("  no derivation maps the degree-0 part into the ideal")
         else:
             payload["delta_generator"] = {
-                f"{r},{c}": _frac(v) for (r, c), v in sorted(delta.entries.items())
+                f"{r},{c}": str(v) for (r, c), v in sorted(delta.entries.items())
             }
             pretty.append(
                 "  degree-raising generator (ideal row, degree-0 column): "
                 + ", ".join(
-                    f"({r},{c})={_frac(v)}" for (r, c), v in sorted(delta.entries.items())
+                    f"({r},{c})={v}" for (r, c), v in sorted(delta.entries.items())
                 )
             )
         rows = []
@@ -279,10 +275,10 @@ def cmd_derivations(args: argparse.Namespace) -> int:
         for pos, dec in enumerate(decompositions):
             rows.append(
                 {
-                    "right_mult": [_frac(c) for c in dec.coefficients],
-                    "ideal_projection": _frac(dec.lam),
+                    "right_mult": [str(c) for c in dec.coefficients],
+                    "ideal_projection": str(dec.lam),
                     "delta": {
-                        f"{r},{c}": _frac(v)
+                        f"{r},{c}": str(v)
                         for (r, c), v in sorted(dec.delta.entries.items())
                     },
                     "exact": dec.is_exact,
@@ -292,8 +288,8 @@ def cmd_derivations(args: argparse.Namespace) -> int:
             if not dec.is_exact:
                 exit_code = 1
             pretty.append(
-                f"    basis vector {pos}: right-mult {[_frac(c) for c in dec.coefficients]}"
-                f" ideal-projection {_frac(dec.lam)}"
+                f"    basis vector {pos}: right-mult {[str(c) for c in dec.coefficients]}"
+                f" ideal-projection {dec.lam}"
                 f" delta terms {dec.delta.nnz} ({status})"
             )
         payload["basis_decompositions"] = rows
@@ -429,7 +425,7 @@ def _verify_one(m: int, deep: bool) -> tuple[list[dict], float]:
         "delta_presence",
         "a degree-raising derivation exists exactly when m = 2",
         m == 2,
-        delta_generator(algebra, grading) is not None,
+        delta_generator(algebra, grading, der) is not None,
     ))
 
     add(_claim(

@@ -20,7 +20,9 @@ evaluates these three sums for both builders:
 * :func:`coboundary_blocks` builds every degree block of d^n for a graded
   algebra acting on itself as integer columns (the structure constants
   scaled by one common denominator), without assembling d^n: a column
-  is d^n of one basis cochain.
+  is d^n of one basis cochain. Its rows and columns keep their flat
+  cochain index, so the columns of d^{n+1} and the rows of d^n share
+  one index space.
 
 A cochain has degree i when it shifts the total argument degree by i;
 the coboundary preserves that degree, which :func:`coboundary_blocks`
@@ -32,7 +34,6 @@ the same check, and serves as the builder's reference.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
@@ -123,8 +124,8 @@ def coboundary_matrix(
 class IntegerBlock(NamedTuple):
     """One degree block of a coboundary, scaled to integers: ``columns``
     holds its columns' flat indices in :func:`graded_columns` order, and
-    ``by_column`` maps each nonzero block-local column to ``{block-local
-    row: value}``."""
+    ``by_column`` maps each nonzero column to ``{row: value}``, rows and
+    columns both by flat cochain index."""
 
     columns: tuple[int, ...]
     by_column: dict[int, dict[int, int]]
@@ -140,10 +141,11 @@ def coboundary_blocks(
     """Every degree block of d^n for L acting on itself, as integer columns.
 
     Returns ``(scale, blocks)``: ``scale`` is the least common denominator
-    of the structure constants, and ``blocks[degree]`` is ``scale`` times
-    :func:`graded_submatrix` of d^n for that degree, built straight from
-    the tensor without assembling d^n. Any entry whose column has another
-    degree than its row makes the grading invalid and raises ValueError.
+    of the structure constants, and ``blocks[degree]`` holds ``scale``
+    times the entries of :func:`graded_submatrix` of d^n for that degree,
+    at their flat cochain indices, built straight from the tensor without
+    assembling d^n. Any entry whose column has another degree than its
+    row makes the grading invalid and raises ValueError.
     """
     _check_arity(n)
     degs = _check_degrees(algebra, grading)
@@ -153,42 +155,30 @@ def coboundary_blocks(
     right = [_integral(act, scale) for act in module.right_action]
     tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
 
-    # each column's degree and its position in graded_columns order; a
-    # column no degree claims keeps None and fails the check below
+    # each column's degree; a column no degree claims keeps None and
+    # fails the check below
     dl = algebra.dim
     col_degree: list[int | None] = [None] * (dl ** (n + 1))
-    col_local = [0] * (dl ** (n + 1))
     blocks: dict[int, IntegerBlock] = {}
     for degree in cochain_degrees(algebra, grading, n):
         cols = graded_columns(algebra, grading, n, degree)
-        for p, c in enumerate(cols):
+        for c in cols:
             col_degree[c] = degree
-            col_local[c] = p
         blocks[degree] = IntegerBlock(cols, {})
-    # rows run in flat order, so the block-local index of row (args; k) is
-    # the number of rows of its degree before args, start[degree], plus
-    # the number of basis elements before k with the degree of k
-    class_size = Counter(degs)
-    rank_in_class = [degs[:k].count(degs[k]) for k in range(dl)]
-    start: Counter[int] = Counter()
     # the adjoint module has dimension dl
     for args, row_base, entries in _coboundary_rows(left, right, tensor, dl, n):
         s = 0
         for a in args:
             s += degs[a]
         for (r, c), v in entries.items():
-            k = r - row_base
-            degree = degs[k] - s
+            degree = degs[r - row_base] - s
             if col_degree[c] != degree:
                 raise ValueError(
                     "coboundary does not preserve the grading: entry "
                     f"({r}, {c}) of d^{n} joins a degree {degree} row to a"
                     f" degree {col_degree[c]} column"
                 )
-            row = start[degree] + rank_in_class[k]
-            blocks[degree].by_column.setdefault(col_local[c], {})[row] = v
-        for d, size in class_size.items():
-            start[d - s] += size
+            blocks[degree].by_column.setdefault(c, {})[r] = v
     return scale, blocks
 
 

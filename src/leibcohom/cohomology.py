@@ -7,12 +7,14 @@ cochain degree and by argument-signature block and never assembles a
 full coboundary: it builds the degree blocks of each d^n as integer
 columns (:func:`~leibcohom.cochain.coboundary_blocks`, which also rejects
 an entry that leaves its degree), eliminates the columns of each block
-once, and reads the totals off the block ranks. d^{n+1} d^n = 0 is
-checked by applying each degree block of d^{n+1} to the columns of the
-block of d^n. A cocycle basis of degree i is the span of the d^1 columns
-when d^2 d^1 = 0 and rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i
-then fills ker d^2_i; only a degree where that chain does not close
-(HL^2 nonzero there, or a broken complex) is reduced to a kernel of d^2.
+once, and reads the totals off the block ranks. Blocks, cocycle bases
+and G/I coordinates all use the flat cochain index, so a row of d^n is
+also a column of d^{n+1}: d^{n+1} d^n = 0 is checked by applying each
+degree block of d^{n+1} to the columns of the block of d^n. A cocycle
+basis of degree i is the span of the d^1 columns when d^2 d^1 = 0 and
+rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i then fills
+ker d^2_i; only a degree where that chain does not close (HL^2 nonzero
+there, or a broken complex) is reduced to a kernel of d^2.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part; a tag pair such as ("I", "G") selects the
@@ -51,6 +53,7 @@ from .linalg import (
     _reversed_echelon,
     _reversed_kernel,
     column_space,
+    embed,
     project,
     rank,
     restrict_to_coords,
@@ -234,23 +237,31 @@ class AdjointCohomology:
         return self._rank(n - 1, degree)
 
     def zl_graded_basis(self, degree: int) -> Subspace:
-        """Kernel of the degree block of d^2, in block-local coordinates.
+        """Kernel of the degree block of d^2, in flat coordinates of
+        Hom(L^2, L).
 
         d^2 d^1 = 0 puts im d^1 inside ker d^2; when also rank d^1 +
         rank d^2 = cols(d^2) in this degree, the two are equal and the
         canonical basis is that of the span of the d^1 columns. Otherwise
-        the kernel is read off a reversed echelon of the d^2 rows.
+        the kernel is read off a reversed echelon of the d^2 rows, with
+        the block's columns numbered by position and mapped back by
+        :func:`~leibcohom.linalg.embed`.
         """
         if degree not in self._kernel:
-            cols = len(self.graded_cols(2, degree))
-            if self.squares_to_zero(1) and self._rank(1, degree) + self._rank(2, degree) == cols:
-                space = Subspace.from_spanning(self._block(1, degree).by_column.values(), cols)
+            ambient = self.algebra.dim**3
+            cols = self.graded_cols(2, degree)
+            if self.squares_to_zero(1) and (
+                self._rank(1, degree) + self._rank(2, degree) == len(cols)
+            ):
+                space = Subspace.from_spanning(self._block(1, degree).by_column.values(), ambient)
             else:
+                pos = {c: p for p, c in enumerate(cols)}
                 rows: dict[int, dict[int, int]] = {}
                 for c, col in self._block(2, degree).by_column.items():
                     for r, v in col.items():
-                        rows.setdefault(r, {})[c] = v
-                space = _reversed_kernel(_reversed_echelon(rows.values(), cols), cols)
+                        rows.setdefault(r, {})[pos[c]] = v
+                kernel = _reversed_kernel(_reversed_echelon(rows.values(), len(cols)), len(cols))
+                space = embed(kernel, cols, ambient)
             self._kernel[degree] = space
         return self._kernel[degree]
 
@@ -294,33 +305,30 @@ class AdjointCohomology:
             raise ValueError("no tag pairs given")
         return tuple(out)
 
-    def block_local_coords(self, degree: int, pairs: Sequence[tuple[str, str]]) -> tuple[int, ...]:
-        """Positions of the blocks' columns inside the degree component."""
+    def block_coords(self, degree: int, pairs: Sequence[tuple[str, str]]) -> tuple[int, ...]:
+        """Flat indices of the blocks' cochains of the given degree."""
         g_idx, i_idx = self._classes()
         by_tag = {"G": g_idx, "I": i_idx}
         dl = self.algebra.dim
-        dm = dl
         degs = self.grading.degrees
-        cols = self.graded_cols(2, degree)
-        col_pos = {c: p for p, c in enumerate(cols)}
         out: set[int] = set()
         for ta, tb in pairs:
             target_deg = degree + _TAG_DEGREE[ta] + _TAG_DEGREE[tb]
-            targets = [k for k in range(dm) if degs[k] == target_deg]
+            targets = [k for k in range(dl) if degs[k] == target_deg]
             if not targets:
                 raise ValueError(
                     f"block {ta}*{tb} has no target component in degree {degree}"
                 )
             for a in by_tag[ta]:
                 for b in by_tag[tb]:
-                    base = (a * dl + b) * dm
+                    base = (a * dl + b) * dl
                     for k in targets:
-                        out.add(col_pos[base + k])
+                        out.add(base + k)
         return tuple(sorted(out))
 
     def block_analysis(self, degree: int, block: BlockSpec) -> BlockAnalysis:
         pairs = self._normalize_block(block)
-        coords = self.block_local_coords(degree, pairs)
+        coords = self.block_coords(degree, pairs)
         space = self.zl_graded_basis(degree)
         proj = project(space, coords)
         supported = restrict_to_coords(space, coords)
@@ -354,7 +362,7 @@ class AdjointCohomology:
         """
         g_idx, _ = self._classes()
         ng = len(g_idx)
-        coords = self.block_local_coords(0, (("G", "G"),))
+        coords = self.block_coords(0, (("G", "G"),))
         projected = project(self.zl_graded_basis(0), coords)
         # coordinate p inside the block decodes as ((a, b), c) over the
         # degree-0 basis in index order

@@ -104,12 +104,13 @@ def cochain_to_matrix(vec: dict[int, Fraction], n: int) -> SparseRationalMatrix:
 
 
 def delta_generator(
-    algebra: AlgebraStructure, grading: Grading
+    algebra: AlgebraStructure, grading: Grading, space: Subspace
 ) -> SparseRationalMatrix | None:
     """The derivation mapping degree 0 into degree 1, when it exists.
 
-    Returns the unique (up to scale) derivation supported entirely on
-    the degree-0 -> degree-1 coordinates, as a matrix over the local
+    ``space`` is :func:`derivation_space` of the algebra. Returns the
+    unique (up to scale) derivation in it supported entirely on the
+    degree-0 -> degree-1 coordinates, as a matrix over the local
     bases (rows indexed by the degree-1 part, columns by the degree-0
     part), scaled so that the image of the first degree-0 basis element
     has leading coordinate 1. Returns None when no such derivation
@@ -118,7 +119,7 @@ def delta_generator(
     g_idx, i_idx = _classes_01(grading)
     n = algebra.dim
     coords = sorted(p * n + k for p in g_idx for k in i_idx)
-    pure = restrict_to_coords(derivation_space(algebra), coords)
+    pure = restrict_to_coords(space, coords)
     if pure.dim == 0:
         return None
     if pure.dim > 1:

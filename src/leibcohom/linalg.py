@@ -31,10 +31,12 @@ package produces, and each pivot row leads at its smallest column.
   which is already the canonical basis (:func:`_reversed_kernel`).
 
 The graded engine in :mod:`leibcohom.cohomology` holds its coboundary
-blocks as integer columns: it counts the pivots of :func:`_echelon` on
-the columns for each rank, and calls :func:`_reversed_echelon` and
-:func:`_reversed_kernel` on the rows only for a kernel it cannot read off
-the image of the previous coboundary.
+blocks as integer columns keyed by the flat cochain index: it counts the
+pivots of :func:`_echelon` on the columns for each rank, and calls
+:func:`_reversed_echelon` and :func:`_reversed_kernel` on the rows only
+for a kernel it cannot read off the image of the previous coboundary.
+That kernel numbers the block's columns by position, and :func:`embed`
+maps it back to flat coordinates.
 
 :func:`rank_modular` runs its own elimination mod a few word-size primes.
 It is an independent cross-check of :func:`rank` for the tests, never the
@@ -487,9 +489,10 @@ def restrict_to_coords(space: Subspace, coords: Iterable[int]) -> Subspace:
     entry, and those rows span the answer.
     """
     chosen = _check_coords(coords, space.ambient_dim)
-    kept = set(chosen)
-    order = [c for c in range(space.ambient_dim) if c not in kept] + list(chosen)
-    first = space.ambient_dim - len(chosen)
+    # only the order of the coordinates the basis uses matters
+    outside = sorted(set().union(*space.basis).difference(chosen))
+    order = outside + list(chosen)
+    first = len(outside)
     pos = {c: i for i, c in enumerate(order)}
     pivots = _echelon([
         _integer_row({pos[c]: v for c, v in b.items()}) for b in space.basis

@@ -305,20 +305,24 @@ class TestGradedStructure:
 def assert_blocks_match_reference(algebra, grading, n):
     """Every block of the integer builder, read column by column, is its
     scale times the block that graded_submatrix cuts out of the full
-    Fraction matrix, with no empty column stored; returns the scale."""
+    Fraction matrix, with no empty column stored; returns the scale. The
+    builder keys rows and columns by flat cochain index, so each entry
+    (r, c) of the cut block is mapped back through graded_columns."""
     scale, blocks = coboundary_blocks(algebra, grading, n)
     d = coboundary_matrix(algebra, adjoint_bimodule(algebra), n)
     degrees = cochain_degrees(algebra, grading, n)
     assert tuple(blocks) == degrees
     for degree in degrees:
         ref = graded_submatrix(d, algebra, grading, n, degree)
+        rows = graded_columns(algebra, grading, n + 1, degree)
+        cols = graded_columns(algebra, grading, n, degree)
         block = blocks[degree]
-        assert block.columns == graded_columns(algebra, grading, n, degree)
+        assert block.columns == cols
         assert len(block.columns) == ref.cols
         got = {(r, c): v for c, col in block.by_column.items() for r, v in col.items()}
         assert all(col for col in block.by_column.values())
         assert all(type(v) is int for v in got.values())
-        assert got == {key: v * scale for key, v in ref.entries.items()}
+        assert got == {(rows[r], cols[c]): v * scale for (r, c), v in ref.entries.items()}
     return scale
 
 

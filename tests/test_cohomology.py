@@ -16,7 +16,7 @@ from leibcohom.algebra import (
     symmetric_bimodule,
 )
 from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
-from leibcohom.cochain import coboundary_matrix, graded_submatrix
+from leibcohom.cochain import coboundary_matrix, graded_columns, graded_submatrix
 from leibcohom.cohomology import (
     AdjointCohomology,
     BlockAnalysis,
@@ -29,7 +29,7 @@ from leibcohom.cohomology import (
     zl_dim,
 )
 from leibcohom.derivations import derivation_space
-from leibcohom.linalg import kernel_basis
+from leibcohom.linalg import Subspace, kernel_basis
 
 F = Fraction
 
@@ -166,7 +166,7 @@ class TestBlockAnalyses:
         coh = AdjointCohomology(algebra, grading)
         from leibcohom.linalg import project
 
-        coords = coh.block_local_coords(0, (("G", "G"),))
+        coords = coh.block_coords(0, (("G", "G"),))
         projected = project(coh.zl_graded_basis(0), coords)
         assert projected.dim == 6
         for vec in projected.basis:
@@ -372,9 +372,18 @@ class TestEngineTotals:
         assert reduced == [coh.graded_bl_dim(2, 0)]
 
 
+def sl2_plus_line():
+    return direct_sum(sl2(), AlgebraStructure(1, ("c",), {})), Grading((0, 0, 0, 1))
+
+
 def reference_zl_basis(algebra, grading, degree):
+    """Kernel of the graded_submatrix block, re-expanded to the flat
+    coordinates of Hom(L^2, L)."""
     d2 = coboundary_matrix(algebra, adjoint_bimodule(algebra), 2)
-    return kernel_basis(graded_submatrix(d2, algebra, grading, 2, degree))
+    cols = graded_columns(algebra, grading, 2, degree)
+    kernel = kernel_basis(graded_submatrix(d2, algebra, grading, 2, degree))
+    flat = [{cols[p]: v for p, v in vec.items()} for vec in kernel.basis]
+    return Subspace.from_spanning(flat, d2.cols)
 
 
 def chain_closes(coh, degree):
@@ -387,8 +396,7 @@ class TestCocycleBasisRead:
     kernel of the graded_submatrix block."""
 
     def test_sl2_plus_line_mixes_both_reads(self):
-        algebra = direct_sum(sl2(), AlgebraStructure(1, ("c",), {}))
-        grading = Grading((0, 0, 0, 1))
+        algebra, grading = sl2_plus_line()
         coh = AdjointCohomology(algebra, grading)
         assert coh.hl_dim(2) == 1
         closed = {i: chain_closes(coh, i) for i in coh.degrees(2)}
@@ -413,7 +421,8 @@ class TestCocycleBasisRead:
         # breaks d^2 d^1 = 0, so the d^1 columns no longer span ker d^2
         algebra, grading = simple_leibniz_sl2(2)
         coh = AdjointCohomology(algebra, grading)
-        coh._block(1, 0).by_column[1][7] *= 2
+        row, col = coh.graded_cols(2, 0)[7], coh.graded_cols(1, 0)[1]
+        coh._block(1, 0).by_column[col][row] *= 2
         assert coh._rank(1, 0) + coh._rank(2, 0) == len(coh.graded_cols(2, 0))
         assert not coh.squares_to_zero(1)
         assert coh.zl_graded_basis(0) == reference_zl_basis(algebra, grading, 0)
@@ -425,6 +434,35 @@ class TestCocycleBasisRead:
         for degree in coh.degrees(2):
             assert chain_closes(coh, degree)
             assert coh.zl_graded_basis(degree) == reference_zl_basis(algebra, grading, degree)
+
+
+class TestFlatIndex:
+    """The engine keys cocycle bases and G/I blocks by the flat cochain
+    index of Hom(L^2, L), on a family algebra (every degree closes the
+    rank chain) and on sl2 + C (degree -1 falls back to a kernel)."""
+
+    cases = pytest.mark.parametrize(
+        "build", [lambda: simple_leibniz_sl2(2), sl2_plus_line], ids=["m2", "sl2_plus_line"]
+    )
+
+    @cases
+    def test_cocycle_bases_sit_on_their_degree(self, build):
+        algebra, grading = build()
+        coh = AdjointCohomology(algebra, grading)
+        for degree in coh.degrees(2):
+            basis = coh.zl_graded_basis(degree)
+            assert basis.ambient_dim == algebra.dim**3
+            cols = set(coh.graded_cols(2, degree))
+            assert all(set(vec) <= cols for vec in basis.basis)
+
+    @cases
+    def test_gg_coords_are_flat(self, build):
+        algebra, grading = build()
+        coh = AdjointCohomology(algebra, grading)
+        dim = algebra.dim
+        g = [k for k in range(dim) if grading.degrees[k] == 0]
+        expected = {(a * dim + b) * dim + k for a in g for b in g for k in g}
+        assert coh.block_coords(0, (("G", "G"),)) == tuple(sorted(expected))
 
 
 def family_with_left_action():

@@ -111,7 +111,7 @@ class TestOperators:
 class TestDeltaGenerator:
     def test_m2_pinned_values(self):
         algebra, grading = simple_leibniz_sl2(2)
-        delta = delta_generator(algebra, grading)
+        delta = delta_generator(algebra, grading, derivation_space(algebra))
         # rows are ideal positions (x0,x1,x2), columns are (e,f,h):
         # e -> x0, f -> x2/2, h -> x1 after normalization
         assert delta.entries == {
@@ -122,7 +122,7 @@ class TestDeltaGenerator:
 
     def test_m2_delta_is_a_derivation(self):
         algebra, grading = simple_leibniz_sl2(2)
-        delta = delta_generator(algebra, grading)
+        delta = delta_generator(algebra, grading, derivation_space(algebra))
         full = {}
         g_idx = (0, 1, 2)
         i_idx = (3, 4, 5)
@@ -133,11 +133,11 @@ class TestDeltaGenerator:
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_absent_for_other_m(self, m):
         algebra, grading = simple_leibniz_sl2(m)
-        assert delta_generator(algebra, grading) is None
+        assert delta_generator(algebra, grading, derivation_space(algebra)) is None
 
     def test_needs_01_grading(self):
         with pytest.raises(ValueError):
-            delta_generator(sl2(), Grading((0, 0, 0)))
+            delta_generator(sl2(), Grading((0, 0, 0)), derivation_space(sl2()))
 
 
 class TestDecomposition:
