@@ -19,7 +19,9 @@ there, or a broken complex) is reduced to a kernel of d^2.
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part; a tag pair such as ("I", "G") selects the
 cochains with first argument in I, second in G, and target in whichever
-part the cochain degree forces.
+part the cochain degree forces. A block analysis reports dimensions
+only, so it counts pivots instead of building the projected and the
+supported subspaces.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ from .linalg import (
     _add,
     _axpy,
     _echelon,
+    _integer_row,
     _reversed_echelon,
     _reversed_kernel,
     column_space,
     embed,
     project,
     rank,
-    restrict_to_coords,
     subspace_equal,
 )
 
@@ -162,6 +164,7 @@ class AdjointCohomology:
         self._ranks: dict[tuple[int, int], int] = {}
         self._squares: dict[int, bool] = {}
         self._kernel: dict[int, Subspace] = {}
+        self._kernel_rows: dict[int, list[dict[int, int]]] = {}
 
     # degree blocks and totals
 
@@ -327,19 +330,29 @@ class AdjointCohomology:
         return tuple(sorted(out))
 
     def block_analysis(self, degree: int, block: BlockSpec) -> BlockAnalysis:
+        """Dimensions only, as pivot counts of :func:`_echelon` on the
+        integer rows of the cocycle basis: restricted to the block's
+        coordinates they give the projection's dimension, and restricted
+        to the other coordinates, by rank-nullity, the dimension of the
+        cocycles that vanish off the block."""
         pairs = self._normalize_block(block)
-        coords = self.block_coords(degree, pairs)
-        space = self.zl_graded_basis(degree)
-        proj = project(space, coords)
-        supported = restrict_to_coords(space, coords)
-        if not supported.dim <= proj.dim <= space.dim:
+        coords = set(self.block_coords(degree, pairs))
+        if degree not in self._kernel_rows:
+            self._kernel_rows[degree] = [
+                _integer_row(vec) for vec in self.zl_graded_basis(degree).basis
+            ]
+        rows = self._kernel_rows[degree]
+        proj = len(_echelon([{c: v for c, v in r.items() if c in coords} for r in rows]))
+        off = len(_echelon([{c: v for c, v in r.items() if c not in coords} for r in rows]))
+        supported = len(rows) - off
+        if not supported <= proj <= len(rows):
             raise AssertionError("block dimensions violate the projection bounds")
         return BlockAnalysis(
             degree=degree,
             blocks=pairs,
-            projection_dim=proj.dim,
-            supported_dim=supported.dim,
-            projection_injective=proj.dim == space.dim,
+            projection_dim=proj,
+            supported_dim=supported,
+            projection_injective=proj == len(rows),
         )
 
     def degree_zero_part(self) -> AlgebraStructure:

@@ -32,7 +32,9 @@ package produces, and each pivot row leads at its smallest column.
 
 The graded engine in :mod:`leibcohom.cohomology` holds its coboundary
 blocks as integer columns keyed by the flat cochain index: it counts the
-pivots of :func:`_echelon` on the columns for each rank, and calls
+pivots of :func:`_echelon` on the columns for each rank, and on the rows
+of a cocycle basis restricted to a block's coordinates (and to the other
+coordinates) for each block analysis. It calls
 :func:`_reversed_echelon` and :func:`_reversed_kernel` on the rows only
 for a kernel it cannot read off the image of the previous coboundary.
 That kernel numbers the block's columns by position, and :func:`embed`

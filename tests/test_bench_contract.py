@@ -30,7 +30,7 @@ import pytest
 
 from leibcohom.algebra import adjoint_bimodule
 from leibcohom.catalog import simple_leibniz_sl2
-from leibcohom.cli import main
+from leibcohom.cli import CLAIMS, main
 from leibcohom.cochain import coboundary_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +84,9 @@ def test_traced_report_equals_untraced(tmp_path):
     assert proc.stdout == buf.getvalue()
     layers = {json.loads(line)["layer"] for line in spans.read_text().splitlines()}
     assert {"cli.verify_one", "cohomology.engine"} <= layers
+    # every claim's stage is a layer the traced run records, so no row
+    # calls a function the tracer could not rewrap
+    assert sorted({stage for _, stage, *_ in CLAIMS} - layers) == []
 
 
 def load_bench_run(monkeypatch):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import leibcohom.cli as cli
 from leibcohom.catalog import dumps_algebra, save_algebra, simple_leibniz_sl2, sl2
 from leibcohom.cli import main
 
@@ -322,3 +323,41 @@ class TestVerifyPaper:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["key", "value"]
         assert any("status" in key for key, _ in rows[1:])
+
+
+class TestClaimTable:
+    """verify-paper runs the rows of cli.CLAIMS; a failing row shows its
+    expected and computed values, and its stage in the pretty output."""
+
+    def test_failing_claim_names_its_stage(self, capsys, monkeypatch):
+        monkeypatch.delenv("LEIBCOHOM_WORKERS", raising=False)
+        row = next(r for r in cli.CLAIMS if r[0] == "hl2_zero")
+        cid, stage, anchor, _, computed = row
+        patched = (cid, stage, anchor, lambda member: 1, computed)
+        monkeypatch.setattr(
+            cli, "CLAIMS", tuple(patched if r is row else r for r in cli.CLAIMS)
+        )
+        code, out = run(capsys, ["verify-paper", "--m-range", "2..2", "--format", "json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["summary"]["fail"] == 1
+        failed = [c for c in payload["results"][0]["claims"] if c["status"] == "fail"]
+        assert failed == [{
+            "id": "hl2_zero", "anchor": anchor, "expected": 1, "computed": 0, "status": "fail",
+        }]
+        code, out = run(capsys, ["verify-paper", "--m-range", "2..2"])
+        assert code == 1
+        assert (
+            "  FAIL hl2_zero  (expected 1, computed 0; stage cohomology.engine)"
+            in out.splitlines()
+        )
+
+    def test_report_ids_follow_the_table(self, capsys):
+        table = [r[0] for r in cli.CLAIMS]
+        assert len(table) == len(set(table)) == 34
+        for extra, expected in (([], [c for c in table if c != "d3d2_zero"]), (["--deep"], table)):
+            code, out = run(
+                capsys, ["verify-paper", "--m-range", "2..2", "--format", "json", *extra]
+            )
+            assert code == 0
+            assert [c["id"] for c in json.loads(out)["results"][0]["claims"]] == expected

@@ -28,8 +28,9 @@ from leibcohom.cohomology import (
     lie_ce_h,
     zl_dim,
 )
+from leibcohom.cli import STANDARD_BLOCKS
 from leibcohom.derivations import derivation_space
-from leibcohom.linalg import Subspace, kernel_basis
+from leibcohom.linalg import Subspace, kernel_basis, project, restrict_to_coords
 
 F = Fraction
 
@@ -463,6 +464,44 @@ class TestFlatIndex:
         g = [k for k in range(dim) if grading.degrees[k] == 0]
         expected = {(a * dim + b) * dim + k for a in g for b in g for k in g}
         assert coh.block_coords(0, (("G", "G"),)) == tuple(sorted(expected))
+
+
+class TestBlockAnalysisReference:
+    """block_analysis counts pivots; project and restrict_to_coords build
+    the projected and the supported subspaces as the reference, on the
+    family, on a graded fractional conjugate and on sl2 + C, whose degree
+    -1 basis comes from the fallback kernel."""
+
+    @staticmethod
+    def assert_blocks_match(coh):
+        checked = 0
+        for degree, pairs in STANDARD_BLOCKS:
+            try:
+                coords = coh.block_coords(degree, pairs)
+            except ValueError:  # no target component in this degree
+                continue
+            space = coh.zl_graded_basis(degree)
+            proj = project(space, coords).dim
+            supported = restrict_to_coords(space, coords).dim
+            expected = BlockAnalysis(degree, pairs, proj, supported, proj == space.dim)
+            assert coh.block_analysis(degree, pairs) == expected, (degree, pairs)
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_family(self, m):
+        self.assert_blocks_match(AdjointCohomology(*simple_leibniz_sl2(m)))
+
+    def test_graded_conjugate(self, conjugate):
+        algebra, grading = simple_leibniz_sl2(3)
+        twisted = conjugate(algebra, 2, grading)
+        assert any(c.denominator != 1 for vec in twisted.tensor.values() for c in vec.values())
+        self.assert_blocks_match(AdjointCohomology(twisted, grading))
+
+    def test_sl2_plus_line(self):
+        coh = AdjointCohomology(*sl2_plus_line())
+        assert not chain_closes(coh, -1)
+        self.assert_blocks_match(coh)
 
 
 def family_with_left_action():
