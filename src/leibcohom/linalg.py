@@ -9,11 +9,16 @@ equal exactly when their stored bases are equal.
 
 There is one elimination, :func:`_echelon`. It is fraction free: each
 row is scaled to integers and reduced by cross-multiplication against
-earlier pivot rows, with the content (gcd) stripped after every
-combination step so entries stay small. Rows are processed sparsest
-first, which keeps fill-in low on the highly structured matrices this
-package produces, and each pivot row leads at its smallest column.
-:func:`rank` counts its pivots. Everything else adds one back-substitution,
+earlier pivot rows, each step divided through by the gcd of the two
+lead entries; the content (gcd) of a row is stripped once, when it
+survives to become a pivot, so every stored pivot row is content free.
+Rows are processed sparsest first, which keeps fill-in low on the highly
+structured matrices this package produces, and each pivot row leads at
+its smallest column. :func:`rank` counts its pivots: it eliminates the
+shorter side of the matrix (the columns of a tall one), with the
+coordinates relabelled in increasing order of the number of lines they
+occur in. Everything else keeps the natural order, on which its
+canonical form depends, and adds one back-substitution,
 :func:`_reduce`, which brings the pivot rows to reduced echelon form:
 
 * :meth:`Subspace.from_spanning` (and so :func:`column_space` and
@@ -58,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 # Word-size primes for the modular rank cross-check.
 DEFAULT_PRIMES = (2147483647, 1000000007, 998244353)
@@ -223,6 +228,10 @@ def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]):
 
     Returns ``(lead, row)`` for a surviving row normalized to positive
     leading entry and content 1, or None when the row reduces to zero.
+    Each step scales the row by a nonzero number only, so stripping the
+    content once, from the survivor, gives the row a strip after every
+    step would give; most rows of a tall matrix reduce to zero and never
+    pay for it.
     """
     while row:
         lead = min(row)
@@ -235,6 +244,10 @@ def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]):
             return lead, row
         a = row.pop(lead)
         b = piv[lead]
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
         # row := b*row - a*piv; the lead entry cancels by construction.
         if b != 1:
             for c in row:
@@ -247,7 +260,6 @@ def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]):
                 row[c] = nv
             else:
                 row.pop(c, None)
-        _strip_content(row)
     return None
 
 
@@ -283,9 +295,29 @@ def _reduce(pivots: Mapping[int, dict[int, int]]) -> dict[int, dict[int, Fractio
     return reduced
 
 
+def _count_ordered(lines: Collection[Mapping[int, Fraction]]) -> list[dict[int, int]]:
+    """Integer rows of the lines with each coordinate relabelled by the
+    number of lines it occurs in, fewest first (ties in natural order)."""
+    count: dict[int, int] = {}
+    for line in lines:
+        for c in line:
+            count[c] = count.get(c, 0) + 1
+    pos = {c: i for i, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
+    return [{pos[c]: v for c, v in _integer_row(line).items()} for line in lines]
+
+
 def rank(matrix: SparseRationalMatrix) -> int:
-    """Exact rank over the rationals."""
-    return len(_echelon([_integer_row(r) for r in matrix.row_dicts().values()]))
+    """Exact rank over the rationals.
+
+    Rank ignores both the side eliminated and the order of the
+    coordinates, so this eliminates the columns of a tall matrix and the
+    rows otherwise, with the coordinates in increasing-count order: a
+    coordinate that few lines share leads few eliminations, which keeps
+    fill-in low on the tall, dense coboundaries of an ungraded basis.
+    """
+    side = matrix.column_dicts if matrix.rows > matrix.cols else matrix.row_dicts
+    # the Fraction lines are a temporary, freed before the elimination runs
+    return len(_echelon(_count_ordered(side().values())))
 
 
 def rank_modular(

@@ -3,12 +3,21 @@ and exact agreement with an independent Fraction Gauss-Jordan reference."""
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
+from leibcohom.algebra import adjoint_bimodule
+from leibcohom.catalog import simple_leibniz_sl2
+from leibcohom.cochain import coboundary_matrix
+from leibcohom.cohomology import bl_dim, zl_dim
 from leibcohom.linalg import (
     SparseRationalMatrix,
     Subspace,
+    _count_ordered,
+    _echelon,
+    _integer_row,
     column_space,
     embed,
     kernel_basis,
@@ -116,10 +125,10 @@ def random_fraction(rng, span=6):
     return F(rng.randint(-span, span), rng.randint(1, span))
 
 
-def random_fractional_matrix(rng, rows, cols):
-    """Dense, sparse or rank-deficient, with p/q entries and some rows and
-    columns forced to zero."""
-    kind = rng.choice(("dense", "sparse", "low_rank"))
+def random_fractional_matrix(rng, rows, cols, kind=None):
+    """Dense, sparse or rank-deficient (``kind``, drawn when not given),
+    with p/q entries and some rows and columns forced to zero."""
+    kind = kind or rng.choice(("dense", "sparse", "low_rank"))
     if kind == "low_rank" and rows and cols:
         k = rng.randint(0, min(rows, cols) - 1)
         left = {(r, i): random_fraction(rng) for r in range(rows) for i in range(k)}
@@ -152,6 +161,61 @@ def fractional_family(seed, count=60):
     for _ in range(count):
         out.append(random_fractional_matrix(rng, rng.randint(0, 8), rng.randint(0, 8)))
     return out
+
+
+def reference_eliminate(row, pivots):
+    """The integer elimination step as first written: the content (gcd)
+    is stripped after every combination step, not once per survivor."""
+
+    def strip(row):
+        g = reduce(gcd, row.values(), 0)
+        for c in row:
+            row[c] //= g
+
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            strip(row)
+            if row[lead] < 0:
+                for c in row:
+                    row[c] = -row[c]
+            return lead, row
+        a = row.pop(lead)
+        b = piv[lead]
+        for c in row:
+            row[c] *= b
+        for c, pv in piv.items():
+            if c != lead:
+                nv = row.get(c, 0) - a * pv
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        strip(row)
+    return None
+
+
+def reference_echelon(rows):
+    """Pivot table of :func:`reference_eliminate` over the rows, sparsest
+    first, as ``_echelon`` orders them."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        res = reference_eliminate(dict(row), pivots)
+        if res is not None:
+            pivots[res[0]] = res[1]
+    return pivots
+
+
+def reference_rank(m):
+    return len(reference_span(m.row_dicts().values(), m.cols))
+
+
+def conjugate_coboundaries(conjugate):
+    """d^1 and d^2 of sl2 + V_2 in a fractional basis with no grading."""
+    algebra = conjugate(simple_leibniz_sl2(2)[0], 1)
+    module = adjoint_bimodule(algebra)
+    return algebra, module, [coboundary_matrix(algebra, module, n) for n in (1, 2)]
 
 
 class TestMatrixBasics:
@@ -240,6 +304,16 @@ class TestRankAndKernel:
             assert r == rank(transpose(m))
             for vec in ker.basis:
                 assert m.apply(dict(vec)) == {}
+
+    def test_rank_on_shared_counts(self):
+        # coordinates that occur in equally many lines must still get
+        # distinct labels: columns 0 and 1 of the square matrix (its rows
+        # are eliminated) and rows 0 and 1 of the tall one (its columns
+        # are) each occur in one line
+        square = mat(2, 2, {(0, 0): 1, (1, 1): 1})
+        tall = mat(3, 2, {(0, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1})
+        for m in (square, tall):
+            assert rank(m) == reference_rank(m) == rank(transpose(m)) == 2
 
     def test_modular_rank_agrees(self):
         rng = random.Random(7)
@@ -410,6 +484,20 @@ class TestAgainstReference:
                 supported, m.cols
             )
 
+    def test_rank(self):
+        rng = random.Random(17)
+        shaped = [random_fractional_matrix(rng, rows, cols, kind)
+                  for rows, cols in ((14, 5), (5, 14), (9, 9))
+                  for kind in ("dense", "sparse", "low_rank")]
+        for m in fractional_family(18) + shaped:
+            assert rank(m) == reference_rank(m) == rank(transpose(m))
+
+    def test_rank_of_conjugate_coboundary(self, conjugate):
+        algebra, module, (_, d2) = conjugate_coboundaries(conjugate)
+        assert (d2.rows, d2.cols) == (1296, 216)
+        assert rank(d2) == reference_rank(d2) == rank(transpose(d2)) == 216 - 31
+        assert zl_dim(algebra, module, 2) == bl_dim(algebra, module, 2) == 31
+
     def test_solve(self):
         rng = random.Random(15)
         for m in fractional_family(16):
@@ -425,3 +513,27 @@ class TestAgainstReference:
             else:
                 assert residual == {}
                 assert x == expected
+
+
+class TestDeferredStrip:
+    """Stripping the content once per surviving row stores the same pivot
+    rows as a strip after every step."""
+
+    @staticmethod
+    def assert_same_pivots(m):
+        """On the integer rows of the matrix's rows and of its columns, in
+        natural order and in the count order that rank eliminates them in."""
+        for lines in (m.row_dicts().values(), m.column_dicts().values()):
+            for rows in ([_integer_row(line) for line in lines], _count_ordered(lines)):
+                assert _echelon([dict(r) for r in rows]) == reference_echelon(rows)
+
+    def test_random_matrices(self):
+        rng = random.Random(19)
+        for rows, cols in ((16, 6), (6, 16), (10, 10)):
+            for kind in ("dense", "sparse", "low_rank"):
+                for _ in range(4):
+                    self.assert_same_pivots(random_fractional_matrix(rng, rows, cols, kind))
+
+    def test_conjugate_coboundaries(self, conjugate):
+        for d in conjugate_coboundaries(conjugate)[2]:
+            self.assert_same_pivots(d)
