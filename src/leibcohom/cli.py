@@ -198,9 +198,10 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
     payload: dict = {"algebra": label, "n": args.n}
     pretty = [f"{label}: cohomology of the algebra acting on itself, n={args.n}"]
-    # the engine eliminates every degree block, which only the per-degree
-    # and per-block output need; the totals alone come from the full matrix
-    if args.graded or args.blocks:
+    # a graded algebra takes its totals from the engine's degree blocks,
+    # which are cheaper to eliminate than the full matrix; an ungraded one
+    # ranks the full Fraction matrix
+    if grading is not None:
         coh = AdjointCohomology(algebra, grading)
         z, b = coh.zl_dim(args.n), coh.bl_dim(args.n)
     else:
@@ -465,10 +466,6 @@ def _verify_one(m: int, deep: bool) -> tuple[list[dict], float]:
     return claims, time.perf_counter() - start
 
 
-def _verify_worker(task: tuple[int, bool]) -> tuple[list[dict], float]:
-    return _verify_one(*task)
-
-
 def _parse_m_range(text: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
@@ -495,18 +492,17 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         except ValueError:
             return _fail(f"{WORKERS_ENV} must be an integer")
 
-    tasks = [(m, args.deep) for m in ms]
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(ms) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool takes the largest m first, so the slowest task never
         # starts last, and the outcomes are put back in m order; with two
         # workers on a 2-core host this took verify-paper 2..12 from 0.49 s
         # to 0.44 s (medians of 10 alternating runs, BENCH_6.json)
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = list(pool.map(_verify_worker, tasks[::-1]))[::-1]
+        with ProcessPoolExecutor(max_workers=min(workers, len(ms))) as pool:
+            outcomes = list(pool.map(_verify_one, ms[::-1], [args.deep] * len(ms)))[::-1]
     else:
-        outcomes = [_verify_worker(task) for task in tasks]
+        outcomes = [_verify_one(m, args.deep) for m in ms]
 
     results = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}

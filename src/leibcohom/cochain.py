@@ -12,23 +12,24 @@ argument tuple to zero. Flat indices run lexicographically in
               f(x_1, ..., x_{p-1}, [x_p, x_q], x_{p+1}, ..., ^x_q, ..., x_{n+1})
 
 with ^ marking an omitted argument, the first bracket the left module
-action and the second the right one. One loop, :func:`_coboundary_rows`,
-evaluates these three sums for both builders:
+action and the second the right one. One loop, :func:`_coboundary_columns`,
+evaluates these three sums and writes each term once into its column, a
+column being d^n of one basis cochain:
 
-* :func:`coboundary_matrix` assembles d^n as a Fraction matrix, for any
-  bimodule; it is the ungraded path and the reference for the graded one;
-* :func:`coboundary_blocks` builds every degree block of d^n for a graded
-  algebra acting on itself as integer columns (the structure constants
-  scaled by one common denominator), without assembling d^n: a column
-  is d^n of one basis cochain. Its rows and columns keep their flat
-  cochain index, so the columns of d^{n+1} and the rows of d^n share
-  one index space.
+* :func:`coboundary_matrix` flattens the columns into a Fraction matrix,
+  for any bimodule; it is the ungraded path;
+* :func:`coboundary_columns` returns the columns for L acting on itself
+  scaled to integers by one common denominator, with no grading. Rows
+  and columns keep their flat cochain index, so the columns of d^{n+1}
+  and the rows of d^n share one index space.
 
 A cochain has degree i when it shifts the total argument degree by i;
-the coboundary preserves that degree, which :func:`coboundary_blocks`
-verifies entry by entry while it builds the blocks.
-:func:`graded_submatrix` cuts the same blocks out of a full matrix, with
-the same check, and serves as the builder's reference.
+when the grading respects the product, the coboundary preserves that
+degree. Only :func:`graded_columns`, :func:`cochain_degrees` and
+:func:`graded_submatrix` read a grading: the graded engine in
+:mod:`leibcohom.cohomology` splits the columns by degree itself, and
+:func:`graded_submatrix` cuts a degree block out of a full matrix,
+checking every entry, as the reference the tests hold the engine to.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Any, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, Sequence
 
 from .algebra import AlgebraStructure, Bimodule, Grading, adjoint_bimodule
 from .linalg import SparseRationalMatrix, _add
@@ -44,15 +45,15 @@ from .linalg import SparseRationalMatrix, _add
 MAX_ARITY = 3
 
 
-def _coboundary_rows(
+def _coboundary_columns(
     left: Sequence[Mapping], right: Sequence[Mapping], tensor: Mapping, dm: int, n: int
-) -> Iterator[tuple[tuple[int, ...], int, dict[tuple[int, int], Any]]]:
-    """The rows of d^n, one argument tuple at a time.
+) -> dict[int, dict[int, Any]]:
+    """d^n as ``{column: {row: value}}``, flat cochain indices, nonzero
+    columns only, in increasing column order.
 
-    Yields ``(args, row_base, entries)`` for every ``args`` in L^{n+1}, in
-    flat order: ``entries`` maps ``(row_base + k, column)`` to the nonzero
-    coefficients of the rows ``(args; k)``. Scalars are whatever the
-    actions and the tensor hold, so integer inputs give integer rows.
+    One pass over the argument tuples of L^{n+1} writes every term of the
+    three sums straight into its column. Scalars are whatever the actions
+    and the tensor hold, so integer inputs give integer columns.
     """
     dl = len(left)
 
@@ -62,27 +63,25 @@ def _coboundary_rows(
             idx = idx * dl + a
         return idx * dm
 
+    columns: list[dict[int, Any]] = [{} for _ in range(dl**n * dm)]
     for args in itertools.product(range(dl), repeat=n + 1):
         row_base = base(args)
-        entries: dict[tuple[int, int], Any] = {}
         # [x_1, f(x_2, ..., x_{n+1})]
         col_base = base(args[1:])
         for (out, inp), v in left[args[0]].items():
-            _add(entries, (row_base + out, col_base + inp), v)
+            _add(columns[col_base + inp], row_base + out, v)
         # (-1)^p [f(..., ^x_p, ...), x_p], p = 2..n+1 one-based
         for p in range(1, n + 1):
-            sign = 1 if p % 2 else -1
             col_b = base(args[:p] + args[p + 1 :])
-            if sign == 1:
+            if p % 2:
                 for (out, inp), v in right[args[p]].items():
-                    _add(entries, (row_base + out, col_b + inp), v)
+                    _add(columns[col_b + inp], row_base + out, v)
             else:
                 for (out, inp), v in right[args[p]].items():
-                    _add(entries, (row_base + out, col_b + inp), -v)
+                    _add(columns[col_b + inp], row_base + out, -v)
         # (-1)^{q+1} f(..., [x_p, x_q], ..., ^x_q, ...), p < q one-based
         for p in range(n + 1):
             for q in range(p + 1, n + 1):
-                sign = 1 if q % 2 == 0 else -1
                 prod = tensor.get((args[p], args[q]))
                 if not prod:
                     continue
@@ -90,10 +89,10 @@ def _coboundary_rows(
                 tail = args[p + 1 : q] + args[q + 1 :]
                 for t, coeff in prod.items():
                     col_b = base(mid + (t,) + tail)
-                    s = coeff if sign == 1 else -coeff
+                    s = coeff if q % 2 == 0 else -coeff
                     for k in range(dm):
-                        _add(entries, (row_base + k, col_b + k), s)
-        yield args, row_base, entries
+                        _add(columns[col_b + k], row_base + k, s)
+    return {c: col for c, col in enumerate(columns) if col}
 
 
 def _check_arity(n: int) -> None:
@@ -113,73 +112,32 @@ def coboundary_matrix(
     if module.algebra_dim != algebra.dim:
         raise ValueError("module is over an algebra of different dimension")
     dm = module.module_dim
-    entries: dict[tuple[int, int], Fraction] = {}
-    for _, _, row_entries in _coboundary_rows(
+    columns = _coboundary_columns(
         module.left_action, module.right_action, algebra.tensor, dm, n
-    ):
-        entries.update(row_entries)
+    )
+    entries = {(r, c): v for c, col in columns.items() for r, v in col.items()}
     return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm, entries)
-
-
-class IntegerBlock(NamedTuple):
-    """One degree block of a coboundary, scaled to integers: ``columns``
-    holds its columns' flat indices in :func:`graded_columns` order, and
-    ``by_column`` maps each nonzero column to ``{row: value}``, rows and
-    columns both by flat cochain index."""
-
-    columns: tuple[int, ...]
-    by_column: dict[int, dict[int, int]]
 
 
 def _integral(vec: Mapping, scale: int) -> dict:
     return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
 
 
-def coboundary_blocks(
-    algebra: AlgebraStructure, grading: Grading, n: int
-) -> tuple[int, dict[int, IntegerBlock]]:
-    """Every degree block of d^n for L acting on itself, as integer columns.
+def coboundary_columns(algebra: AlgebraStructure, n: int) -> tuple[int, dict[int, dict[int, int]]]:
+    """d^n for L acting on itself, as integer columns.
 
-    Returns ``(scale, blocks)``: ``scale`` is the least common denominator
-    of the structure constants, and ``blocks[degree]`` holds ``scale``
-    times the entries of :func:`graded_submatrix` of d^n for that degree,
-    at their flat cochain indices, built straight from the tensor without
-    assembling d^n. Any entry whose column has another degree than its
-    row makes the grading invalid and raises ValueError.
+    Returns ``(scale, columns)``: ``scale`` is the least common
+    denominator of the structure constants, and ``columns`` maps each
+    nonzero column of d^n to ``{row: value}``, ``scale`` times the
+    entries of :func:`coboundary_matrix`, at their flat cochain indices.
     """
     _check_arity(n)
-    degs = _check_degrees(algebra, grading)
     scale = lcm(*(v.denominator for vec in algebra.tensor.values() for v in vec.values()))
     module = adjoint_bimodule(algebra)
     left = [_integral(act, scale) for act in module.left_action]
     right = [_integral(act, scale) for act in module.right_action]
     tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
-
-    # each column's degree; a column no degree claims keeps None and
-    # fails the check below
-    dl = algebra.dim
-    col_degree: list[int | None] = [None] * (dl ** (n + 1))
-    blocks: dict[int, IntegerBlock] = {}
-    for degree in cochain_degrees(algebra, grading, n):
-        cols = graded_columns(algebra, grading, n, degree)
-        for c in cols:
-            col_degree[c] = degree
-        blocks[degree] = IntegerBlock(cols, {})
-    # the adjoint module has dimension dl
-    for args, row_base, entries in _coboundary_rows(left, right, tensor, dl, n):
-        s = 0
-        for a in args:
-            s += degs[a]
-        for (r, c), v in entries.items():
-            degree = degs[r - row_base] - s
-            if col_degree[c] != degree:
-                raise ValueError(
-                    "coboundary does not preserve the grading: entry "
-                    f"({r}, {c}) of d^{n} joins a degree {degree} row to a"
-                    f" degree {col_degree[c]} column"
-                )
-            blocks[degree].by_column.setdefault(c, {})[r] = v
-    return scale, blocks
+    return scale, _coboundary_columns(left, right, tensor, algebra.dim, n)
 
 
 def _check_degrees(algebra: AlgebraStructure, grading: Grading) -> tuple[int, ...]:
@@ -238,8 +196,8 @@ def graded_submatrix(
     degree-``degree`` columns of Hom(L^n, L) and rows of Hom(L^{n+1}, L).
     Any entry leading from such a column to a row of a different degree
     makes the claimed grading invalid and raises ValueError. The graded
-    engine builds its blocks with :func:`coboundary_blocks`; this is the
-    reference that builder is tested against.
+    engine splits :func:`coboundary_columns` by degree instead; this is
+    the reference it is tested against.
     """
     cols = graded_columns(algebra, grading, n, degree)
     rows = graded_columns(algebra, grading, n + 1, degree)

@@ -4,14 +4,17 @@ The totals ZL^n = ker d^n, BL^n = im d^{n-1} and HL^n = ZL^n / BL^n are
 computed from the coboundary matrices by exact elimination. For a graded
 algebra acting on itself, :class:`AdjointCohomology` splits everything by
 cochain degree and by argument-signature block and never assembles a
-full coboundary: it builds the degree blocks of each d^n as integer
-columns (:func:`~leibcohom.cochain.coboundary_blocks`, which also rejects
-an entry that leaves its degree), eliminates the columns of each block
-once, and reads the totals off the block ranks. Blocks, cocycle bases
-and G/I coordinates all use the flat cochain index, so a row of d^n is
-also a column of d^{n+1}: d^{n+1} d^n = 0 is checked by applying each
-degree block of d^{n+1} to the columns of the block of d^n. A cocycle
-basis of degree i is the span of the d^1 columns when d^2 d^1 = 0 and
+full coboundary. It builds each d^n once as integer columns that know no
+grading (:func:`~leibcohom.cochain.coboundary_columns`) and is the only
+code that maps cochains to degrees: the constructor checks that the
+grading respects the product, so every term of d^n joins a row and a
+column of the same degree, and a degree block is the columns that
+:func:`~leibcohom.cochain.graded_columns` names. Each block's columns
+are eliminated once, and the totals are the sums of the block ranks.
+Columns, cocycle bases and G/I coordinates all use the flat cochain
+index, so a row of d^n is also a column of d^{n+1}: d^{n+1} d^n = 0 is
+checked by applying d^{n+1} to each column of d^n. A cocycle basis of
+degree i is the span of the d^1 columns when d^2 d^1 = 0 and
 rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i then fills
 ker d^2_i; only a degree where that chain does not close (HL^2 nonzero
 there, or a broken complex) is reduced to a kernel of d^2.
@@ -41,10 +44,10 @@ from .algebra import (
     check_grading,
 )
 from .cochain import (
-    IntegerBlock,
-    coboundary_blocks,
-    cochain_degrees,
+    coboundary_columns,
     coboundary_matrix,
+    cochain_degrees,
+    graded_columns,
 )
 from .linalg import (
     SparseRationalMatrix,
@@ -63,7 +66,6 @@ from .linalg import (
 )
 
 _TAG_DEGREE = {"G": 0, "I": 1}
-_NO_BLOCK = IntegerBlock((), {})
 
 BlockSpec = Sequence[str] | Iterable[Sequence[str]]
 
@@ -147,9 +149,10 @@ class BlockAnalysis:
 class AdjointCohomology:
     """Graded cocycle analysis of CL^*(L, L) for one graded algebra.
 
-    Construction validates the grading. The degree blocks of each d^n are
-    built once, as integer columns straight from the tensor; each block's
-    rank is the pivot count of an echelon of its columns, computed once.
+    Construction validates the grading. Each d^n is built once, as
+    integer columns straight from the tensor, and split by degree here;
+    each degree block's rank is the pivot count of an echelon of its
+    columns, computed once.
     A cocycle basis (:meth:`zl_graded_basis`) is read off the columns of
     d^1 where the rank chain closes, and off a kernel of d^2 elsewhere.
     """
@@ -160,7 +163,8 @@ class AdjointCohomology:
         self.algebra = algebra
         self.grading = grading
         self.module = adjoint_bimodule(algebra)
-        self._blocks: dict[int, dict[int, IntegerBlock]] = {}
+        self._columns: dict[int, dict[int, dict[int, int]]] = {}
+        self._graded: dict[tuple[int, int], tuple[int, ...]] = {}
         self._ranks: dict[tuple[int, int], int] = {}
         self._squares: dict[int, bool] = {}
         self._kernel: dict[int, Subspace] = {}
@@ -168,47 +172,49 @@ class AdjointCohomology:
 
     # degree blocks and totals
 
-    def _block(self, n: int, degree: int) -> IntegerBlock:
-        """The degree block of d^n; empty for a degree no cochain has."""
-        if n not in self._blocks:
-            self._blocks[n] = coboundary_blocks(self.algebra, self.grading, n)[1]
-        return self._blocks[n].get(degree, _NO_BLOCK)
+    def _coboundary(self, n: int) -> dict[int, dict[int, int]]:
+        """The nonzero integer columns of d^n, by flat cochain index."""
+        if n not in self._columns:
+            self._columns[n] = coboundary_columns(self.algebra, n)[1]
+        return self._columns[n]
+
+    def _block(self, n: int, degree: int) -> list[dict[int, int]]:
+        """The nonzero columns of d^n of one degree, in column order."""
+        cob = self._coboundary(n)
+        return [cob[c] for c in self.graded_cols(n, degree) if c in cob]
 
     def _rank(self, n: int, degree: int) -> int:
         """Rank of the degree block of d^n: the pivots of an echelon of
         copies of its columns, which the elimination consumes."""
         key = (n, degree)
         if key not in self._ranks:
-            columns = self._block(n, degree).by_column.values()
-            self._ranks[key] = len(_echelon([dict(col) for col in columns]))
+            self._ranks[key] = len(_echelon([dict(col) for col in self._block(n, degree)]))
         return self._ranks[key]
 
     def squares_to_zero(self, n: int) -> bool:
         """Whether d^{n+1} after d^n is zero, as d^{n+1} applied to each
-        column of d^n, one degree block at a time: the builder rejects an
-        entry that leaves its degree, so the composite is the sum of the
-        products of equal-degree blocks."""
+        column of d^n."""
         if n not in self._squares:
-            self._squares[n] = all(
-                self._kills_columns(n, degree) for degree in self.degrees(n)
-            )
+            upper = self._coboundary(n + 1)
+            self._squares[n] = True
+            for col in self._coboundary(n).values():
+                acc: dict[int, int] = {}
+                for r, v in col.items():
+                    if r in upper:
+                        _axpy(acc, upper[r], v)
+                if acc:
+                    self._squares[n] = False
+                    break
         return self._squares[n]
 
-    def _kills_columns(self, n: int, degree: int) -> bool:
-        upper = self._block(n + 1, degree).by_column
-        for col in self._block(n, degree).by_column.values():
-            acc: dict[int, int] = {}
-            for r, v in col.items():
-                if r in upper:
-                    _axpy(acc, upper[r], v)
-            if acc:
-                return False
-        return True
-
     def _cob_rank(self, n: int) -> int:
-        """rank d^n, summed over its degree blocks: the builder rejects an
-        entry that leaves its degree, so once the blocks' columns add up
-        to those of d^n, d^n is block diagonal up to a permutation."""
+        """rank d^n, summed over its degree blocks. The constructor checked
+        the grading, so every term of d^n joins a row to a column of the
+        same degree: [x_1, f(..)] and [f(..), x_p] need a structure
+        constant c_{x i}^o, so deg o = deg x + deg i, and f(.., [x_p, x_q],
+        ..) needs c_{x_p x_q}^t, so deg t = deg x_p + deg x_q. Once the
+        blocks' columns add up to those of d^n, d^n is block diagonal up
+        to a permutation."""
         degrees = self.degrees(n)
         if sum(len(self.graded_cols(n, i)) for i in degrees) != self.algebra.dim ** (n + 1):
             raise AssertionError(f"the degree blocks do not cover the columns of d^{n}")
@@ -231,7 +237,10 @@ class AdjointCohomology:
         return cochain_degrees(self.algebra, self.grading, n)
 
     def graded_cols(self, n: int, degree: int) -> tuple[int, ...]:
-        return self._block(n, degree).columns
+        key = (n, degree)
+        if key not in self._graded:
+            self._graded[key] = graded_columns(self.algebra, self.grading, n, degree)
+        return self._graded[key]
 
     def graded_zl_dim(self, n: int, degree: int) -> int:
         return len(self.graded_cols(n, degree)) - self._rank(n, degree)
@@ -256,13 +265,13 @@ class AdjointCohomology:
             if self.squares_to_zero(1) and (
                 self._rank(1, degree) + self._rank(2, degree) == len(cols)
             ):
-                space = Subspace.from_spanning(self._block(1, degree).by_column.values(), ambient)
+                space = Subspace.from_spanning(self._block(1, degree), ambient)
             else:
-                pos = {c: p for p, c in enumerate(cols)}
+                d2 = self._coboundary(2)
                 rows: dict[int, dict[int, int]] = {}
-                for c, col in self._block(2, degree).by_column.items():
-                    for r, v in col.items():
-                        rows.setdefault(r, {})[pos[c]] = v
+                for p, c in enumerate(cols):
+                    for r, v in d2.get(c, {}).items():
+                        rows.setdefault(r, {})[p] = v
                 kernel = _reversed_kernel(_reversed_echelon(rows.values(), len(cols)), len(cols))
                 space = embed(kernel, cols, ambient)
             self._kernel[degree] = space

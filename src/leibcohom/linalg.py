@@ -35,15 +35,16 @@ canonical form depends, and adds one back-substitution,
   coordinate, 1, at that column and vanishes at every other free column,
   which is already the canonical basis (:func:`_reversed_kernel`).
 
-The graded engine in :mod:`leibcohom.cohomology` holds its coboundary
-blocks as integer columns keyed by the flat cochain index: it counts the
-pivots of :func:`_echelon` on the columns for each rank, and on the rows
-of a cocycle basis restricted to a block's coordinates (and to the other
-coordinates) for each block analysis. It calls
-:func:`_reversed_echelon` and :func:`_reversed_kernel` on the rows only
-for a kernel it cannot read off the image of the previous coboundary.
-That kernel numbers the block's columns by position, and :func:`embed`
-maps it back to flat coordinates.
+The graded engine in :mod:`leibcohom.cohomology` holds each coboundary
+as integer columns keyed by the flat cochain index and splits them by
+degree itself: it counts the pivots of :func:`_echelon` on copies of one
+degree's columns for each rank, and on the rows of a cocycle basis
+restricted to a block's coordinates (and to the other coordinates) for
+each block analysis. It calls :func:`_reversed_echelon` and
+:func:`_reversed_kernel` on the rows only for a kernel it cannot read
+off the image of the previous coboundary. That kernel numbers the
+degree's columns of d^2 by position, and :func:`embed` maps it back to
+flat coordinates.
 
 :func:`rank_modular` runs its own elimination mod a few word-size primes.
 It is an independent cross-check of :func:`rank` for the tests, never the

@@ -6,8 +6,10 @@ pytest output. The expensive objects are computed once per session and
 shared across criteria.
 """
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,7 @@ from leibcohom.derivations import (
 )
 from leibcohom.linalg import Subspace, kernel_basis, subspace_equal
 
+ROOT = Path(__file__).resolve().parent.parent
 FULL_RANGE = tuple(range(2, 13))
 DEEP_RANGE = (2, 3, 4)
 MODULE_RANGE = tuple(range(0, 13))
@@ -80,7 +83,7 @@ def test_c01_structural_integrity(family, capsys):
 
 def test_c02_complex_property(family, capsys):
     """The full Fraction products are the reference for the engine's
-    block-by-block check."""
+    column-by-column check."""
     failures = []
     for m in FULL_RANGE:
         algebra, _, coh = family[m]
@@ -90,7 +93,7 @@ def test_c02_complex_property(family, capsys):
             if not (d[n + 1] @ d[n]).is_zero():
                 failures.append(f"m={m} d{n + 1}d{n}")
             if not coh.squares_to_zero(n):
-                failures.append(f"m={m} d{n + 1}d{n} by degree blocks")
+                failures.append(f"m={m} d{n + 1}d{n} by integer columns")
     announce(
         capsys, 2, "d(n+1)dn = 0 for m=2..12 (and d3d2 = 0 for m=2..4)", failures
     )
@@ -283,9 +286,12 @@ def test_c10_report_determinism(tmp_path, capsys):
 # derivations report carries the solve coordinates and the canonical
 # derivation basis; the cohomology reports carry the per-degree split and
 # the block projections and restrictions, or only the totals, which the
-# command takes from the full matrix when no split is asked for. The
-# 20..20 report is the scaling rung of the benchmark.
+# command reads off the engine's degree blocks whenever the algebra is
+# graded. The 2..12 and 20..20 reports are the benchmark's paper_range
+# and large_m20 workloads.
 PINNED_REPORTS = {
+    ("verify-paper", "--m-range", "2..12", "--format", "json"):
+        "a306f5a50cdfa49f81c4e3dbe51db33d64b00651f7ca7114aaabf19c5f861de8",
     ("verify-paper", "--m-range", "2..5", "--deep", "--format", "json"):
         "f65c5e523104c019c66180045c70356e425dc850b75c09f7ea1c4073f351f42b",
     ("verify-paper", "--m-range", "20..20", "--format", "json"):
@@ -316,3 +322,19 @@ def test_c11_pinned_report_digests(capsys):
         if got != expected:
             failures.append(f"{' '.join(argv)}: sha256 {got[:8]}, expected {expected[:8]}")
     announce(capsys, 11, "reports are byte-identical to the pinned digests", failures)
+
+
+def test_benchmark_digests_are_c11_pins():
+    """bench/workloads.py checks the paper_range and large_m20 reports
+    against its own digests; they must be the C11 pins of the same
+    commands, so the benchmark and tier-1 cannot drift apart."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    digests = {
+        node.targets[0].id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id.endswith("_SHA256")
+    }
+    for name, m_range in (("PAPER_RANGE_SHA256", "2..12"), ("LARGE_M20_SHA256", "20..20")):
+        argv = ("verify-paper", "--m-range", m_range, "--format", "json")
+        assert digests[name] == PINNED_REPORTS[argv], name

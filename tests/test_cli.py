@@ -7,6 +7,7 @@ import json
 import pytest
 
 import leibcohom.cli as cli
+import leibcohom.cohomology as cohomology
 from leibcohom.catalog import dumps_algebra, save_algebra, simple_leibniz_sl2, sl2
 from leibcohom.cli import main
 
@@ -119,13 +120,32 @@ class TestCohomology:
         code, _ = run(capsys, ["cohomology", "--m", "2", "--blocks", "--n", "1"])
         assert code == 2
 
+    def test_graded_totals_come_from_the_engine(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("full-matrix path for a graded algebra")
+
+        monkeypatch.setattr(cohomology, "rank", never)
+        monkeypatch.setattr(cohomology, "coboundary_matrix", never)
+        code, out = run(capsys, ["cohomology", "--m", "3", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["dim_z"] == 45
+
     def test_graded_requires_grading(self, capsys, tmp_path):
         path = tmp_path / "plain.alg"
         save_algebra(sl2(), None, path)
         code, _ = run(capsys, ["cohomology", "--algebra", str(path), "--graded"])
         assert code == 2
 
-    def test_ungraded_totals_work(self, capsys, tmp_path):
+    def test_ungraded_totals_work(self, capsys, tmp_path, monkeypatch):
+        # an ungraded algebra ranks the full matrices d^2 and d^1
+        ranked = []
+        real = cohomology.rank
+
+        def counted(matrix):
+            ranked.append(matrix.cols)
+            return real(matrix)
+
+        monkeypatch.setattr(cohomology, "rank", counted)
         path = tmp_path / "plain.alg"
         save_algebra(sl2(), None, path)
         code, out = run(
@@ -133,6 +153,7 @@ class TestCohomology:
         )
         assert code == 0
         assert json.loads(out)["dim_h"] == 0
+        assert sorted(ranked) == [9, 27]
 
     @pytest.mark.parametrize("extra", [[], ["--graded"]])
     def test_bad_grading_exits_2(self, capsys, badly_graded, extra):
@@ -275,10 +296,10 @@ class TestVerifyPaper:
     def test_out_into_missing_directory_fails_fast(self, capsys, tmp_path, monkeypatch):
         import leibcohom.cli as cli
 
-        def never(task):
+        def never(m, deep):
             raise AssertionError("computed a parameter value before failing")
 
-        monkeypatch.setattr(cli, "_verify_worker", never)
+        monkeypatch.setattr(cli, "_verify_one", never)
         target = tmp_path / "missing" / "r.json"
         code, out, err = run_err(capsys, [
             "verify-paper", "--m-range", "2..3", "--format", "json", "--out", str(target),

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from leibcohom.algebra import Grading, adjoint_bimodule
-from leibcohom.catalog import simple_leibniz_sl2, sl2
+from leibcohom.algebra import AlgebraStructure, Grading, adjoint_bimodule
+from leibcohom.catalog import direct_sum, simple_leibniz_sl2, sl2
 from leibcohom.cochain import (
-    coboundary_blocks,
+    coboundary_columns,
     coboundary_matrix,
     cochain_degrees,
     graded_columns,
@@ -284,9 +284,6 @@ class TestGradedStructure:
         bogus = Grading((0, 0, 0, 1, 1, 2))
         with pytest.raises(ValueError, match="grading"):
             graded_submatrix(d2, algebra, bogus, 2, 0)
-        # the block builder checks every entry as it builds
-        with pytest.raises(ValueError, match="grading"):
-            coboundary_blocks(algebra, bogus, 2)
 
     def test_kernel_vectors_are_cocycles(self):
         algebra, grading = simple_leibniz_sl2(2)
@@ -303,31 +300,29 @@ class TestGradedStructure:
 
 
 def assert_blocks_match_reference(algebra, grading, n):
-    """Every block of the integer builder, read column by column, is its
-    scale times the block that graded_submatrix cuts out of the full
-    Fraction matrix, with no empty column stored; returns the scale. The
-    builder keys rows and columns by flat cochain index, so each entry
-    (r, c) of the cut block is mapped back through graded_columns."""
-    scale, blocks = coboundary_blocks(algebra, grading, n)
+    """The integer columns of d^n, all together, are scale times the full
+    Fraction matrix, and the columns of each degree are scale times the
+    block that graded_submatrix cuts out of it, mapped back to flat
+    indices through graded_columns; every value is an int and no column
+    is empty. Returns the scale."""
+    scale, columns = coboundary_columns(algebra, n)
     d = coboundary_matrix(algebra, adjoint_bimodule(algebra), n)
-    degrees = cochain_degrees(algebra, grading, n)
-    assert tuple(blocks) == degrees
-    for degree in degrees:
+    assert all(columns.values())
+    got = {(r, c): v for c, col in columns.items() for r, v in col.items()}
+    assert all(type(v) is int for v in got.values())
+    assert got == {key: v * scale for key, v in d.entries.items()}
+    for degree in cochain_degrees(algebra, grading, n):
         ref = graded_submatrix(d, algebra, grading, n, degree)
         rows = graded_columns(algebra, grading, n + 1, degree)
         cols = graded_columns(algebra, grading, n, degree)
-        block = blocks[degree]
-        assert block.columns == cols
-        assert len(block.columns) == ref.cols
-        got = {(r, c): v for c, col in block.by_column.items() for r, v in col.items()}
-        assert all(col for col in block.by_column.values())
-        assert all(type(v) is int for v in got.values())
-        assert got == {(rows[r], cols[c]): v * scale for (r, c), v in ref.entries.items()}
+        block = {(r, c): v for c in cols for r, v in columns.get(c, {}).items()}
+        assert block == {(rows[r], cols[c]): v * scale for (r, c), v in ref.entries.items()}
     return scale
 
 
 class TestCoboundaryBlocks:
-    """The engine's integer block builder against the Fraction matrix."""
+    """The engine's integer columns, whole and split by degree, against
+    the Fraction matrix."""
 
     @pytest.mark.parametrize("m,n", [
         (m, n) for m in (2, 3, 4, 5) for n in range(4) if n < 3 or m <= 3
@@ -342,3 +337,8 @@ class TestCoboundaryBlocks:
         twisted = conjugate(algebra, seed, grading)
         for n in (0, 1, 2):
             assert assert_blocks_match_reference(twisted, grading, n) > 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_sl2_plus_line(self, n):
+        algebra = direct_sum(sl2(), AlgebraStructure(1, ("c",), {}))
+        assert assert_blocks_match_reference(algebra, Grading((0, 0, 0, 1)), n) == 1
