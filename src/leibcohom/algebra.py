@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import Subspace, _add, _as_rational, _axpy, _sparse
+from .linalg import Subspace, _as_rational, _axpy, _compose, _sparse
 
 _EMPTY: dict[int, Fraction] = {}
-
-ActionMatrix = Mapping[tuple[int, int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,9 @@ class Grading(object):
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for d in self.degrees:
+            if not isinstance(d, int):
+                raise TypeError(f"not an integer degree: {d!r}")
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
 
     def classes(self) -> dict[int, tuple[int, ...]]:
@@ -231,21 +232,6 @@ def check_grading(algebra: AlgebraStructure, grading: Grading) -> bool:
             if degs[t] != want:
                 return False
     return True
-
-
-def _compose(x: ActionMatrix, y: ActionMatrix) -> dict[tuple[int, int], Fraction]:
-    """Matrix of the composition (apply y, then x)."""
-    x_by_col: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in x.items():
-        x_by_col.setdefault(c, []).append((r, v))
-    out: dict[tuple[int, int], Fraction] = {}
-    for (t, c), yv in y.items():
-        hits = x_by_col.get(t)
-        if not hits:
-            continue
-        for r, xv in hits:
-            _add(out, (r, c), xv * yv)
-    return out
 
 
 def check_bimodule_axioms(algebra: AlgebraStructure, module: Bimodule) -> list[IdentityViolation]:

@@ -146,17 +146,14 @@ def direct_sum(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure:
 def _parse_coeff(token: str, where: str) -> Fraction:
     if not _COEFF_RE.match(token):
         raise AlgebraFileError(f"{where}: malformed coefficient {token!r}")
-    if "/" in token:
-        num_s, den_s = token.split("/")
-        num, den = int(num_s), int(den_s)
-        if den == 0:
-            raise AlgebraFileError(f"{where}: zero denominator in {token!r}")
-        if gcd(num, den) != 1:
-            raise AlgebraFileError(f"{where}: {token!r} is not in lowest terms")
-    else:
-        num, den = int(token), 1
+    num_s, _, den_s = token.partition("/")
+    num, den = int(num_s), int(den_s or 1)
     if num == 0:
         raise AlgebraFileError(f"{where}: zero coefficient records are not allowed")
+    if den == 0:
+        raise AlgebraFileError(f"{where}: zero denominator in {token!r}")
+    if gcd(num, den) != 1:
+        raise AlgebraFileError(f"{where}: {token!r} is not in lowest terms")
     return Fraction(num, den)
 
 

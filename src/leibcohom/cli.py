@@ -467,10 +467,10 @@ def _verify_one(m: int, deep: bool) -> tuple[list[dict], float]:
 
 
 def _parse_m_range(text: str) -> tuple[int, int]:
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise ValueError("expected a range of the form a..b")
-    first, last = int(parts[0]), int(parts[1])
+    try:
+        first, last = (int(p) for p in text.split(".."))
+    except ValueError:
+        raise ValueError(f"a..b needs integers a and b, got {text!r}") from None
     if first < 2 or last < first:
         raise ValueError("need 2 <= first <= last")
     return first, last

@@ -25,11 +25,14 @@ cochains with first argument in I, second in G, and target in whichever
 part the cochain degree forces. A block analysis reports dimensions
 only, so it counts pivots instead of building the projected and the
 supported subspaces.
+
+Chevalley-Eilenberg cohomology (:func:`lie_ce_h`) has no coboundary
+formula of its own: the CE complex is the alternating subcomplex of the
+Leibniz complex with symmetric coefficients (Loday-Pirashvili).
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +45,7 @@ from .algebra import (
     adjoint_bimodule,
     check_bimodule_axioms,
     check_grading,
+    symmetric_bimodule,
 )
 from .cochain import (
     coboundary_columns,
@@ -52,7 +56,6 @@ from .cochain import (
 from .linalg import (
     SparseRationalMatrix,
     Subspace,
-    _add,
     _axpy,
     _echelon,
     _integer_row,
@@ -403,77 +406,60 @@ class AdjointCohomology:
 # Chevalley-Eilenberg cohomology for Lie algebras, via the right action.
 
 
-def _require_lie(algebra: AlgebraStructure) -> None:
+def _require_lie_module(algebra: AlgebraStructure, module: Bimodule, what: str) -> None:
+    """Reject a non-Lie bracket, and a module failing the bimodule axioms."""
     from .catalog import lie_as_leibniz
 
     lie_as_leibniz(algebra)
-
-
-def _require_right_module(algebra: AlgebraStructure, module: Bimodule) -> None:
-    zero: tuple[dict, ...] = tuple({} for _ in range(algebra.dim))
-    probe = Bimodule(module.algebra_dim, module.module_dim, zero, module.right_action)
-    bad = check_bimodule_axioms(algebra, probe)
+    bad = check_bimodule_axioms(algebra, module)
     if bad:
-        raise ValueError(
-            f"right action is not a Lie module action ({len(bad)} defects)"
-        )
+        raise ValueError(f"{what} ({len(bad)} axiom defects)")
+
+
+def _alternator(dl: int, dm: int, n: int) -> SparseRationalMatrix:
+    """Alternating n-cochains in Hom(L^n, M): column (i_1 < ... < i_n; k),
+    at (position among the increasing n-tuples) * dim M + k, is
+    sum_sigma sgn(sigma) (i_sigma(1), ..., i_sigma(n); k)."""
+    combos = list(itertools.combinations(range(dl), n))
+    entries: dict[tuple[int, int], int] = {}
+    for col, args in enumerate(combos):
+        for perm in itertools.permutations(range(n)):
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+            flat = 0
+            for p in perm:
+                flat = flat * dl + args[p]
+            for k in range(dm):
+                entries[(flat * dm + k, col * dm + k)] = sign
+    return SparseRationalMatrix(dl**n * dm, len(combos) * dm, entries)
 
 
 def _ce_coboundary(
     algebra: AlgebraStructure, module: Bimodule, n: int
 ) -> SparseRationalMatrix:
-    """Matrix of the Chevalley-Eilenberg coboundary d^n on alternating
-    n-cochains,
-
-        (d f)(x_0, ..., x_n) = sum_i (-1)^i x_i . f(x_0, ..., ^x_i, ..., x_n)
-            + sum_{i<j} (-1)^{i+j} f([x_i, x_j], x_0, ..., ^x_i, ..., ^x_j, ..., x_n)
-
-    with x.m = -[m, x]. An n-cochain coordinate (i_1 < ... < i_n; k) sits
-    at (position of the tuple among the increasing n-tuples) * dim M + k.
-    """
-    dm = module.module_dim
-    cols = {
-        args: pos for pos, args in enumerate(itertools.combinations(range(algebra.dim), n))
-    }
-    rows = list(itertools.combinations(range(algebra.dim), n + 1))
-    entries: dict[tuple[int, int], Fraction] = {}
-    for row_pos, xs in enumerate(rows):
-        row_base = row_pos * dm
-        for i, x in enumerate(xs):
-            col_base = cols[xs[:i] + xs[i + 1 :]] * dm
-            # (-1)^i x_i . m = (-1)^{i+1} [m, x_i]
-            sign = 1 if i % 2 else -1
-            for (out, inp), v in module.right_action[x].items():
-                _add(entries, (row_base + out, col_base + inp), sign * v)
-        for i, j in itertools.combinations(range(n + 1), 2):
-            rest = xs[:i] + xs[i + 1 : j] + xs[j + 1 :]
-            for t, c in algebra.product(xs[i], xs[j]).items():
-                # moving t into its sorted place in rest adds (-1)^pos, and
-                # an alternating cochain vanishes on a repeated argument
-                pos = bisect.bisect_left(rest, t)
-                if pos < len(rest) and rest[pos] == t:
-                    continue
-                col_base = cols[rest[:pos] + (t,) + rest[pos:]] * dm
-                coeff = c if (i + j + pos) % 2 == 0 else -c
-                for k in range(dm):
-                    _add(entries, (row_base + k, col_base + k), coeff)
-    return SparseRationalMatrix(len(rows) * dm, len(cols) * dm, entries)
+    """The Chevalley-Eilenberg d^n on alternating n-cochains, x.m = -[m, x]:
+    the Leibniz coboundary of ``symmetric_bimodule(module)`` after
+    :func:`_alternator` (Loday-Pirashvili). For an alternating f each
+    Leibniz term is the CE term: (-1)^p [f(.., ^x_p, ..), x_p] =
+    (-1)^{p+1} x_p . f(..), and moving [x_p, x_q] to the front costs
+    (-1)^{p-1}, turning (-1)^{q+1} into (-1)^{p+q}. So d_L f = d_CE f, the
+    image is alternating and every rank is the CE one. Rows keep the flat
+    Leibniz index."""
+    d = coboundary_matrix(algebra, symmetric_bimodule(module), n)
+    return d @ _alternator(algebra.dim, module.module_dim, n)
 
 
 def lie_ce_h(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
     """dim H^n of the Chevalley-Eilenberg complex, n in {1, 2}.
 
-    The algebra must be Lie (antisymmetric bracket, Jacobi identity) and
-    only the right action of the bimodule is used, through the induced
-    left action x.m = -[m, x]. Cochains are alternating, with basis
-    indexed by increasing argument tuples.
+    The algebra must be Lie and only the right action of the bimodule is
+    used, checked as a bimodule with zero left action; the complex is the
+    alternating part of the Leibniz one with symmetric coefficients.
     """
     if n not in (1, 2):
         raise ValueError("Chevalley-Eilenberg dimensions are supported for n in {1, 2}")
-    if module.algebra_dim != algebra.dim:
-        raise ValueError("module is over an algebra of different dimension")
-    _require_lie(algebra)
-    _require_right_module(algebra, module)
+    zero = tuple({} for _ in module.right_action)
+    probe = Bimodule(module.algebra_dim, module.module_dim, zero, module.right_action)
+    _require_lie_module(algebra, probe, "right action is not a Lie module action")
     d_prev = _ce_coboundary(algebra, module, n - 1)
     d = _ce_coboundary(algebra, module, n)
     return d.cols - rank(d) - rank(d_prev)
@@ -489,8 +475,5 @@ def leibniz_h_with_coefficients(
     """
     if n not in (1, 2):
         raise ValueError("cohomology dimensions are supported for n in {1, 2}")
-    _require_lie(algebra)
-    bad = check_bimodule_axioms(algebra, module)
-    if bad:
-        raise ValueError(f"not a Leibniz bimodule ({len(bad)} axiom defects)")
+    _require_lie_module(algebra, module, "not a Leibniz bimodule")
     return hl_dim(algebra, module, n)

@@ -55,8 +55,10 @@ Sparse vectors from outside the module pass through one check,
 :func:`_sparse` (indices in range, exact scalars, zeros dropped), and
 every sparse accumulation in the package goes through :func:`_add` (one
 entry) or :func:`_axpy` (a scaled vector), which drop entries that
-cancel. Only the integer row update inside :func:`_eliminate` and the
-modular loop of :func:`rank_modular` stay inline, for speed.
+cancel; every sparse matrix product, ``@`` and the composites of the
+bimodule axiom check alike, is :func:`_compose`. Only the integer row
+update inside :func:`_eliminate` and the modular loop of
+:func:`rank_modular` stay inline, for speed.
 """
 
 from __future__ import annotations
@@ -122,6 +124,24 @@ def _axpy(acc: dict, vec: Mapping, scale: Fraction) -> None:
             _add(acc, k, scale * v)
 
 
+def _compose(
+    x: Mapping[tuple[int, int], Fraction], y: Mapping[tuple[int, int], Fraction]
+) -> dict[tuple[int, int], Fraction]:
+    """Product x y of two sparse ``{(row, col): value}`` matrices (apply
+    y, then x), dropping entries that cancel."""
+    x_by_col: dict[int, list[tuple[int, Fraction]]] = {}
+    for (r, c), v in x.items():
+        x_by_col.setdefault(c, []).append((r, v))
+    out: dict[tuple[int, int], Fraction] = {}
+    for (t, c), yv in y.items():
+        hits = x_by_col.get(t)
+        if not hits:
+            continue
+        for r, xv in hits:
+            _add(out, (r, c), xv * yv)
+    return out
+
+
 @dataclass(frozen=True)
 class SparseRationalMatrix:
     """Immutable sparse matrix with Fraction entries.
@@ -183,14 +203,7 @@ class SparseRationalMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        other_rows = other.row_dicts()
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in self.entries.items():
-            row = other_rows.get(c)
-            if row:
-                for c2, w in row.items():
-                    _add(acc, (r, c2), v * w)
-        return SparseRationalMatrix(self.rows, other.cols, acc)
+        return SparseRationalMatrix(self.rows, other.cols, _compose(self.entries, other.entries))
 
 
 def _strip_content(row: dict[int, int]) -> None:

@@ -119,6 +119,11 @@ class TestGrading:
         with pytest.raises(ValueError):
             check_grading(algebra, Grading((0, 0)))
 
+    @pytest.mark.parametrize("degree", [0.7, 1.0, "1", F(1)])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(TypeError, match="integer degree"):
+            Grading((0, degree))
+
 
 class TestBimodules:
     def test_adjoint_actions(self):

@@ -174,6 +174,7 @@ class TestFileFormat:
             ("product 0 0 1 4/2", "lowest terms"),
             ("product 0 0 1 1/0", "zero denominator"),
             ("product 0 0 1 0", "zero coefficient"),
+            ("product 0 0 1 0/5", "zero coefficient"),
             ("product 0 0 5 1", "exceeds dimension"),
             ("product 0 0 1 x", "coefficient"),
         ],

@@ -274,6 +274,13 @@ class TestVerifyPaper:
         assert run(capsys, ["verify-paper", "--m-range", "5..2"])[0] == 2
         assert run(capsys, ["verify-paper", "--m-range", "x"])[0] == 2
 
+    @pytest.mark.parametrize("text", ["2..x", "..3"])
+    def test_non_integer_range_message(self, capsys, text):
+        code, _, err = run_err(capsys, ["verify-paper", "--m-range", text])
+        assert code == 2
+        assert "a..b needs integers a and b" in err
+        assert "invalid literal" not in err
+
     def test_pretty_mentions_timing(self, capsys):
         code, out = run(capsys, ["verify-paper", "--m-range", "2..2"])
         assert code == 0

@@ -1,6 +1,8 @@
 """Cohomology dimensions, graded reports, block analyses, and the Lie
 comparison theorems."""
 
+import bisect
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,14 @@ from leibcohom.cohomology import (
 )
 from leibcohom.cli import STANDARD_BLOCKS
 from leibcohom.derivations import derivation_space
-from leibcohom.linalg import Subspace, kernel_basis, project, restrict_to_coords
+from leibcohom.linalg import (
+    SparseRationalMatrix,
+    Subspace,
+    _add,
+    kernel_basis,
+    project,
+    restrict_to_coords,
+)
 
 F = Fraction
 
@@ -43,6 +52,77 @@ H3 = AlgebraStructure(3, ("x", "y", "z"), {(0, 1): {2: F(1)}, (1, 0): {2: F(-1)}
 def trivial_module(algebra):
     zero = tuple({} for _ in range(algebra.dim))
     return Bimodule(algebra.dim, 1, zero, zero)
+
+
+def reference_ce_coboundary(algebra, module, n):
+    """The Chevalley-Eilenberg coboundary d^n on alternating n-cochains,
+    evaluated straight from the CE formula with 0-based signs,
+
+        (d f)(x_0, ..., x_n) = sum_i (-1)^i x_i . f(x_0, ..., ^x_i, ..., x_n)
+            + sum_{i<j} (-1)^{i+j} f([x_i, x_j], x_0, ..., ^x_i, ..., ^x_j, ..., x_n)
+
+    with x.m = -[m, x]. Rows and columns are both indexed by increasing
+    argument tuples: (i_1 < ... < i_n; k) sits at (position of the tuple
+    among the increasing n-tuples) * dim M + k.
+    """
+    dm = module.module_dim
+    cols = {
+        args: pos for pos, args in enumerate(itertools.combinations(range(algebra.dim), n))
+    }
+    rows = list(itertools.combinations(range(algebra.dim), n + 1))
+    entries = {}
+    for row_pos, xs in enumerate(rows):
+        row_base = row_pos * dm
+        for i, x in enumerate(xs):
+            col_base = cols[xs[:i] + xs[i + 1 :]] * dm
+            # (-1)^i x_i . m = (-1)^{i+1} [m, x_i]
+            sign = 1 if i % 2 else -1
+            for (out, inp), v in module.right_action[x].items():
+                _add(entries, (row_base + out, col_base + inp), sign * v)
+        for i, j in itertools.combinations(range(n + 1), 2):
+            rest = xs[:i] + xs[i + 1 : j] + xs[j + 1 :]
+            for t, c in algebra.product(xs[i], xs[j]).items():
+                # moving t into its sorted place in rest adds (-1)^pos, and
+                # an alternating cochain vanishes on a repeated argument
+                pos = bisect.bisect_left(rest, t)
+                if pos < len(rest) and rest[pos] == t:
+                    continue
+                col_base = cols[rest[:pos] + (t,) + rest[pos:]] * dm
+                coeff = c if (i + j + pos) % 2 == 0 else -c
+                for k in range(dm):
+                    _add(entries, (row_base + k, col_base + k), coeff)
+    return SparseRationalMatrix(len(rows) * dm, len(cols) * dm, entries)
+
+
+def _ce_pairs():
+    """Lie algebras with right modules, the brackets and actions varied."""
+    sum_adjoint = adjoint_bimodule(direct_sum(sl2(), R2))
+    return (
+        [(f"sl2-V{m}", sl2(), irreducible_sl2_module(m)) for m in range(7)]
+        + [
+            ("sl2-adjoint", sl2(), adjoint_bimodule(sl2())),
+            ("r2-trivial", R2, trivial_module(R2)),
+            ("r2-adjoint", R2, adjoint_bimodule(R2)),
+            ("h3-trivial", H3, trivial_module(H3)),
+            ("h3-adjoint", H3, adjoint_bimodule(H3)),
+            ("sl2+r2-adjoint", direct_sum(sl2(), R2), sum_adjoint),
+        ]
+    )
+
+
+def _flat(args, dl):
+    """Flat index of an argument tuple, lexicographic in base dim L."""
+    out = 0
+    for x in args:
+        out = out * dl + x
+    return out
+
+
+CE_CASES = [
+    pytest.param(algebra, module, n, id=f"{name}-d{n}")
+    for name, algebra, module in _ce_pairs()
+    for n in range(3)
+]
 
 
 class TestTotals:
@@ -226,14 +306,42 @@ class TestLieCohomology:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_complex_property(self, n):
+        # the reference's rows and columns share the increasing-tuple index
         for algebra, module in (
             (H3, adjoint_bimodule(H3)),
             (sl2(), irreducible_sl2_module(3)),
             (direct_sum(sl2(), R2), adjoint_bimodule(direct_sum(sl2(), R2))),
         ):
-            d = _ce_coboundary(algebra, module, n)
-            d_next = _ce_coboundary(algebra, module, n + 1)
+            d = reference_ce_coboundary(algebra, module, n)
+            d_next = reference_ce_coboundary(algebra, module, n + 1)
             assert (d_next @ d).is_zero()
+
+    @pytest.mark.parametrize("algebra,module,n", CE_CASES)
+    def test_increasing_rows_match_reference(self, algebra, module, n):
+        dl, dm = algebra.dim, module.module_dim
+        rows = _ce_coboundary(algebra, module, n).row_dicts()
+        ref = reference_ce_coboundary(algebra, module, n).row_dicts()
+        for pos, xs in enumerate(itertools.combinations(range(dl), n + 1)):
+            for k in range(dm):
+                assert rows.get(_flat(xs, dl) * dm + k, {}) == ref.get(pos * dm + k, {})
+
+    @pytest.mark.parametrize("algebra,module,n", CE_CASES)
+    def test_rows_alternate(self, algebra, module, n):
+        # the row at any argument tuple is the sign of its sorting
+        # permutation times the row at the sorted tuple, and zero when an
+        # index repeats
+        dl, dm = algebra.dim, module.module_dim
+        rows = _ce_coboundary(algebra, module, n).row_dicts()
+        for args in itertools.product(range(dl), repeat=n + 1):
+            inversions = sum(a > b for a, b in itertools.combinations(args, 2))
+            sign = -1 if inversions % 2 else 1
+            for k in range(dm):
+                row = rows.get(_flat(args, dl) * dm + k, {})
+                if len(set(args)) < len(args):
+                    assert row == {}
+                else:
+                    base = rows.get(_flat(sorted(args), dl) * dm + k, {})
+                    assert row == {c: sign * v for c, v in base.items()}
 
     def test_requires_lie_algebra(self):
         algebra, _ = simple_leibniz_sl2(2)
