@@ -16,6 +16,8 @@ order:
 Each product line declares ``[b_i, b_j] += coeff * b_k``. Coefficients
 are nonzero rationals written as ``p`` or ``p/q`` with ``q > 0`` and
 ``gcd(p, q) = 1``; anything else (``4/2``, ``1/0``, ``0``) is rejected.
+Every integer is ASCII ``-?[0-9]+``, so ``1_0``, ``+1`` and non-ASCII
+digits, which ``int()`` would take, are rejected too.
 Duplicate ``(i, j, k)`` records and out-of-range indices are errors.
 :func:`save_algebra` emits a canonical layout (products sorted by
 ``(i, j, k)``), so saving and reloading reproduces the algebra exactly.
@@ -33,11 +35,19 @@ from .algebra import AlgebraStructure, Grading, Bimodule, leibniz_defects
 _FORMAT_NAME = "algebra-file"
 _FORMAT_VERSION = 1
 
-_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INT_RE = re.compile(r"-?[0-9]+")
+_COEFF_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class AlgebraFileError(ValueError):
     """Raised on any malformed structure file, with a line diagnostic."""
+
+
+def _ints(tokens: list[str], message: str) -> list[int]:
+    """The tokens as integers; AlgebraFileError(message) unless each is ASCII -?[0-9]+."""
+    if not all(_INT_RE.fullmatch(t) for t in tokens):
+        raise AlgebraFileError(message)
+    return [int(t) for t in tokens]
 
 
 def sl2() -> AlgebraStructure:
@@ -144,7 +154,7 @@ def direct_sum(a: AlgebraStructure, b: AlgebraStructure) -> AlgebraStructure:
 
 
 def _parse_coeff(token: str, where: str) -> Fraction:
-    if not _COEFF_RE.match(token):
+    if not _COEFF_RE.fullmatch(token):
         raise AlgebraFileError(f"{where}: malformed coefficient {token!r}")
     num_s, _, den_s = token.partition("/")
     num, den = int(num_s), int(den_s or 1)
@@ -195,10 +205,7 @@ def loads_algebra(text: str) -> tuple[AlgebraStructure, Grading | None]:
     if fields[0] != str(_FORMAT_VERSION):
         raise AlgebraFileError(f"line {lineno}: unsupported format version {fields[0]!r}")
     lineno, fields = take("dim", 1)
-    try:
-        dim = int(fields[0])
-    except ValueError:
-        raise AlgebraFileError(f"line {lineno}: dimension is not an integer") from None
+    [dim] = _ints(fields, f"line {lineno}: dimension is not an integer")
     if dim < 0:
         raise AlgebraFileError(f"line {lineno}: negative dimension")
     lineno, labels = take("basis", dim)
@@ -206,20 +213,14 @@ def loads_algebra(text: str) -> tuple[AlgebraStructure, Grading | None]:
     grading = None
     if pos < len(lines) and lines[pos][1][0] == "grading":
         lineno, fields = take("grading", dim)
-        try:
-            grading = Grading(tuple(int(t) for t in fields))
-        except ValueError:
-            raise AlgebraFileError(f"line {lineno}: grading degrees must be integers") from None
+        grading = Grading(tuple(_ints(fields, f"line {lineno}: grading degrees must be integers")))
 
     tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
     seen: set[tuple[int, int, int]] = set()
     while pos < len(lines):
         lineno, fields = take("product", 4)
         where = f"line {lineno}"
-        try:
-            i, j, k = (int(t) for t in fields[:3])
-        except ValueError:
-            raise AlgebraFileError(f"{where}: product indices must be integers") from None
+        i, j, k = _ints(fields[:3], f"{where}: product indices must be integers")
         for idx in (i, j, k):
             if not 0 <= idx < dim:
                 raise AlgebraFileError(f"{where}: index {idx} exceeds dimension {dim}")

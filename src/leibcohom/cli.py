@@ -48,6 +48,7 @@ from .algebra import (
 )
 from .catalog import (
     AlgebraFileError,
+    _ints,
     irreducible_sl2_module,
     load_algebra,
     simple_leibniz_sl2,
@@ -329,9 +330,11 @@ class _Member:
     def gi_minus1(self):
         return self.coh.block_analysis(-1, ("G", "I"))
 
-    @cached_property
-    def symmetric(self):
-        return symmetric_bimodule(self.module)
+    # (dim H^1, dim H^2) of CE and of HL with V_m symmetric and zero-left
+    ce = cached_property(lambda self: lie_ce_h(self.lie, self.module))
+    hl_symmetric = cached_property(
+        lambda self: leibniz_h_with_coefficients(self.lie, symmetric_bimodule(self.module)))
+    hl_zero_left = cached_property(lambda self: leibniz_h_with_coefficients(self.lie, self.module))
 
 
 # a computed value that marks its claim as skipped
@@ -429,21 +432,21 @@ CLAIMS = (
      lambda c: True,
      lambda c: c.coh.block_analysis(-1, (("G", "I"), ("I", "G"))).projection_injective),
     ("whitehead_h1", "cohomology.lie", "dim H^1(sl2, V_m) = 0 in Chevalley-Eilenberg cohomology",
-     lambda c: 0, lambda c: lie_ce_h(c.lie, c.module, 1)),
+     lambda c: 0, lambda c: c.ce[0]),
     ("whitehead_h2", "cohomology.lie", "dim H^2(sl2, V_m) = 0 in Chevalley-Eilenberg cohomology",
-     lambda c: 0, lambda c: lie_ce_h(c.lie, c.module, 2)),
+     lambda c: 0, lambda c: c.ce[1]),
     ("pirashvili_hl1", "cohomology.lie",
      "dim HL^1(sl2, V_m) = 0 with the symmetric bimodule structure",
-     lambda c: 0, lambda c: leibniz_h_with_coefficients(c.lie, c.symmetric, 1)),
+     lambda c: 0, lambda c: c.hl_symmetric[0]),
     ("pirashvili_hl2", "cohomology.lie",
      "dim HL^2(sl2, V_m) = 0 with the symmetric bimodule structure",
-     lambda c: 0, lambda c: leibniz_h_with_coefficients(c.lie, c.symmetric, 2)),
+     lambda c: 0, lambda c: c.hl_symmetric[1]),
     ("leibniz_hl1_zero_left", "cohomology.lie",
      "dim HL^1(sl2, V_m) with zero left action counts degree-raising"
      " derivations: 1 for m = 2, else 0",
-     lambda c: 1 if c.m == 2 else 0, lambda c: leibniz_h_with_coefficients(c.lie, c.module, 1)),
+     lambda c: 1 if c.m == 2 else 0, lambda c: c.hl_zero_left[0]),
     ("leibniz_hl2_zero_left", "cohomology.lie", "dim HL^2(sl2, V_m) = 0 with zero left action",
-     lambda c: 0, lambda c: leibniz_h_with_coefficients(c.lie, c.module, 2)),
+     lambda c: 0, lambda c: c.hl_zero_left[1]),
 )
 
 
@@ -467,10 +470,11 @@ def _verify_one(m: int, deep: bool) -> tuple[list[dict], float]:
 
 
 def _parse_m_range(text: str) -> tuple[int, int]:
+    message = f"a..b needs integers a and b, got {text!r}"
     try:
-        first, last = (int(p) for p in text.split(".."))
-    except ValueError:
-        raise ValueError(f"a..b needs integers a and b, got {text!r}") from None
+        first, last = _ints(text.split(".."), message)
+    except ValueError:  # a token is no integer, or there are not two
+        raise ValueError(message) from None
     if first < 2 or last < first:
         raise ValueError("need 2 <= first <= last")
     return first, last

@@ -14,14 +14,14 @@ argument tuple to zero. Flat indices run lexicographically in
 with ^ marking an omitted argument, the first bracket the left module
 action and the second the right one. One loop, :func:`_coboundary_columns`,
 evaluates these three sums and writes each term once into its column, a
-column being d^n of one basis cochain:
+column being d^n of one basis cochain. For any bimodule,
 
-* :func:`coboundary_matrix` flattens the columns into a Fraction matrix,
-  for any bimodule; it is the ungraded path;
-* :func:`coboundary_columns` returns the columns for L acting on itself
-  scaled to integers by one common denominator, with no grading. Rows
-  and columns keep their flat cochain index, so the columns of d^{n+1}
-  and the rows of d^n share one index space.
+* :func:`coboundary_matrix` flattens the columns into a Fraction matrix;
+  it is the ungraded path;
+* :func:`coboundary_columns` scales them to integers by one common
+  denominator, with no grading, for :mod:`leibcohom.cohomology` to rank.
+  Rows and columns keep their flat cochain index, so the columns of
+  d^{n+1} and the rows of d^n share one index space.
 
 A cochain has degree i when it shifts the total argument degree by i;
 when the grading respects the product, the coboundary preserves that
@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Mapping, Sequence
 
-from .algebra import AlgebraStructure, Bimodule, Grading, adjoint_bimodule
+from .algebra import AlgebraStructure, Bimodule, Grading
 from .linalg import SparseRationalMatrix, _add
 
 MAX_ARITY = 3
@@ -95,26 +95,21 @@ def _coboundary_columns(
     return {c: col for c, col in enumerate(columns) if col}
 
 
-def _check_arity(n: int) -> None:
+def _check(algebra: AlgebraStructure, module: Bimodule, n: int) -> None:
+    # nothing needs n > 3, and the index spaces grow geometrically
     if not 0 <= n <= MAX_ARITY:
         raise ValueError(f"coboundary arity must be between 0 and {MAX_ARITY}")
+    if module.algebra_dim != algebra.dim:
+        raise ValueError("module is over an algebra of different dimension")
 
 
 def coboundary_matrix(
     algebra: AlgebraStructure, module: Bimodule, n: int
 ) -> SparseRationalMatrix:
-    """Matrix of d: Hom(L^n, M) -> Hom(L^{n+1}, M) in flat coordinates.
-
-    Supported for n in 0..3; higher arities are rejected because nothing
-    downstream needs them and the index spaces grow geometrically.
-    """
-    _check_arity(n)
-    if module.algebra_dim != algebra.dim:
-        raise ValueError("module is over an algebra of different dimension")
+    """Matrix of d: Hom(L^n, M) -> Hom(L^{n+1}, M) in flat coordinates, n in 0..3."""
+    _check(algebra, module, n)
     dm = module.module_dim
-    columns = _coboundary_columns(
-        module.left_action, module.right_action, algebra.tensor, dm, n
-    )
+    columns = _coboundary_columns(module.left_action, module.right_action, algebra.tensor, dm, n)
     entries = {(r, c): v for c, col in columns.items() for r, v in col.items()}
     return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm, entries)
 
@@ -123,21 +118,24 @@ def _integral(vec: Mapping, scale: int) -> dict:
     return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
 
 
-def coboundary_columns(algebra: AlgebraStructure, n: int) -> tuple[int, dict[int, dict[int, int]]]:
-    """d^n for L acting on itself, as integer columns.
+def coboundary_columns(
+    algebra: AlgebraStructure, module: Bimodule, n: int
+) -> tuple[int, dict[int, dict[int, int]]]:
+    """d^n with coefficients in a bimodule, as integer columns, n in 0..3.
 
     Returns ``(scale, columns)``: ``scale`` is the least common
-    denominator of the structure constants, and ``columns`` maps each
-    nonzero column of d^n to ``{row: value}``, ``scale`` times the
-    entries of :func:`coboundary_matrix`, at their flat cochain indices.
+    denominator of the structure constants and of both actions, and
+    ``columns`` maps each nonzero column of d^n to ``{row: value}``,
+    ``scale`` times the entries of :func:`coboundary_matrix`, at their
+    flat cochain indices.
     """
-    _check_arity(n)
-    scale = lcm(*(v.denominator for vec in algebra.tensor.values() for v in vec.values()))
-    module = adjoint_bimodule(algebra)
+    _check(algebra, module, n)
+    vectors = (*algebra.tensor.values(), *module.left_action, *module.right_action)
+    scale = lcm(*(v.denominator for vec in vectors for v in vec.values()))
     left = [_integral(act, scale) for act in module.left_action]
     right = [_integral(act, scale) for act in module.right_action]
     tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
-    return scale, _coboundary_columns(left, right, tensor, algebra.dim, n)
+    return scale, _coboundary_columns(left, right, tensor, module.module_dim, n)
 
 
 def _check_degrees(algebra: AlgebraStructure, grading: Grading) -> tuple[int, ...]:

@@ -26,15 +26,16 @@ part the cochain degree forces. A block analysis reports dimensions
 only, so it counts pivots instead of building the projected and the
 supported subspaces.
 
-Chevalley-Eilenberg cohomology (:func:`lie_ce_h`) has no coboundary
-formula of its own: the CE complex is the alternating subcomplex of the
-Leibniz complex with symmetric coefficients (Loday-Pirashvili).
+The Lie layer (:func:`lie_ce_h`, :func:`leibniz_h_with_coefficients`)
+checks its inputs once and ranks d^0, d^1 and d^2 once each as integer
+columns; the Chevalley-Eilenberg complex is the alternating subcomplex of
+the Leibniz one with symmetric coefficients (:func:`_ce_columns`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -47,6 +48,7 @@ from .algebra import (
     check_grading,
     symmetric_bimodule,
 )
+from .catalog import lie_as_leibniz
 from .cochain import (
     coboundary_columns,
     coboundary_matrix,
@@ -54,7 +56,6 @@ from .cochain import (
     graded_columns,
 )
 from .linalg import (
-    SparseRationalMatrix,
     Subspace,
     _axpy,
     _echelon,
@@ -178,7 +179,7 @@ class AdjointCohomology:
     def _coboundary(self, n: int) -> dict[int, dict[int, int]]:
         """The nonzero integer columns of d^n, by flat cochain index."""
         if n not in self._columns:
-            self._columns[n] = coboundary_columns(self.algebra, n)[1]
+            self._columns[n] = coboundary_columns(self.algebra, self.module, n)[1]
         return self._columns[n]
 
     def _block(self, n: int, degree: int) -> list[dict[int, int]]:
@@ -403,77 +404,71 @@ class AdjointCohomology:
         return subspace_equal(projected, column_space(d1))
 
 
-# Chevalley-Eilenberg cohomology for Lie algebras, via the right action.
-
-
 def _require_lie_module(algebra: AlgebraStructure, module: Bimodule, what: str) -> None:
     """Reject a non-Lie bracket, and a module failing the bimodule axioms."""
-    from .catalog import lie_as_leibniz
-
     lie_as_leibniz(algebra)
     bad = check_bimodule_axioms(algebra, module)
     if bad:
         raise ValueError(f"{what} ({len(bad)} axiom defects)")
 
 
-def _alternator(dl: int, dm: int, n: int) -> SparseRationalMatrix:
-    """Alternating n-cochains in Hom(L^n, M): column (i_1 < ... < i_n; k),
-    at (position among the increasing n-tuples) * dim M + k, is
-    sum_sigma sgn(sigma) (i_sigma(1), ..., i_sigma(n); k)."""
-    combos = list(itertools.combinations(range(dl), n))
-    entries: dict[tuple[int, int], int] = {}
-    for col, args in enumerate(combos):
+def _ce_columns(algebra: AlgebraStructure, module: Bimodule, n: int) -> dict[int, dict[int, int]]:
+    """The Chevalley-Eilenberg d^n on alternating n-cochains, x.m = -[m, x],
+    as integer columns (Loday-Pirashvili): column (i_1 < ... < i_n; k), at
+    (position among the increasing n-tuples) * dim M + k, is sum_sigma
+    sgn(sigma) times the column at (i_sigma(1), ..., i_sigma(n); k) of the
+    Leibniz d^n of ``symmetric_bimodule(module)``, with its scale and rows.
+    For an alternating f each Leibniz term is the CE term: (-1)^p [f(..,
+    ^x_p, ..), x_p] = (-1)^{p+1} x_p . f(..), and moving [x_p, x_q] to the
+    front costs (-1)^{p-1}, turning (-1)^{q+1} into (-1)^{p+q}. So d_L f =
+    d_CE f, the image is alternating and every rank is the CE one."""
+    dl, dm = algebra.dim, module.module_dim
+    leibniz = coboundary_columns(algebra, symmetric_bimodule(module), n)[1]
+    out: dict[int, dict[int, int]] = {}
+    for pos, args in enumerate(itertools.combinations(range(dl), n)):
+        terms = []
         for perm in itertools.permutations(range(n)):
             sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
             flat = 0
             for p in perm:
                 flat = flat * dl + args[p]
-            for k in range(dm):
-                entries[(flat * dm + k, col * dm + k)] = sign
-    return SparseRationalMatrix(dl**n * dm, len(combos) * dm, entries)
+            terms.append((sign, flat * dm))
+        for k in range(dm):
+            col: dict[int, int] = {}
+            for sign, base in terms:
+                _axpy(col, leibniz.get(base + k, {}), sign)
+            if col:
+                out[pos * dm + k] = col
+    return out
 
 
-def _ce_coboundary(
-    algebra: AlgebraStructure, module: Bimodule, n: int
-) -> SparseRationalMatrix:
-    """The Chevalley-Eilenberg d^n on alternating n-cochains, x.m = -[m, x]:
-    the Leibniz coboundary of ``symmetric_bimodule(module)`` after
-    :func:`_alternator` (Loday-Pirashvili). For an alternating f each
-    Leibniz term is the CE term: (-1)^p [f(.., ^x_p, ..), x_p] =
-    (-1)^{p+1} x_p . f(..), and moving [x_p, x_q] to the front costs
-    (-1)^{p-1}, turning (-1)^{q+1} into (-1)^{p+q}. So d_L f = d_CE f, the
-    image is alternating and every rank is the CE one. Rows keep the flat
-    Leibniz index."""
-    d = coboundary_matrix(algebra, symmetric_bimodule(module), n)
-    return d @ _alternator(algebra.dim, module.module_dim, n)
+def _h1_h2(cochains: tuple[int, int], columns: Iterable[Iterable[dict]]) -> tuple[int, int]:
+    """(dim H^1, dim H^2) from dim C^1, dim C^2 and the integer columns of
+    d^0, d^1 and d^2, each ranked by one :func:`_echelon`."""
+    r0, r1, r2 = (len(_echelon(list(cols))) for cols in columns)
+    return cochains[0] - r1 - r0, cochains[1] - r2 - r1
 
 
-def lie_ce_h(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
-    """dim H^n of the Chevalley-Eilenberg complex, n in {1, 2}.
+def lie_ce_h(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, int]:
+    """(dim H^1, dim H^2) of the Chevalley-Eilenberg complex.
 
     The algebra must be Lie and only the right action of the bimodule is
-    used, checked as a bimodule with zero left action; the complex is the
-    alternating part of the Leibniz one with symmetric coefficients.
+    used, checked as a bimodule with zero left action.
     """
-    if n not in (1, 2):
-        raise ValueError("Chevalley-Eilenberg dimensions are supported for n in {1, 2}")
-    zero = tuple({} for _ in module.right_action)
-    probe = Bimodule(module.algebra_dim, module.module_dim, zero, module.right_action)
+    probe = replace(module, left_action=tuple({} for _ in module.right_action))
     _require_lie_module(algebra, probe, "right action is not a Lie module action")
-    d_prev = _ce_coboundary(algebra, module, n - 1)
-    d = _ce_coboundary(algebra, module, n)
-    return d.cols - rank(d) - rank(d_prev)
+    dl, dm = algebra.dim, module.module_dim
+    columns = (_ce_columns(algebra, module, n).values() for n in range(3))
+    return _h1_h2((dl * dm, dl * (dl - 1) // 2 * dm), columns)
 
 
-def leibniz_h_with_coefficients(
-    algebra: AlgebraStructure, module: Bimodule, n: int
-) -> int:
-    """dim HL^n(G, M) for a Lie algebra G and a Leibniz bimodule M.
+def leibniz_h_with_coefficients(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, int]:
+    """(dim HL^1, dim HL^2)(G, M) for a Lie algebra G and a Leibniz bimodule M.
 
     The bimodule axioms are enforced first, so results are only produced
     for coefficient systems where the complex actually squares to zero.
     """
-    if n not in (1, 2):
-        raise ValueError("cohomology dimensions are supported for n in {1, 2}")
     _require_lie_module(algebra, module, "not a Leibniz bimodule")
-    return hl_dim(algebra, module, n)
+    dl, dm = algebra.dim, module.module_dim
+    columns = (coboundary_columns(algebra, module, n)[1].values() for n in range(3))
+    return _h1_h2((dl * dm, dl * dl * dm), columns)

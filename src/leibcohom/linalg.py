@@ -35,9 +35,10 @@ canonical form depends, and adds one back-substitution,
   coordinate, 1, at that column and vanishes at every other free column,
   which is already the canonical basis (:func:`_reversed_kernel`).
 
-The graded engine in :mod:`leibcohom.cohomology` holds each coboundary
-as integer columns keyed by the flat cochain index and splits them by
-degree itself: it counts the pivots of :func:`_echelon` on copies of one
+The Lie layer of :mod:`leibcohom.cohomology` ranks each coboundary by
+one :func:`_echelon` of its integer columns. The graded engine there
+holds them keyed by the flat cochain index and splits them by degree
+itself: it counts the pivots of :func:`_echelon` on copies of one
 degree's columns for each rank, and on the rows of a cocycle basis
 restricted to a block's coordinates (and to the other coordinates) for
 each block analysis. It calls :func:`_reversed_echelon` and
@@ -55,8 +56,8 @@ Sparse vectors from outside the module pass through one check,
 :func:`_sparse` (indices in range, exact scalars, zeros dropped), and
 every sparse accumulation in the package goes through :func:`_add` (one
 entry) or :func:`_axpy` (a scaled vector), which drop entries that
-cancel; every sparse matrix product, ``@`` and the composites of the
-bimodule axiom check alike, is :func:`_compose`. Only the integer row
+cancel; every sparse matrix product is :func:`_compose`: the composites
+of the bimodule axiom check, and ``@``, which only the tests use. Only the integer row
 update inside :func:`_eliminate` and the modular loop of
 :func:`rank_modular` stay inline, for speed.
 """

@@ -215,21 +215,14 @@ def test_c08_lie_comparison(capsys):
     lie = sl2()
     for m in MODULE_RANGE:
         module = irreducible_sl2_module(m)
-        if lie_ce_h(lie, module, 1) != 0 or lie_ce_h(lie, module, 2) != 0:
+        if lie_ce_h(lie, module) != (0, 0):
             failures.append(f"m={m} CE")
-        sym = symmetric_bimodule(module)
-        if (
-            leibniz_h_with_coefficients(lie, sym, 1) != 0
-            or leibniz_h_with_coefficients(lie, sym, 2) != 0
-        ):
+        if leibniz_h_with_coefficients(lie, symmetric_bimodule(module)) != (0, 0):
             failures.append(f"m={m} HL")
     adjoint = adjoint_bimodule(lie)
-    if lie_ce_h(lie, adjoint, 1) != 0 or lie_ce_h(lie, adjoint, 2) != 0:
+    if lie_ce_h(lie, adjoint) != (0, 0):
         failures.append("adjoint CE")
-    if (
-        leibniz_h_with_coefficients(lie, adjoint, 1) != 0
-        or leibniz_h_with_coefficients(lie, adjoint, 2) != 0
-    ):
+    if leibniz_h_with_coefficients(lie, adjoint) != (0, 0):
         failures.append("adjoint HL")
     announce(
         capsys, 8,

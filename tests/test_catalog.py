@@ -177,6 +177,12 @@ class TestFileFormat:
             ("product 0 0 1 0/5", "zero coefficient"),
             ("product 0 0 5 1", "exceeds dimension"),
             ("product 0 0 1 x", "coefficient"),
+            ("product 0 +1 1 1", "indices must be integers"),
+            ("product 0 0_1 1 1", "indices must be integers"),
+            ("product 0 \u0661 1 1", "indices must be integers"),
+            ("product 0 0 1 1_0", "coefficient"),
+            ("product 0 0 1 +1", "coefficient"),
+            ("product 0 0 1 1/\u0663", "coefficient"),
         ],
     )
     def test_bad_product_lines(self, line, message):
@@ -199,6 +205,20 @@ class TestFileFormat:
     def test_wrong_label_count_rejected(self):
         with pytest.raises(AlgebraFileError):
             loads_algebra("algebra-file 1\ndim 2\nbasis a\n")
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("dim 0_2\nbasis a b", "dimension is not an integer"),
+            ("dim +2\nbasis a b", "dimension is not an integer"),
+            ("dim 2\nbasis a b\ngrading 0 1_0", "grading degrees must be integers"),
+            ("dim 2\nbasis a b\ngrading 0 \u0661", "grading degrees must be integers"),
+        ],
+    )
+    def test_integer_fields_are_ascii_digits(self, header, message):
+        # int() would read these as 2, 2, 10 and 1
+        with pytest.raises(AlgebraFileError, match=message):
+            loads_algebra(f"algebra-file 1\n{header}\n")
 
     def test_wrong_grading_length_rejected(self):
         with pytest.raises(AlgebraFileError):

@@ -274,7 +274,7 @@ class TestVerifyPaper:
         assert run(capsys, ["verify-paper", "--m-range", "5..2"])[0] == 2
         assert run(capsys, ["verify-paper", "--m-range", "x"])[0] == 2
 
-    @pytest.mark.parametrize("text", ["2..x", "..3"])
+    @pytest.mark.parametrize("text", ["2..x", "..3", "2..1_2"])
     def test_non_integer_range_message(self, capsys, text):
         code, _, err = run_err(capsys, ["verify-paper", "--m-range", text])
         assert code == 2
@@ -389,3 +389,19 @@ class TestClaimTable:
             )
             assert code == 0
             assert [c["id"] for c in json.loads(out)["results"][0]["claims"]] == expected
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_lie_inputs_checked_once_per_complex(self, monkeypatch, m):
+        # the six cohomology.lie claims read three complexes: CE with
+        # coefficients in V_m, and HL with V_m symmetric and zero-left
+        calls = []
+        check = cohomology._require_lie_module
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(cohomology, "_require_lie_module", counted)
+        claims, _ = cli._verify_one(m, False)
+        assert all(c["status"] == "pass" for c in claims)
+        assert len(calls) == 3

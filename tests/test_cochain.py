@@ -8,8 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from leibcohom.algebra import AlgebraStructure, Grading, adjoint_bimodule
-from leibcohom.catalog import direct_sum, simple_leibniz_sl2, sl2
+from leibcohom.algebra import (
+    AlgebraStructure,
+    Bimodule,
+    Grading,
+    adjoint_bimodule,
+    symmetric_bimodule,
+)
+from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
 from leibcohom.cochain import (
     coboundary_columns,
     coboundary_matrix,
@@ -299,25 +305,41 @@ class TestGradedStructure:
             assert d2.apply(full) == {}
 
 
-def assert_blocks_match_reference(algebra, grading, n):
+def assert_blocks_match_reference(algebra, grading, n, module=None):
     """The integer columns of d^n, all together, are scale times the full
-    Fraction matrix, and the columns of each degree are scale times the
-    block that graded_submatrix cuts out of it, mapped back to flat
-    indices through graded_columns; every value is an int and no column
-    is empty. Returns the scale."""
-    scale, columns = coboundary_columns(algebra, n)
-    d = coboundary_matrix(algebra, adjoint_bimodule(algebra), n)
+    Fraction matrix, and with a grading the columns of each degree are
+    scale times the block that graded_submatrix cuts out of it, mapped
+    back to flat indices through graded_columns; every value is an int
+    and no column is empty. The module defaults to the adjoint one, the
+    only one a grading splits. Returns the scale."""
+    module = module or adjoint_bimodule(algebra)
+    scale, columns = coboundary_columns(algebra, module, n)
+    d = coboundary_matrix(algebra, module, n)
     assert all(columns.values())
     got = {(r, c): v for c, col in columns.items() for r, v in col.items()}
     assert all(type(v) is int for v in got.values())
     assert got == {key: v * scale for key, v in d.entries.items()}
-    for degree in cochain_degrees(algebra, grading, n):
+    for degree in cochain_degrees(algebra, grading, n) if grading else ():
         ref = graded_submatrix(d, algebra, grading, n, degree)
         rows = graded_columns(algebra, grading, n + 1, degree)
         cols = graded_columns(algebra, grading, n, degree)
         block = {(r, c): v for c in cols for r, v in columns.get(c, {}).items()}
         assert block == {(rows[r], cols[c]): v * scale for (r, c), v in ref.entries.items()}
     return scale
+
+
+def rescaled(module, factors):
+    """The module on the basis b_k / factors[k]: each action entry (out,
+    in) is multiplied by factors[out] / factors[in]."""
+    def scale(act):
+        return {(o, i): v * factors[o] / factors[i] for (o, i), v in act.items()}
+
+    return Bimodule(
+        module.algebra_dim,
+        module.module_dim,
+        tuple(scale(act) for act in module.left_action),
+        tuple(scale(act) for act in module.right_action),
+    )
 
 
 class TestCoboundaryBlocks:
@@ -342,3 +364,23 @@ class TestCoboundaryBlocks:
     def test_sl2_plus_line(self, n):
         algebra = direct_sum(sl2(), AlgebraStructure(1, ("c",), {}))
         assert assert_blocks_match_reference(algebra, Grading((0, 0, 0, 1)), n) == 1
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in (0, 1, 2, 4) for n in range(3)])
+    def test_sl2_modules(self, m, n):
+        # V_m with zero left action and as the symmetric bimodule
+        module = irreducible_sl2_module(m)
+        assert assert_blocks_match_reference(sl2(), None, n, module) == 1
+        assert assert_blocks_match_reference(sl2(), None, n, symmetric_bimodule(module)) == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_trivial_module(self, n):
+        zero = ({}, {}, {})
+        trivial = Bimodule(3, 2, zero, zero)
+        assert assert_blocks_match_reference(sl2(), None, n, trivial) == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fractional_actions_are_scaled(self, n):
+        # sl2's structure constants are integers; only the actions of the
+        # rescaled module carry denominators, 2 and 3 among them
+        module = rescaled(symmetric_bimodule(irreducible_sl2_module(3)), (1, F(1, 2), 3, 1))
+        assert assert_blocks_match_reference(sl2(), None, n, module) == 6

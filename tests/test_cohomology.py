@@ -18,12 +18,17 @@ from leibcohom.algebra import (
     symmetric_bimodule,
 )
 from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
-from leibcohom.cochain import coboundary_matrix, graded_columns, graded_submatrix
+from leibcohom.cochain import (
+    coboundary_columns,
+    coboundary_matrix,
+    graded_columns,
+    graded_submatrix,
+)
 from leibcohom.cohomology import (
     AdjointCohomology,
     BlockAnalysis,
     CohomologyReport,
-    _ce_coboundary,
+    _ce_columns,
     bl_dim,
     hl_dim,
     leibniz_h_with_coefficients,
@@ -264,25 +269,35 @@ class TestBlockAnalyses:
                 assert vec.get(swapped, F(0)) == -v
 
 
+def ce_rows(algebra, module, n):
+    """The columns of _ce_columns as rows, {Leibniz row: {CE column: value}},
+    divided by the scale back to the entries of the CE d^n."""
+    scale = coboundary_columns(algebra, symmetric_bimodule(module), n)[0]
+    columns = _ce_columns(algebra, module, n)
+    rows = {}
+    for c, col in columns.items():
+        assert all(type(v) is int for v in col.values())
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = F(v, scale)
+    return rows
+
+
 class TestLieCohomology:
     @pytest.mark.parametrize("m", range(0, 7))
     def test_whitehead_for_irreducibles(self, m):
         module = irreducible_sl2_module(m)
-        assert lie_ce_h(sl2(), module, 1) == 0
-        assert lie_ce_h(sl2(), module, 2) == 0
+        assert lie_ce_h(sl2(), module) == (0, 0)
 
     def test_whitehead_adjoint(self):
         module = adjoint_bimodule(sl2())
-        assert lie_ce_h(sl2(), module, 1) == 0
-        assert lie_ce_h(sl2(), module, 2) == 0
+        assert lie_ce_h(sl2(), module) == (0, 0)
 
     def test_abelian_with_trivial_coefficients(self):
         # for an abelian Lie algebra and trivial module the differentials
         # vanish, so H^n is the whole cochain space
         two = AlgebraStructure(2, ("a", "b"), {})
         trivial = Bimodule(2, 1, ({}, {}), ({}, {}))
-        assert lie_ce_h(two, trivial, 1) == 2
-        assert lie_ce_h(two, trivial, 2) == 1
+        assert lie_ce_h(two, trivial) == (2, 1)
 
     @pytest.mark.parametrize(
         "algebra,module,expected",
@@ -302,7 +317,7 @@ class TestLieCohomology:
     def test_bracket_signs(self, algebra, module, expected):
         # nonzero brackets exercise the f([x_i, x_j], ...) terms and their
         # (-1)^{i+j} signs, which vanish for abelian algebras
-        assert (lie_ce_h(algebra, module, 1), lie_ce_h(algebra, module, 2)) == expected
+        assert lie_ce_h(algebra, module) == expected
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_complex_property(self, n):
@@ -319,7 +334,7 @@ class TestLieCohomology:
     @pytest.mark.parametrize("algebra,module,n", CE_CASES)
     def test_increasing_rows_match_reference(self, algebra, module, n):
         dl, dm = algebra.dim, module.module_dim
-        rows = _ce_coboundary(algebra, module, n).row_dicts()
+        rows = ce_rows(algebra, module, n)
         ref = reference_ce_coboundary(algebra, module, n).row_dicts()
         for pos, xs in enumerate(itertools.combinations(range(dl), n + 1)):
             for k in range(dm):
@@ -331,7 +346,7 @@ class TestLieCohomology:
         # permutation times the row at the sorted tuple, and zero when an
         # index repeats
         dl, dm = algebra.dim, module.module_dim
-        rows = _ce_coboundary(algebra, module, n).row_dicts()
+        rows = ce_rows(algebra, module, n)
         for args in itertools.product(range(dl), repeat=n + 1):
             inversions = sum(a > b for a, b in itertools.combinations(args, 2))
             sign = -1 if inversions % 2 else 1
@@ -343,11 +358,33 @@ class TestLieCohomology:
                     base = rows.get(_flat(sorted(args), dl) * dm + k, {})
                     assert row == {c: sign * v for c, v in base.items()}
 
+    @pytest.mark.parametrize(
+        "algebra,module", [pytest.param(g, m, id=name) for name, g, m in _ce_pairs()]
+    )
+    def test_matches_reference_ranks(self, algebra, module):
+        # dim H^n = cols(d^n) - rank d^n - rank d^{n-1}, on the oracle's
+        # increasing-tuple matrices and the Fraction rank
+        d = [reference_ce_coboundary(algebra, module, n) for n in range(3)]
+        r = [linalg.rank(dn) for dn in d]
+        assert lie_ce_h(algebra, module) == (d[1].cols - r[1] - r[0], d[2].cols - r[2] - r[1])
+
+    def test_no_fraction_matrix_is_built(self, monkeypatch):
+        # so neither rank nor @ runs: each complex is ranked on its
+        # integer columns
+        def never(*args):
+            raise AssertionError("the Lie layer built a SparseRationalMatrix")
+
+        monkeypatch.setattr(SparseRationalMatrix, "__post_init__", never)
+        module = irreducible_sl2_module(3)
+        assert lie_ce_h(sl2(), module) == (0, 0)
+        assert leibniz_h_with_coefficients(sl2(), symmetric_bimodule(module)) == (0, 0)
+        assert leibniz_h_with_coefficients(sl2(), module) == (0, 0)
+
     def test_requires_lie_algebra(self):
         algebra, _ = simple_leibniz_sl2(2)
         module = adjoint_bimodule(algebra)
         with pytest.raises(ValueError):
-            lie_ce_h(algebra, module, 1)
+            lie_ce_h(algebra, module)
 
     def test_requires_module_axiom(self):
         module = irreducible_sl2_module(2)
@@ -355,19 +392,14 @@ class TestLieCohomology:
         right[0][(0, 0)] = F(7)
         bad = Bimodule(3, 3, module.left_action, tuple(right))
         with pytest.raises(ValueError):
-            lie_ce_h(sl2(), bad, 1)
-
-    def test_arity_validation(self):
-        with pytest.raises(ValueError):
-            lie_ce_h(sl2(), adjoint_bimodule(sl2()), 3)
+            lie_ce_h(sl2(), bad)
 
 
 class TestLeibnizWithCoefficients:
     @pytest.mark.parametrize("m", range(0, 7))
     def test_symmetric_structure_vanishes(self, m):
         module = symmetric_bimodule(irreducible_sl2_module(m))
-        assert leibniz_h_with_coefficients(sl2(), module, 1) == 0
-        assert leibniz_h_with_coefficients(sl2(), module, 2) == 0
+        assert leibniz_h_with_coefficients(sl2(), module) == (0, 0)
 
     @pytest.mark.parametrize("m", range(0, 7))
     def test_zero_left_action_detects_module_maps(self, m):
@@ -375,13 +407,26 @@ class TestLeibnizWithCoefficients:
         # adjoint module, which exist exactly for the 3-dimensional one
         module = irreducible_sl2_module(m)
         expected = 1 if m == 2 else 0
-        assert leibniz_h_with_coefficients(sl2(), module, 1) == expected
-        assert leibniz_h_with_coefficients(sl2(), module, 2) == 0
+        assert leibniz_h_with_coefficients(sl2(), module) == (expected, 0)
 
     def test_one_dimensional_abelian(self):
         one = AlgebraStructure(1, ("a",), {})
         trivial = Bimodule(1, 1, ({},), ({},))
-        assert leibniz_h_with_coefficients(one, trivial, 1) == 1
+        assert leibniz_h_with_coefficients(one, trivial) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "algebra,module",
+        [
+            pytest.param(g, mod, id=f"{name}-{kind}")
+            for name, g, m in _ce_pairs()
+            for kind, mod in (("given", m), ("symmetric", symmetric_bimodule(m)))
+        ],
+    )
+    def test_matches_fraction_path(self, algebra, module):
+        assert leibniz_h_with_coefficients(algebra, module) == (
+            hl_dim(algebra, module, 1),
+            hl_dim(algebra, module, 2),
+        )
 
     def test_rejects_broken_bimodule(self):
         module = irreducible_sl2_module(2)
@@ -389,7 +434,7 @@ class TestLeibnizWithCoefficients:
         right[2][(1, 1)] = right[2].get((1, 1), F(0)) + F(1)
         bad = Bimodule(3, 3, module.left_action, tuple(right))
         with pytest.raises(ValueError):
-            leibniz_h_with_coefficients(sl2(), bad, 2)
+            leibniz_h_with_coefficients(sl2(), bad)
 
 
 class TestBasisChangeInvariance:
@@ -645,6 +690,14 @@ class TestBlockwiseComplex:
         assert not coh.squares_to_zero(1)
         for n in (0, 1, 2):
             assert coh.squares_to_zero(n) == self.full_product_is_zero(bad, n)
+
+    def test_failure_past_the_first_column_detected(self):
+        # with sl2 as the first summand the leading columns of each d^n
+        # are cochains of sl2, whose complex squares to zero
+        bad = direct_sum(sl2(), family_with_left_action())
+        coh = AdjointCohomology(bad, Grading((0,) * bad.dim))
+        for n in (0, 1, 2):
+            assert not coh.squares_to_zero(n)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_family_complex(self, m):

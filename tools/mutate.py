@@ -1,0 +1,135 @@
+"""Mutation kit: every mutant of the package must be killed by its tests.
+
+    python3 tools/mutate.py
+
+A mutant names a file under ``src/``, an exact old text that occurs
+there once, its replacement, and the tests expected to kill it. For each
+mutant in turn the runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a new temporary directory, applies the mutant
+there, and runs its tests with pytest. A mutant is killed when a test fails and survives when they
+all pass. The exit code is 1 if any mutant survives or cannot be run,
+else 0. Only the standard library is used, plus pytest to run the tests.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "ce_sign_forced_positive",
+        "src/leibcohom/cohomology.py",
+        "sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))",
+        "sign = 1",
+        (
+            "tests/test_cohomology.py::TestLieCohomology::test_rows_alternate",
+            "tests/test_cohomology.py::TestLieCohomology::test_bracket_signs",
+        ),
+    ),
+    Mutant(
+        "ce_on_the_module_not_its_symmetric_bimodule",
+        "src/leibcohom/cohomology.py",
+        "coboundary_columns(algebra, symmetric_bimodule(module), n)",
+        "coboundary_columns(algebra, module, n)",
+        (
+            "tests/test_cohomology.py::TestLieCohomology::test_increasing_rows_match_reference",
+            "tests/test_cohomology.py::TestLieCohomology::test_matches_reference_ranks",
+        ),
+    ),
+    Mutant(
+        "scale_ignores_the_actions",
+        "src/leibcohom/cochain.py",
+        "(*algebra.tensor.values(), *module.left_action, *module.right_action)",
+        "algebra.tensor.values()",
+        ("tests/test_cochain.py::TestCoboundaryBlocks::test_fractional_actions_are_scaled",),
+    ),
+    Mutant(
+        "h2_ignores_im_d1",
+        "src/leibcohom/cohomology.py",
+        "cochains[1] - r2 - r1",
+        "cochains[1] - r2",
+        (
+            "tests/test_cohomology.py::TestLieCohomology::test_whitehead_for_irreducibles",
+            "tests/test_cohomology.py::TestLeibnizWithCoefficients::test_matches_fraction_path",
+        ),
+    ),
+    Mutant(
+        "builder_bracket_term_sign_flipped",
+        "src/leibcohom/cochain.py",
+        "s = coeff if q % 2 == 0 else -coeff",
+        "s = -coeff if q % 2 == 0 else coeff",
+        (
+            "tests/test_cochain.py::TestCoboundaryMatrices::test_matches_reference_evaluator_sl2",
+            "tests/test_cochain.py::TestCoboundaryMatrices::test_frozen_entries",
+        ),
+    ),
+    Mutant(
+        "squares_to_zero_checks_one_column",
+        "src/leibcohom/cohomology.py",
+        "for col in self._coboundary(n).values():",
+        "for col in list(self._coboundary(n).values())[:1]:",
+        (
+            "tests/test_cohomology.py::TestBlockwiseComplex::test_failed_identity_detected",
+            "tests/test_cohomology.py::TestBlockwiseComplex"
+            "::test_failure_past_the_first_column_detected",
+        ),
+    ),
+)
+
+
+def _run(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'error: ...' for one mutant, run in a copy
+    of the tree."""
+    with tempfile.TemporaryDirectory(prefix="leibcohom-mutant-") as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        target = work / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"error: old text occurs {text.count(mutant.old)} times in {mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=work, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(work / "src")},
+        )
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode == 1:
+        return "killed"
+    return f"error: pytest exited {proc.returncode}"
+
+
+def main() -> int:
+    survivors = 0
+    for mutant in MUTANTS:
+        outcome = _run(mutant)
+        survivors += outcome != "killed"
+        print(f"{outcome:<9} {mutant.name}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
