@@ -92,8 +92,9 @@ def _fail(message: str) -> int:
 
 def _load(args: argparse.Namespace) -> tuple[AlgebraStructure, Grading | None, str]:
     if args.m is not None:
-        algebra, grading = simple_leibniz_sl2(args.m)
-        return algebra, grading, f"built-in simple graded algebra, m={args.m}"
+        [m] = _ints([args.m], f"--m needs an integer, got {args.m!r}")
+        algebra, grading = simple_leibniz_sl2(m)
+        return algebra, grading, f"built-in simple graded algebra, m={m}"
     algebra, grading = load_algebra(args.algebra)
     return algebra, grading, args.algebra
 
@@ -492,9 +493,10 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            workers = max(1, int(env))
-        except ValueError:
-            return _fail(f"{WORKERS_ENV} must be an integer")
+            [workers] = _ints([env], f"{WORKERS_ENV} must be an integer, got {env!r}")
+        except ValueError as exc:
+            return _fail(str(exc))
+        workers = max(1, workers)
 
     if workers > 1 and len(ms) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -558,7 +560,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 
 def _add_algebra_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int, help="built-in simple graded algebra parameter (m >= 2)")
+    group.add_argument("--m", help="built-in simple graded algebra parameter (m >= 2)")
     group.add_argument("--algebra", help="path to an algebra file")
 
 

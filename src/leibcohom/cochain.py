@@ -12,23 +12,26 @@ argument tuple to zero. Flat indices run lexicographically in
               f(x_1, ..., x_{p-1}, [x_p, x_q], x_{p+1}, ..., ^x_q, ..., x_{n+1})
 
 with ^ marking an omitted argument, the first bracket the left module
-action and the second the right one. One loop, :func:`_coboundary_columns`,
-evaluates these three sums and writes each term once into its column, a
-column being d^n of one basis cochain. For any bimodule,
+action and the second the right one. One builder,
+:class:`_ColumnBuilder`, evaluates these three sums column by column, a
+column being d^n of one basis cochain, for all columns or for any chosen
+subset of them. For any bimodule,
 
 * :func:`coboundary_matrix` flattens the columns into a Fraction matrix;
   it is the ungraded path;
 * :func:`coboundary_columns` scales them to integers by one common
-  denominator, with no grading, for :mod:`leibcohom.cohomology` to rank.
-  Rows and columns keep their flat cochain index, so the columns of
-  d^{n+1} and the rows of d^n share one index space.
+  denominator, with no grading. Rows and columns keep their flat cochain
+  index, so the columns of d^{n+1} and the rows of d^n share one index
+  space. :func:`_integer_builder` hands out the same integer builder, so
+  that :mod:`leibcohom.cohomology` can build d^n one block of columns at
+  a time.
 
 A cochain has degree i when it shifts the total argument degree by i;
 when the grading respects the product, the coboundary preserves that
 degree. Only :func:`graded_columns`, :func:`cochain_degrees` and
 :func:`graded_submatrix` read a grading: the graded engine in
-:mod:`leibcohom.cohomology` splits the columns by degree itself, and
-:func:`graded_submatrix` cuts a degree block out of a full matrix,
+:mod:`leibcohom.cohomology` classifies the cochains into blocks itself,
+and :func:`graded_submatrix` cuts a degree block out of a full matrix,
 checking every entry, as the reference the tests hold the engine to.
 """
 
@@ -37,68 +40,138 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .algebra import AlgebraStructure, Bimodule, Grading
-from .linalg import SparseRationalMatrix, _add
+from .linalg import SparseRationalMatrix
 
 MAX_ARITY = 3
 
 
-def _coboundary_columns(
-    left: Sequence[Mapping], right: Sequence[Mapping], tensor: Mapping, dm: int, n: int
-) -> dict[int, dict[int, Any]]:
-    """d^n as ``{column: {row: value}}``, flat cochain indices, nonzero
-    columns only, in increasing column order.
+def _by_input(actions: Sequence[Mapping], dm: int) -> list[list[tuple]]:
+    """An action inverted by input: ``k -> [(x, out, v)]`` for each entry
+    v of x acting on the k-th module basis vector."""
+    index: list[list[tuple]] = [[] for _ in range(dm)]
+    for x, act in enumerate(actions):
+        for (out, inp), v in act.items():
+            index[inp].append((x, out, v))
+    return index
 
-    One pass over the argument tuples of L^{n+1} writes every term of the
-    three sums straight into its column. Scalars are whatever the actions
-    and the tensor hold, so integer inputs give integer columns.
+
+class _ColumnBuilder:
+    """The columns of d^n for one algebra and bimodule, n in 0..3.
+
+    Three inverted indices are made once: the left and the right action
+    by input, ``k -> [(x, out, v)]``, and the bracket by output,
+    ``t -> [(x, y, c)]`` for each c = c_{xy}^t. The column of the basis
+    cochain (i_1, ..., i_n; k) is nonzero only at argument tuples that
+    insert one argument x into (i_1, ..., i_n), the action terms, or that
+    split one i_p into a bracket [x, y], the bracket terms, so each term
+    of the formula is one loop over an index list. Scalars are whatever
+    the actions and the tensor hold, so integer inputs give integer
+    columns.
     """
-    dl = len(left)
 
-    def base(t: Sequence[int]) -> int:
-        idx = 0
-        for a in t:
-            idx = idx * dl + a
-        return idx * dm
+    def __init__(self, left: Sequence[Mapping], right: Sequence[Mapping], tensor: Mapping,
+                 dm: int):
+        self.dl, self.dm = len(left), dm
+        self.left, self.right = _by_input(left, dm), _by_input(right, dm)
+        self.bracket: list[list[tuple]] = [[] for _ in range(self.dl)]
+        for (x, y), vec in tensor.items():
+            for t, c in vec.items():
+                self.bracket[t].append((x, y, c))
+        self._plans: dict[int, tuple[list, list]] = {}
 
-    columns: list[dict[int, Any]] = [{} for _ in range(dl**n * dm)]
-    for args in itertools.product(range(dl), repeat=n + 1):
-        row_base = base(args)
-        # [x_1, f(x_2, ..., x_{n+1})]
-        col_base = base(args[1:])
-        for (out, inp), v in left[args[0]].items():
-            _add(columns[col_base + inp], row_base + out, v)
-        # (-1)^p [f(..., ^x_p, ...), x_p], p = 2..n+1 one-based
-        for p in range(1, n + 1):
-            col_b = base(args[:p] + args[p + 1 :])
-            if p % 2:
-                for (out, inp), v in right[args[p]].items():
-                    _add(columns[col_b + inp], row_base + out, v)
+    def _plan(self, n: int) -> tuple[list, list]:
+        """The row offsets of d^n's terms, which depend on n only.
+
+        An action term inserts x before argument j of the cochain: j = 0
+        is [x_1, f(..)], j = p - 1 the term (-1)^p [f(.., ^x_p, ..), x_p].
+        Its entry (x, out, v) lies at x * dim L^{n-j} * dim M + out past
+        the row of the tuple with x = 0; the entries are kept by k, next
+        to dim L^{n-j}. A bracket term splits argument p of the cochain
+        into [x, y], x at position p and y at q of the argument tuple
+        (zero-based), with the sign (-1)^q; its offsets are kept by the
+        output t of the bracket, next to the powers of dim L that locate
+        the rest of the tuple.
+        """
+        if n not in self._plans:
+            dl, dm = self.dl, self.dm
+            acts = []
+            for j in range(n + 1):
+                step = dl ** (n - j) * dm
+                index, sign = (self.right, 1 if j % 2 else -1) if j else (self.left, 1)
+                acts.append((dl ** (n - j), [
+                    [(x * step + o, sign * v) for x, o, v in entries] for entries in index
+                ]))
+            splits = []
+            for p in range(n):
+                for q in range(p + 1, n + 1):
+                    sx, sy = dl ** (n - p) * dm, dl ** (n - q) * dm
+                    by_output = [
+                        [(x * sx + y * sy, c if q % 2 == 0 else -c) for x, y, c in pairs]
+                        for pairs in self.bracket
+                    ]
+                    powers = dl ** (n - 1 - p), dl ** (n - q), dl ** (q - 1 - p)
+                    splits.append((*powers, dl ** (n - q + 1) * dm, by_output))
+            self._plans[n] = acts, splits
+        return self._plans[n]
+
+    def columns(self, n: int, cols: Iterable[int] | None = None) -> dict[int, dict[int, Any]]:
+        """d^n as ``{column: {row: value}}`` at flat cochain indices, for
+        the given increasing columns (all of them by default), nonzero
+        columns only, in column order. The row bases of one argument tuple
+        are computed once for all of its columns."""
+        if not 0 <= n <= MAX_ARITY:
+            # nothing needs n > 3, and the index spaces grow geometrically
+            raise ValueError(f"coboundary arity must be between 0 and {MAX_ARITY}")
+        dl, dm = self.dl, self.dm
+        acts, splits = self._plan(n)
+        left, rights = acts[0][1], acts[1:]
+        out: dict[int, dict[int, Any]] = {}
+        last = -1
+        for c in range(dl**n * dm) if cols is None else cols:
+            a, k = divmod(c, dm)
+            if a != last:
+                last = a
+                # a // s and a % s are the arguments before and after the
+                # insertion point, s = dim L^{n-j}
+                moves = [((a // s * s * dl + a % s) * dm, by_k) for s, by_k in rights]
+                # the split argument t = a // dp % dim L is zeroed in the
+                # first q arguments a // dq, which y = 0 and a % dq follow
+                parts = []
+                for dp, dq, dt, dh, by_output in splits:
+                    entries = by_output[a // dp % dl]
+                    if entries:
+                        parts.append(((a // dq - a // dp % dl * dt) * dh + a % dq * dm, entries))
+            # one insertion position never repeats a row
+            col = {a * dm + off: v for off, v in left[k]}
+            for base, by_k in moves:
+                _merge(col, base, by_k[k])
+            for base, entries in parts:
+                _merge(col, base + k, entries)
+            if col:
+                out[c] = col
+        return out
+
+
+def _merge(col: dict, base: int, entries: Iterable[tuple]) -> None:
+    """Add each ``(offset, value)`` at row ``base + offset`` of a column,
+    dropping a sum that cancels."""
+    for off, v in entries:
+        r = base + off
+        s = col.get(r)
+        if s is None:
+            col[r] = v
+        else:
+            s += v
+            if s:
+                col[r] = s
             else:
-                for (out, inp), v in right[args[p]].items():
-                    _add(columns[col_b + inp], row_base + out, -v)
-        # (-1)^{q+1} f(..., [x_p, x_q], ..., ^x_q, ...), p < q one-based
-        for p in range(n + 1):
-            for q in range(p + 1, n + 1):
-                prod = tensor.get((args[p], args[q]))
-                if not prod:
-                    continue
-                mid = args[:p]
-                tail = args[p + 1 : q] + args[q + 1 :]
-                for t, coeff in prod.items():
-                    col_b = base(mid + (t,) + tail)
-                    s = coeff if q % 2 == 0 else -coeff
-                    for k in range(dm):
-                        _add(columns[col_b + k], row_base + k, s)
-    return {c: col for c, col in enumerate(columns) if col}
+                del col[r]
 
 
-def _check(algebra: AlgebraStructure, module: Bimodule, n: int) -> None:
-    # nothing needs n > 3, and the index spaces grow geometrically
-    if not 0 <= n <= MAX_ARITY:
-        raise ValueError(f"coboundary arity must be between 0 and {MAX_ARITY}")
+def _check(algebra: AlgebraStructure, module: Bimodule) -> None:
     if module.algebra_dim != algebra.dim:
         raise ValueError("module is over an algebra of different dimension")
 
@@ -107,15 +180,29 @@ def coboundary_matrix(
     algebra: AlgebraStructure, module: Bimodule, n: int
 ) -> SparseRationalMatrix:
     """Matrix of d: Hom(L^n, M) -> Hom(L^{n+1}, M) in flat coordinates, n in 0..3."""
-    _check(algebra, module, n)
+    _check(algebra, module)
     dm = module.module_dim
-    columns = _coboundary_columns(module.left_action, module.right_action, algebra.tensor, dm, n)
+    builder = _ColumnBuilder(module.left_action, module.right_action, algebra.tensor, dm)
+    columns = builder.columns(n)
     entries = {(r, c): v for c, col in columns.items() for r, v in col.items()}
     return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm, entries)
 
 
 def _integral(vec: Mapping, scale: int) -> dict:
     return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+
+
+def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, _ColumnBuilder]:
+    """``(scale, builder)``: ``scale`` is the least common denominator of
+    the structure constants and of both actions, and the builder makes
+    ``scale`` times the columns of :func:`coboundary_matrix`, as integers."""
+    _check(algebra, module)
+    vectors = (*algebra.tensor.values(), *module.left_action, *module.right_action)
+    scale = lcm(*(v.denominator for vec in vectors for v in vec.values()))
+    left = [_integral(act, scale) for act in module.left_action]
+    right = [_integral(act, scale) for act in module.right_action]
+    tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
+    return scale, _ColumnBuilder(left, right, tensor, module.module_dim)
 
 
 def coboundary_columns(
@@ -129,13 +216,8 @@ def coboundary_columns(
     ``scale`` times the entries of :func:`coboundary_matrix`, at their
     flat cochain indices.
     """
-    _check(algebra, module, n)
-    vectors = (*algebra.tensor.values(), *module.left_action, *module.right_action)
-    scale = lcm(*(v.denominator for vec in vectors for v in vec.values()))
-    left = [_integral(act, scale) for act in module.left_action]
-    right = [_integral(act, scale) for act in module.right_action]
-    tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
-    return scale, _coboundary_columns(left, right, tensor, module.module_dim, n)
+    scale, builder = _integer_builder(algebra, module)
+    return scale, builder.columns(n)
 
 
 def _check_degrees(algebra: AlgebraStructure, grading: Grading) -> tuple[int, ...]:

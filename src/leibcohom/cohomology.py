@@ -3,21 +3,27 @@
 The totals ZL^n = ker d^n, BL^n = im d^{n-1} and HL^n = ZL^n / BL^n are
 computed from the coboundary matrices by exact elimination. For a graded
 algebra acting on itself, :class:`AdjointCohomology` splits everything by
-cochain degree and by argument-signature block and never assembles a
-full coboundary. It builds each d^n once as integer columns that know no
-grading (:func:`~leibcohom.cochain.coboundary_columns`) and is the only
-code that maps cochains to degrees: the constructor checks that the
-grading respects the product, so every term of d^n joins a row and a
-column of the same degree, and a degree block is the columns that
-:func:`~leibcohom.cochain.graded_columns` names. Each block's columns
-are eliminated once, and the totals are the sums of the block ranks.
+cochain degree and by argument-signature block and never holds a whole
+d^2. It is the only code that maps cochains to blocks. The constructor
+checks that the grading respects the product and refines it by the
+h-weights: each basis element h whose right multiplication is diagonal
+with integer entries, [u, h] = w(u) u, gives a weight vector w, used
+only once :func:`~leibcohom.algebra.check_grading` proves it a grading.
+A cochain's block key is its degree, then its weight under each w; every
+term of d^n joins a row and a column of the same key. All cochains of
+one arity are classified in one pass. The blocks of d^n are built one
+at a time by the column builder of :mod:`leibcohom.cochain`; each is
+checked against d^{n-1}, eliminated once in place and dropped, so only
+the block ranks and the blocks of d^0 and d^1 stay. The totals and the
+per-degree numbers are sums of block ranks.
 Columns, cocycle bases and G/I coordinates all use the flat cochain
 index, so a row of d^n is also a column of d^{n+1}: d^{n+1} d^n = 0 is
-checked by applying d^{n+1} to each column of d^n. A cocycle basis of
-degree i is the span of the d^1 columns when d^2 d^1 = 0 and
-rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i then fills
-ker d^2_i; only a degree where that chain does not close (HL^2 nonzero
-there, or a broken complex) is reduced to a kernel of d^2.
+checked by applying each block of d^{n+1} to the columns of d^n with the
+same key. A cocycle basis of degree i is the span of the d^1 columns
+when d^2 d^1 = 0 and rank d^1_i + rank d^2_i = cols(d^2_i), since
+im d^1_i then fills ker d^2_i; only a degree where that chain does not
+close (HL^2 nonzero there, or a broken complex) rebuilds its d^2 blocks
+and reduces each to a kernel.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part; a tag pair such as ("I", "G") selects the
@@ -35,6 +41,7 @@ the Leibniz one with symmetric coefficients (:func:`_ce_columns`).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,10 +57,10 @@ from .algebra import (
 )
 from .catalog import lie_as_leibniz
 from .cochain import (
+    _integer_builder,
     coboundary_columns,
     coboundary_matrix,
     cochain_degrees,
-    graded_columns,
 )
 from .linalg import (
     Subspace,
@@ -150,15 +157,61 @@ class BlockAnalysis:
         }
 
 
+def _weights(algebra: AlgebraStructure, grading: Grading) -> list[tuple[int, ...]]:
+    """The h-weights that refine a grading. For each basis element h whose
+    right multiplication is diagonal with integer entries, [u, h] = w(u) u,
+    the vector w, when it is nonzero, new, and proved a grading by
+    :func:`~leibcohom.algebra.check_grading`. For a Leibniz algebra the
+    right Leibniz identity with z = h makes every such w a grading; the
+    check is what lets an algebra that fails it be refined safely."""
+    dl = algebra.dim
+    out: list[tuple[int, ...]] = []
+    for h in range(dl):
+        w = []
+        for u in range(dl):
+            vec = algebra.tensor.get((u, h), {})
+            c = vec.get(u, 0)
+            if set(vec) - {u} or c != int(c):
+                break
+            w.append(int(c))
+        else:
+            w = tuple(w)
+            new = any(w) and w != grading.degrees and w not in out
+            if new and check_grading(algebra, Grading(w)):
+                out.append(w)
+    return out
+
+
+def _annihilates(upper: dict[int, dict[int, int]], cells: set[int],
+                 columns: Iterable[dict[int, int]]) -> bool:
+    """Whether the block ``upper`` of d^{n+1}, the nonzero columns among
+    the cochains ``cells``, maps every column of d^n in ``columns`` to
+    zero. A row outside ``cells`` would mean that the block keys are no
+    grading."""
+    for col in columns:
+        acc: dict[int, int] = {}
+        for r, v in col.items():
+            if r not in cells:
+                raise AssertionError("a coboundary column leaves its block")
+            if r in upper:
+                _axpy(acc, upper[r], v)
+        if acc:
+            return False
+    return True
+
+
 class AdjointCohomology:
     """Graded cocycle analysis of CL^*(L, L) for one graded algebra.
 
-    Construction validates the grading. Each d^n is built once, as
-    integer columns straight from the tensor, and split by degree here;
-    each degree block's rank is the pivot count of an echelon of its
-    columns, computed once.
-    A cocycle basis (:meth:`zl_graded_basis`) is read off the columns of
-    d^1 where the rank chain closes, and off a kernel of d^2 elsewhere.
+    Construction validates the grading and finds the h-weights that
+    refine it (:func:`_weights`). Every cochain gets a block key: its
+    degree in the grading, then its degree in each weight. The blocks of
+    each d^n are built one at a time from one integer column builder;
+    each block's rank is the pivot count of an echelon of its columns,
+    computed once, and only the blocks of d^0 and d^1 are kept. A cocycle
+    basis (:meth:`zl_graded_basis`) is read off the columns of d^1 where
+    the rank chain closes, and off kernels of rebuilt d^2 blocks
+    elsewhere.
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -167,60 +220,107 @@ class AdjointCohomology:
         self.algebra = algebra
         self.grading = grading
         self.module = adjoint_bimodule(algebra)
-        self._columns: dict[int, dict[int, dict[int, int]]] = {}
-        self._graded: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._ranks: dict[tuple[int, int], int] = {}
+        # the input grading is always the first component of a key
+        self._gradings = (grading.degrees, *_weights(algebra, grading))
+        self._builder = _integer_builder(algebra, self.module)[1]
+        self._cells: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        self._kept: dict[tuple[int, tuple[int, ...]], dict[int, dict[int, int]]] = {}
+        self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
         self._squares: dict[int, bool] = {}
+        self._streamed: set[int] = set()
         self._kernel: dict[int, Subspace] = {}
         self._kernel_rows: dict[int, list[dict[int, int]]] = {}
 
-    # degree blocks and totals
+    # blocks and totals
 
-    def _coboundary(self, n: int) -> dict[int, dict[int, int]]:
-        """The nonzero integer columns of d^n, by flat cochain index."""
-        if n not in self._columns:
-            self._columns[n] = coboundary_columns(self.algebra, self.module, n)[1]
-        return self._columns[n]
+    def _blocks(self, n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The flat indices of the basis n-cochains by block key, in
+        increasing key and index order, classified in one pass: the
+        cochain (i_1, ..., i_n; k) has degree g[k] - sum g[i_p] in each
+        grading g of the key."""
+        if n not in self._cells:
+            dl = self.algebra.dim
+            per = list(zip(*self._gradings))
+            # the argument degree sums of the n-tuples, in flat order
+            sums = [(0,) * len(per[0])] if per else [()]
+            for _ in range(n):
+                sums = [tuple(map(operator.add, s, d)) for s in sums for d in per]
+            # the (key, k) of each target k, by argument degree sum
+            targets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+            cells: dict[tuple[int, ...], list[int]] = {}
+            for pos, s in enumerate(sums):
+                if s not in targets:
+                    targets[s] = [(tuple(map(operator.sub, d, s)), k) for k, d in enumerate(per)]
+                    for key, _ in targets[s]:
+                        cells.setdefault(key, [])
+                base = pos * dl
+                for key, k in targets[s]:
+                    cells[key].append(base + k)
+            self._cells[n] = {key: tuple(cells[key]) for key in sorted(cells)}
+        return self._cells[n]
 
-    def _block(self, n: int, degree: int) -> list[dict[int, int]]:
-        """The nonzero columns of d^n of one degree, in column order."""
-        cob = self._coboundary(n)
-        return [cob[c] for c in self.graded_cols(n, degree) if c in cob]
+    def _count(self, n: int, degree: int) -> int:
+        """The number of basis n-cochains of one degree."""
+        return sum(len(cols) for key, cols in self._blocks(n).items() if key[0] == degree)
+
+    def _stream(self, n: int) -> None:
+        """One pass over the blocks of d^n, n in 0..3, holding one block at
+        a time: build it, check d^n d^{n-1} = 0 on the d^{n-1} columns of
+        the same key, and for n <= 2 rank it by eliminating its columns in
+        place. The d^0 and d^1 blocks are kept (copies are eliminated);
+        the d^{n-1} columns of d^3 after d^2 are rebuilt."""
+        if n in self._streamed:
+            return
+        if 0 < n <= 2:
+            self._stream(n - 1)
+        upper = self._blocks(n)
+        lower = self._blocks(n - 1) if n else {}
+        ok = True
+        keys = sorted(upper.keys() | lower.keys())
+        for key in keys:
+            cols = upper.get(key, ())
+            block = self._builder.columns(n, cols)
+            if n:
+                below = self._kept.get((n - 1, key))
+                if below is None:
+                    below = self._builder.columns(n - 1, lower.get(key, ()))
+                if ok and not _annihilates(block, set(cols), below.values()):
+                    ok = False
+            if n <= 1:
+                self._kept[(n, key)] = block
+                self._ranks[(n, key)] = len(_echelon([dict(col) for col in block.values()]))
+            elif n == 2:
+                self._ranks[(n, key)] = len(_echelon(list(block.values())))
+        if n:
+            self._squares[n - 1] = ok
+        self._streamed.add(n)
 
     def _rank(self, n: int, degree: int) -> int:
-        """Rank of the degree block of d^n: the pivots of an echelon of
-        copies of its columns, which the elimination consumes."""
-        key = (n, degree)
-        if key not in self._ranks:
-            self._ranks[key] = len(_echelon([dict(col) for col in self._block(n, degree)]))
-        return self._ranks[key]
+        """Rank of the degree block of d^n, n in 0..2: the sum of the ranks
+        of its blocks."""
+        self._stream(n)
+        return sum(r for (m, key), r in self._ranks.items() if m == n and key[0] == degree)
 
     def squares_to_zero(self, n: int) -> bool:
         """Whether d^{n+1} after d^n is zero, as d^{n+1} applied to each
-        column of d^n."""
-        if n not in self._squares:
-            upper = self._coboundary(n + 1)
-            self._squares[n] = True
-            for col in self._coboundary(n).values():
-                acc: dict[int, int] = {}
-                for r, v in col.items():
-                    if r in upper:
-                        _axpy(acc, upper[r], v)
-                if acc:
-                    self._squares[n] = False
-                    break
+        column of d^n, block by block."""
+        if n not in (0, 1, 2):
+            raise ValueError("complex checks are supported for n in 0..2")
+        self._stream(n + 1)
         return self._squares[n]
 
     def _cob_rank(self, n: int) -> int:
         """rank d^n, summed over its degree blocks. The constructor checked
-        the grading, so every term of d^n joins a row to a column of the
-        same degree: [x_1, f(..)] and [f(..), x_p] need a structure
-        constant c_{x i}^o, so deg o = deg x + deg i, and f(.., [x_p, x_q],
-        ..) needs c_{x_p x_q}^t, so deg t = deg x_p + deg x_q. Once the
-        blocks' columns add up to those of d^n, d^n is block diagonal up
-        to a permutation."""
+        the grading and each weight, so every term of d^n joins a row to a
+        column of the same key: [x_1, f(..)] and [f(..), x_p] need a
+        structure constant c_{x i}^o, so g(o) = g(x) + g(i), and f(..,
+        [x_p, x_q], ..) needs c_{x_p x_q}^t, so g(t) = g(x_p) + g(x_q).
+        Once the degrees' columns add up to those of d^n, d^n is block
+        diagonal up to a permutation."""
+        if n not in (0, 1, 2):
+            raise ValueError("ranks are supported for n in 0..2")
         degrees = self.degrees(n)
-        if sum(len(self.graded_cols(n, i)) for i in degrees) != self.algebra.dim ** (n + 1):
+        if sum(self._count(n, i) for i in degrees) != self.algebra.dim ** (n + 1):
             raise AssertionError(f"the degree blocks do not cover the columns of d^{n}")
         return sum(self._rank(n, i) for i in degrees)
 
@@ -240,14 +340,8 @@ class AdjointCohomology:
     def degrees(self, n: int) -> tuple[int, ...]:
         return cochain_degrees(self.algebra, self.grading, n)
 
-    def graded_cols(self, n: int, degree: int) -> tuple[int, ...]:
-        key = (n, degree)
-        if key not in self._graded:
-            self._graded[key] = graded_columns(self.algebra, self.grading, n, degree)
-        return self._graded[key]
-
     def graded_zl_dim(self, n: int, degree: int) -> int:
-        return len(self.graded_cols(n, degree)) - self._rank(n, degree)
+        return self._count(n, degree) - self._rank(n, degree)
 
     def graded_bl_dim(self, n: int, degree: int) -> int:
         return self._rank(n - 1, degree)
@@ -259,25 +353,32 @@ class AdjointCohomology:
         d^2 d^1 = 0 puts im d^1 inside ker d^2; when also rank d^1 +
         rank d^2 = cols(d^2) in this degree, the two are equal and the
         canonical basis is that of the span of the d^1 columns. Otherwise
-        the kernel is read off a reversed echelon of the d^2 rows, with
-        the block's columns numbered by position and mapped back by
-        :func:`~leibcohom.linalg.embed`.
+        the d^2 blocks of the degree are rebuilt, and each kernel is read
+        off a reversed echelon of the block's rows, with its columns
+        numbered by position and mapped back by
+        :func:`~leibcohom.linalg.embed`. The blocks use disjoint
+        coordinates, so the union of their canonical bases is the
+        canonical basis of the degree.
         """
         if degree not in self._kernel:
             ambient = self.algebra.dim**3
-            cols = self.graded_cols(2, degree)
+            blocks = {key: cols for key, cols in self._blocks(2).items() if key[0] == degree}
             if self.squares_to_zero(1) and (
-                self._rank(1, degree) + self._rank(2, degree) == len(cols)
+                self._rank(1, degree) + self._rank(2, degree) == self._count(2, degree)
             ):
-                space = Subspace.from_spanning(self._block(1, degree), ambient)
+                d1 = [col for key in blocks for col in self._kept.get((1, key), {}).values()]
+                space = Subspace.from_spanning(d1, ambient)
             else:
-                d2 = self._coboundary(2)
-                rows: dict[int, dict[int, int]] = {}
-                for p, c in enumerate(cols):
-                    for r, v in d2.get(c, {}).items():
-                        rows.setdefault(r, {})[p] = v
-                kernel = _reversed_kernel(_reversed_echelon(rows.values(), len(cols)), len(cols))
-                space = embed(kernel, cols, ambient)
+                vectors: list[dict[int, Fraction]] = []
+                for cols in blocks.values():
+                    d2 = self._builder.columns(2, cols)
+                    rows: dict[int, dict[int, int]] = {}
+                    for p, c in enumerate(cols):
+                        for r, v in d2.get(c, {}).items():
+                            rows.setdefault(r, {})[p] = v
+                    pivots = _reversed_echelon(rows.values(), len(cols))
+                    vectors += embed(_reversed_kernel(pivots, len(cols)), cols, ambient).basis
+                space = Subspace(ambient, tuple(sorted(vectors, key=min)))
             self._kernel[degree] = space
         return self._kernel[degree]
 

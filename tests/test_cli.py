@@ -70,6 +70,12 @@ class TestCheck:
         code, _ = run(capsys, ["check", "--m", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1_0", "+4", " 4", "٤", "4.0"])
+    def test_non_integer_m_exits_2(self, capsys, text):
+        code, out, err = run_err(capsys, ["check", "--m", text])
+        assert (code, out) == (2, "")
+        assert f"--m needs an integer, got {text!r}" in err
+
     def test_bad_grading_exits_1(self, capsys, badly_graded):
         code, out = run(capsys, ["check", "--algebra", str(badly_graded)])
         assert code == 1
@@ -342,6 +348,13 @@ class TestVerifyPaper:
     def test_bad_workers_value_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("LEIBCOHOM_WORKERS", "many")
         assert run(capsys, ["verify-paper", "--m-range", "2..2"])[0] == 2
+
+    @pytest.mark.parametrize("value", ["1_0", "+2", "٢"])
+    def test_non_integer_workers_value_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LEIBCOHOM_WORKERS", value)
+        code, out, err = run_err(capsys, ["verify-paper", "--m-range", "2..3"])
+        assert (code, out) == (2, "")
+        assert f"LEIBCOHOM_WORKERS must be an integer, got {value!r}" in err
 
     def test_csv_format(self, capsys):
         code, out = run(

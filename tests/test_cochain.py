@@ -17,6 +17,7 @@ from leibcohom.algebra import (
 )
 from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
 from leibcohom.cochain import (
+    _integer_builder,
     coboundary_columns,
     coboundary_matrix,
     cochain_degrees,
@@ -232,6 +233,57 @@ class TestCoboundaryMatrices:
         tuples = list(itertools.product(range(algebra.dim), repeat=n + 1))
         if samples is not None and samples < len(tuples):
             tuples = rng.sample(tuples, samples)
+        for args in tuples:
+            expected = reference_coboundary_value(algebra, module, n, cochain, args)
+            got = {
+                k: image[idx_out.flat(args, k)]
+                for k in range(module.module_dim)
+                if idx_out.flat(args, k) in image
+            }
+            assert got == expected, f"mismatch at {args}"
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_builder_matches_reference_sl2_plus_sl2(self, n):
+        algebra = direct_sum(sl2(), sl2())
+        self._cross_check_builder(algebra, adjoint_bimodule(algebra), n, seed=300 + n)
+
+    @pytest.mark.parametrize("m,seed,n", [
+        (m, seed, n) for m, seed in ((2, 1), (3, 2), (4, 3)) for n in range(4)
+    ])
+    def test_builder_matches_reference_conjugates(self, m, seed, n, conjugate):
+        algebra = conjugate(simple_leibniz_sl2(m)[0], seed)
+        self._cross_check_builder(algebra, adjoint_bimodule(algebra), n, seed=400 + n)
+
+    @staticmethod
+    def _cross_check_builder(algebra, module, n, seed, count=40, samples=40):
+        """The integer builder on a random subset of the columns of d^n,
+        divided by its scale and applied to a random cochain supported
+        there, against the reference evaluator at every argument tuple
+        the image reaches and at random others."""
+        scale, builder = _integer_builder(algebra, module)
+        idx_in = CochainIndex(algebra.dim, module.module_dim, n)
+        idx_out = CochainIndex(algebra.dim, module.module_dim, n + 1)
+        rng = random.Random(seed)
+        chosen = sorted(rng.sample(range(idx_in.size), min(count, idx_in.size)))
+        vec = {c: F(rng.choice((-2, -1, 1, 3))) for c in chosen}
+        image = {}
+        for c, col in builder.columns(n, chosen).items():
+            assert c in vec and all(type(v) is int and v for v in col.values())
+            for r, v in col.items():
+                image[r] = image.get(r, 0) + vec[c] * F(v, scale)
+        image = {r: v for r, v in image.items() if v}
+
+        def cochain(args):
+            return {
+                k: vec[idx_in.flat(args, k)]
+                for k in range(module.module_dim) if idx_in.flat(args, k) in vec
+            }
+
+        tuples = {idx_out.unflat(r)[0] for r in image}
+        assert tuples
+        tuples |= {
+            tuple(rng.randrange(algebra.dim) for _ in range(n + 1)) for _ in range(samples)
+        }
         for args in tuples:
             expected = reference_coboundary_value(algebra, module, n, cochain, args)
             got = {

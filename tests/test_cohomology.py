@@ -193,11 +193,11 @@ class TestGradedReport:
 
     def test_invalid_grading_rejected(self, monkeypatch):
         # the builder knows no grading, so the constructor's check is the
-        # only guard: it must reject before any coboundary is built
+        # only guard: it must reject before any coboundary builder exists
         def never(*args):
-            raise AssertionError("built a coboundary for an invalid grading")
+            raise AssertionError("made a coboundary builder for an invalid grading")
 
-        monkeypatch.setattr(cohomology, "coboundary_columns", never)
+        monkeypatch.setattr(cohomology, "_integer_builder", never)
         algebra, _ = simple_leibniz_sl2(2)
         with pytest.raises(ValueError, match="grading"):
             AdjointCohomology(algebra, Grading((0, 0, 0, 1, 1, 2))).zl_dim(2)
@@ -496,6 +496,14 @@ class TestEngineTotals:
         with pytest.raises(AssertionError, match="do not cover the columns"):
             coh.zl_dim(2)
 
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_unsupported_arity_rejected(self, n):
+        coh = AdjointCohomology(*simple_leibniz_sl2(2))
+        with pytest.raises(ValueError):
+            coh.zl_dim(n)
+        with pytest.raises(ValueError):
+            coh.squares_to_zero(n)
+
     def test_full_matrix_rank_is_off_the_engine_path(self, monkeypatch):
         def no_rank(matrix):
             raise RuntimeError("full-matrix rank on the engine path")
@@ -522,9 +530,9 @@ class TestEngineTotals:
         assert (coh.zl_dim(2), coh.hl_dim(2)) == (45, 0)
         coh.report(2)
         assert reduced == []
-        # every block rank is one elimination of the block's stored columns
+        # every block rank is one elimination of the block's nonzero columns
         assert sorted(eliminated) == sorted(
-            sum(c in coh._columns[n] for c in coh.graded_cols(n, i)) for n, i in coh._ranks
+            len(coh._builder.columns(n, coh._blocks(n)[key])) for n, key in coh._ranks
         )
         # reading a cocycle basis reduces the span of the d^1 columns, once
         coh.zl_graded_basis(0)
@@ -534,6 +542,88 @@ class TestEngineTotals:
 
 def sl2_plus_line():
     return direct_sum(sl2(), AlgebraStructure(1, ("c",), {})), Grading((0, 0, 0, 1))
+
+
+def recorded_blocks(coh, n):
+    """Copies of the blocks of d^n the engine builds while it streams d^n."""
+    seen = []
+    real = coh._builder.columns
+
+    def record(arity, cols=None):
+        out = real(arity, cols)
+        if arity == n:
+            seen.append({c: dict(col) for c, col in out.items()})
+        return out
+
+    coh._builder.columns = record
+    coh.zl_dim(n)
+    return seen
+
+
+class TestStreamedBlocks:
+    """d^2 is built, checked and ranked one (degree, weight) block at a
+    time; the blocks together are exactly the columns of d^2."""
+
+    cases = pytest.mark.parametrize("build", [
+        *(pytest.param(lambda m=m: simple_leibniz_sl2(m), id=f"m{m}") for m in (2, 3, 4, 5)),
+        pytest.param(sl2_plus_line, id="sl2_plus_line"),
+    ])
+
+    @cases
+    def test_union_of_blocks_is_d2(self, build):
+        algebra, grading = build()
+        coh = AdjointCohomology(algebra, grading)
+        blocks = recorded_blocks(coh, 2)
+        assert len(blocks) == len(coh._blocks(2)) > len(coh.degrees(2))
+        union = {}
+        for block in blocks:
+            assert not union.keys() & block.keys()
+            union.update(block)
+        assert union == coboundary_columns(algebra, adjoint_bimodule(algebra), 2)[1]
+
+    @cases
+    def test_blocks_partition_the_cochains(self, build):
+        algebra, grading = build()
+        coh = AdjointCohomology(algebra, grading)
+        for n in range(4):
+            cells = [c for cols in coh._blocks(n).values() for c in cols]
+            assert sorted(cells) == list(range(algebra.dim ** (n + 1)))
+            for degree in coh.degrees(n):
+                by_degree = [c for key, cols in coh._blocks(n).items() if key[0] == degree
+                             for c in cols]
+                assert sorted(by_degree) == list(graded_columns(algebra, grading, n, degree))
+
+
+def diagonal_non_grading():
+    """[a, h] = a and [a, a] = h: right multiplication by h is diagonal
+    with weights (1, 0), which [a, a] = h does not respect, and the
+    Leibniz identity fails at (a, a, h)."""
+    return AlgebraStructure(2, ("a", "h"), {(0, 1): {0: F(1)}, (0, 0): {1: F(1)}})
+
+
+class TestWeightRefinement:
+    """The engine refines the grading by every diagonal right
+    multiplication that check_grading proves a grading, and by no other."""
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_family_weight_is_h(self, m):
+        coh = AdjointCohomology(*simple_leibniz_sl2(m))
+        assert coh._gradings[1:] == ((2, -2, 0, *range(m, -m - 1, -2)),)
+
+    def test_diagonal_non_grading_refused(self):
+        algebra = diagonal_non_grading()
+        grading = Grading((0, 0))
+        assert leibniz_defects(algebra)
+        coh = AdjointCohomology(algebra, grading)
+        assert coh._gradings == ((0, 0),)
+        module = adjoint_bimodule(algebra)
+        for n in (1, 2):
+            assert coh.zl_dim(n) == zl_dim(algebra, module, n)
+            assert coh.bl_dim(n) == bl_dim(algebra, module, n)
+        for n in (0, 1, 2):
+            assert coh.squares_to_zero(n) == TestBlockwiseComplex.full_product_is_zero(algebra, n)
+        for degree in coh.degrees(2):
+            assert coh.zl_graded_basis(degree) == reference_zl_basis(algebra, grading, degree)
 
 
 def reference_zl_basis(algebra, grading, degree):
@@ -556,8 +646,10 @@ class TestCocycleBasisRead:
     kernel of the graded_submatrix block."""
 
     def test_sl2_plus_line_mixes_both_reads(self):
+        # the h-weight of sl2 refines the grading
         algebra, grading = sl2_plus_line()
         coh = AdjointCohomology(algebra, grading)
+        assert coh._gradings == ((0, 0, 0, 1), (2, -2, 0, 0))
         assert coh.hl_dim(2) == 1
         closed = {i: chain_closes(coh, i) for i in coh.degrees(2)}
         assert True in closed.values() and False in closed.values()
@@ -572,18 +664,29 @@ class TestCocycleBasisRead:
         for degree in coh.degrees(2):
             assert not chain_closes(coh, degree)
             basis = coh.zl_graded_basis(degree)
-            assert basis.dim == len(coh.graded_cols(2, degree))
+            assert basis.dim == len(graded_columns(algebra, grading, 2, degree))
             assert basis == reference_zl_basis(algebra, grading, degree)
 
     def test_changed_d1_entry_forces_the_fallback(self):
         # doubling entry (row 7, column 1) of the degree-0 block of d^1 at
         # m = 2 keeps rank d^1 + rank d^2 = cols(d^2) in that degree but
         # breaks d^2 d^1 = 0, so the d^1 columns no longer span ker d^2
+        # the builder doubles it in every block of d^1 it makes, so the
+        # rank of d^1 and the check of d^2 d^1 both see the changed entry
         algebra, grading = simple_leibniz_sl2(2)
         coh = AdjointCohomology(algebra, grading)
-        row, col = coh.graded_cols(2, 0)[7], coh.graded_cols(1, 0)[1]
-        coh._coboundary(1)[col][row] *= 2
-        assert coh._rank(1, 0) + coh._rank(2, 0) == len(coh.graded_cols(2, 0))
+        row = graded_columns(algebra, grading, 2, 0)[7]
+        col = graded_columns(algebra, grading, 1, 0)[1]
+        real = coh._builder.columns
+
+        def changed(n, cols=None):
+            out = real(n, cols)
+            if n == 1 and col in out:
+                out[col][row] *= 2
+            return out
+
+        coh._builder.columns = changed
+        assert coh._rank(1, 0) + coh._rank(2, 0) == len(graded_columns(algebra, grading, 2, 0))
         assert not coh.squares_to_zero(1)
         assert coh.zl_graded_basis(0) == reference_zl_basis(algebra, grading, 0)
 
@@ -612,7 +715,7 @@ class TestFlatIndex:
         for degree in coh.degrees(2):
             basis = coh.zl_graded_basis(degree)
             assert basis.ambient_dim == algebra.dim**3
-            cols = set(coh.graded_cols(2, degree))
+            cols = set(graded_columns(algebra, grading, 2, degree))
             assert all(set(vec) <= cols for vec in basis.basis)
 
     @cases
@@ -693,11 +796,36 @@ class TestBlockwiseComplex:
 
     def test_failure_past_the_first_column_detected(self):
         # with sl2 as the first summand the leading columns of each d^n
-        # are cochains of sl2, whose complex squares to zero
+        # are cochains of sl2, whose complex squares to zero; within the
+        # (degree, weight) blocks the failures are spread over both
         bad = direct_sum(sl2(), family_with_left_action())
         coh = AdjointCohomology(bad, Grading((0,) * bad.dim))
         for n in (0, 1, 2):
             assert not coh.squares_to_zero(n)
+
+    def test_change_past_the_first_column_and_block_detected(self):
+        # one d^1 entry doubled in the last column of the largest block,
+        # at a row where d^2 is nonzero; the block is not the first one
+        algebra, grading = simple_leibniz_sl2(2)
+        coh = AdjointCohomology(algebra, grading)
+        d1 = coboundary_columns(algebra, coh.module, 1)[1]
+        d2 = coboundary_columns(algebra, coh.module, 2)[1]
+        blocks = coh._blocks(1)
+        key = max(blocks, key=lambda k: len(blocks[k]))
+        nonzero = [c for c in blocks[key] if c in d1]
+        assert key != min(blocks) and len(nonzero) > 1
+        col = nonzero[-1]
+        row = next(r for r in d1[col] if r in d2)
+        real = coh._builder.columns
+
+        def changed(n, cols=None):
+            out = real(n, cols)
+            if n == 1 and col in out:
+                out[col][row] *= 2
+            return out
+
+        coh._builder.columns = changed
+        assert not coh.squares_to_zero(1)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_family_complex(self, m):

@@ -73,22 +73,52 @@ MUTANTS = (
     Mutant(
         "builder_bracket_term_sign_flipped",
         "src/leibcohom/cochain.py",
-        "s = coeff if q % 2 == 0 else -coeff",
-        "s = -coeff if q % 2 == 0 else coeff",
+        "c if q % 2 == 0 else -c",
+        "-c if q % 2 == 0 else c",
         (
             "tests/test_cochain.py::TestCoboundaryMatrices::test_matches_reference_evaluator_sl2",
             "tests/test_cochain.py::TestCoboundaryMatrices::test_frozen_entries",
         ),
     ),
     Mutant(
+        "builder_right_action_sign_parity_flipped",
+        "src/leibcohom/cochain.py",
+        "(self.right, 1 if j % 2 else -1)",
+        "(self.right, -1 if j % 2 else 1)",
+        (
+            "tests/test_cochain.py::TestCoboundaryMatrices"
+            "::test_builder_matches_reference_sl2_plus_sl2",
+            "tests/test_cochain.py::TestCoboundaryMatrices::test_frozen_entries",
+        ),
+    ),
+    Mutant(
         "squares_to_zero_checks_one_column",
         "src/leibcohom/cohomology.py",
-        "for col in self._coboundary(n).values():",
-        "for col in list(self._coboundary(n).values())[:1]:",
+        "    for col in columns:",
+        "    for col in list(columns)[:1]:",
+        (
+            "tests/test_cohomology.py::TestBlockwiseComplex"
+            "::test_change_past_the_first_column_and_block_detected",
+        ),
+    ),
+    Mutant(
+        "squares_to_zero_checks_the_first_block_only",
+        "src/leibcohom/cohomology.py",
+        "if ok and not _annihilates(",
+        "if ok and key == keys[0] and not _annihilates(",
         (
             "tests/test_cohomology.py::TestBlockwiseComplex::test_failed_identity_detected",
             "tests/test_cohomology.py::TestBlockwiseComplex"
-            "::test_failure_past_the_first_column_detected",
+            "::test_change_past_the_first_column_and_block_detected",
+        ),
+    ),
+    Mutant(
+        "weights_used_without_check_grading",
+        "src/leibcohom/cohomology.py",
+        "if new and check_grading(algebra, Grading(w)):",
+        "if new:",
+        (
+            "tests/test_cohomology.py::TestWeightRefinement::test_diagonal_non_grading_refused",
         ),
     ),
 )
