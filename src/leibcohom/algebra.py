@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .linalg import Subspace, _as_rational, _axpy, _compose, _sparse
@@ -169,27 +170,51 @@ def symmetric_bimodule(module: Bimodule) -> Bimodule:
     return Bimodule(module.algebra_dim, module.module_dim, left, module.right_action)
 
 
+def _integral(vec: Mapping, scale: int) -> dict:
+    """``scale`` times a vector whose denominators divide ``scale``, as
+    integers."""
+    return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
+
+
 def leibniz_defects(algebra: AlgebraStructure) -> list[IdentityViolation]:
     """All basis triples where [x,[y,z]] - [[x,y],z] + [[x,z],y] != 0.
 
     An empty list certifies the (right) Leibniz identity, since the
-    identity is trilinear and the basis triples span everything.
+    identity is trilinear and the basis triples span everything. The
+    tensor is scaled once to integers by the lcm s of its denominators;
+    every term is a product of two structure constants, so the integer
+    defect is s^2 times the rational one, which is reported.
     """
     n = algebra.dim
+    scale = lcm(*(v.denominator for vec in algebra.tensor.values() for v in vec.values()))
+    square = scale * scale
+    # the products [b_i, b_t] by i and [b_t, b_k] by k, each keyed by t
+    lefts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    rights: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    for (i, t), vec in algebra.tensor.items():
+        lefts[i][t] = rights[t][i] = _integral(vec, scale)
     violations = []
     for i in range(n):
         for j in range(n):
+            p_ij = lefts[i].get(j)
             for k in range(n):
-                p_jk = algebra.product(j, k)
-                p_ij = algebra.product(i, j)
-                p_ik = algebra.product(i, k)
+                p_jk = lefts[j].get(k)
+                p_ik = lefts[i].get(k)
                 if not (p_jk or p_ij or p_ik):
                     continue
-                defect = algebra.bracket_basis_vector(i, p_jk)
-                _axpy(defect, algebra.bracket_vector_basis(p_ij, k), Fraction(-1))
-                _axpy(defect, algebra.bracket_vector_basis(p_ik, j), Fraction(1))
+                defect: dict[int, int] = {}
+                for vec, products, sign in (
+                    (p_jk, lefts[i], 1), (p_ij, rights[k], -1), (p_ik, rights[j], 1)
+                ):
+                    if vec:
+                        for t, c in vec.items():
+                            prod = products.get(t)
+                            if prod:
+                                _axpy(defect, prod, sign * c)
                 if defect:
-                    violations.append(IdentityViolation((i, j, k), defect))
+                    violations.append(IdentityViolation(
+                        (i, j, k), {t: Fraction(v, square) for t, v in defect.items()}
+                    ))
     return violations
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Mapping, Sequence
 
-from .algebra import AlgebraStructure, Bimodule, Grading
+from .algebra import AlgebraStructure, Bimodule, Grading, _integral
 from .linalg import SparseRationalMatrix
 
 MAX_ARITY = 3
@@ -67,9 +67,11 @@ class _ColumnBuilder:
     cochain (i_1, ..., i_n; k) is nonzero only at argument tuples that
     insert one argument x into (i_1, ..., i_n), the action terms, or that
     split one i_p into a bracket [x, y], the bracket terms, so each term
-    of the formula is one loop over an index list. Scalars are whatever
-    the actions and the tensor hold, so integer inputs give integer
-    columns.
+    of the formula is one loop over an index list. The row bases of each
+    argument tuple are kept per arity for the builder's life, O(dim L^n)
+    small tuples, so a tuple whose columns fall in several blocks is
+    planned once. Scalars are whatever the actions and the tensor hold,
+    so integer inputs give integer columns.
     """
 
     def __init__(self, left: Sequence[Mapping], right: Sequence[Mapping], tensor: Mapping,
@@ -81,6 +83,8 @@ class _ColumnBuilder:
             for t, c in vec.items():
                 self.bracket[t].append((x, y, c))
         self._plans: dict[int, tuple[list, list]] = {}
+        # per arity, the row bases of each argument tuple met so far
+        self._bases: dict[int, dict[int, tuple[list, list]]] = {}
 
     def _plan(self, n: int) -> tuple[list, list]:
         """The row offsets of d^n's terms, which depend on n only.
@@ -121,29 +125,24 @@ class _ColumnBuilder:
         """d^n as ``{column: {row: value}}`` at flat cochain indices, for
         the given increasing columns (all of them by default), nonzero
         columns only, in column order. The row bases of one argument tuple
-        are computed once for all of its columns."""
+        are computed once per arity and kept, so a tuple whose columns
+        fall in different blocks costs one computation."""
         if not 0 <= n <= MAX_ARITY:
             # nothing needs n > 3, and the index spaces grow geometrically
             raise ValueError(f"coboundary arity must be between 0 and {MAX_ARITY}")
-        dl, dm = self.dl, self.dm
-        acts, splits = self._plan(n)
-        left, rights = acts[0][1], acts[1:]
+        dm = self.dm
+        left = self._plan(n)[0][0][1]
+        bases = self._bases.setdefault(n, {})
         out: dict[int, dict[int, Any]] = {}
         last = -1
-        for c in range(dl**n * dm) if cols is None else cols:
+        for c in range(self.dl**n * dm) if cols is None else cols:
             a, k = divmod(c, dm)
             if a != last:
                 last = a
-                # a // s and a % s are the arguments before and after the
-                # insertion point, s = dim L^{n-j}
-                moves = [((a // s * s * dl + a % s) * dm, by_k) for s, by_k in rights]
-                # the split argument t = a // dp % dim L is zeroed in the
-                # first q arguments a // dq, which y = 0 and a % dq follow
-                parts = []
-                for dp, dq, dt, dh, by_output in splits:
-                    entries = by_output[a // dp % dl]
-                    if entries:
-                        parts.append(((a // dq - a // dp % dl * dt) * dh + a % dq * dm, entries))
+                got = bases.get(a)
+                if got is None:
+                    got = bases[a] = self._bases_of(n, a)
+                moves, parts = got
             # one insertion position never repeats a row
             col = {a * dm + off: v for off, v in left[k]}
             for base, by_k in moves:
@@ -153,6 +152,26 @@ class _ColumnBuilder:
             if col:
                 out[c] = col
         return out
+
+    def _bases_of(self, n: int, a: int) -> tuple[list, list]:
+        """The row bases of the argument tuple ``a`` of arity n: for each
+        right-action term, the row of its tuple with x = 0, next to the
+        term's entries by k; for each bracket term whose split argument
+        is the output of some bracket, the row of its tuple with x = y = 0
+        and k = 0, next to the term's offsets."""
+        dl, dm = self.dl, self.dm
+        acts, splits = self._plan(n)
+        # a // s and a % s are the arguments before and after the
+        # insertion point, s = dim L^{n-j}
+        moves = [((a // s * s * dl + a % s) * dm, by_k) for s, by_k in acts[1:]]
+        # the split argument t = a // dp % dim L is zeroed in the first q
+        # arguments a // dq, which y = 0 and a % dq follow
+        parts = []
+        for dp, dq, dt, dh, by_output in splits:
+            entries = by_output[a // dp % dl]
+            if entries:
+                parts.append(((a // dq - a // dp % dl * dt) * dh + a % dq * dm, entries))
+        return moves, parts
 
 
 def _merge(col: dict, base: int, entries: Iterable[tuple]) -> None:
@@ -186,10 +205,6 @@ def coboundary_matrix(
     columns = builder.columns(n)
     entries = {(r, c): v for c, col in columns.items() for r, v in col.items()}
     return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm, entries)
-
-
-def _integral(vec: Mapping, scale: int) -> dict:
-    return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
 
 
 def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, _ColumnBuilder]:

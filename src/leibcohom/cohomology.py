@@ -30,7 +30,12 @@ and I the degree-1 part; a tag pair such as ("I", "G") selects the
 cochains with first argument in I, second in G, and target in whichever
 part the cochain degree forces. A block analysis reports dimensions
 only, so it counts pivots instead of building the projected and the
-supported subspaces.
+supported subspaces, on integer vectors that span the cocycles: where
+the rank chain closes these are the kept d^1 columns of the degree,
+whose span has dimension rank d^1 there, so no basis is reduced to
+echelon form over the rationals; elsewhere the rows of the fallback
+kernel. The G*G check reads the same vectors: skewness is linear, and
+two integer spans A and B are equal when rank A = rank B = rank(A + B).
 
 The Lie layer (:func:`lie_ce_h`, :func:`leibniz_h_with_coefficients`)
 checks its inputs once and ranks d^0, d^1 and d^2 once each as integer
@@ -69,11 +74,8 @@ from .linalg import (
     _integer_row,
     _reversed_echelon,
     _reversed_kernel,
-    column_space,
     embed,
-    project,
     rank,
-    subspace_equal,
 )
 
 _TAG_DEGREE = {"G": 0, "I": 1}
@@ -211,7 +213,8 @@ class AdjointCohomology:
     computed once, and only the blocks of d^0 and d^1 are kept. A cocycle
     basis (:meth:`zl_graded_basis`) is read off the columns of d^1 where
     the rank chain closes, and off kernels of rebuilt d^2 blocks
-    elsewhere.
+    elsewhere; the block analyses and the G*G check use those d^1
+    columns directly (:meth:`_cocycle_span`).
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -229,7 +232,7 @@ class AdjointCohomology:
         self._squares: dict[int, bool] = {}
         self._streamed: set[int] = set()
         self._kernel: dict[int, Subspace] = {}
-        self._kernel_rows: dict[int, list[dict[int, int]]] = {}
+        self._spans: dict[int, tuple[list[dict[int, int]], int]] = {}
 
     # blocks and totals
 
@@ -362,15 +365,13 @@ class AdjointCohomology:
         """
         if degree not in self._kernel:
             ambient = self.algebra.dim**3
-            blocks = {key: cols for key, cols in self._blocks(2).items() if key[0] == degree}
-            if self.squares_to_zero(1) and (
-                self._rank(1, degree) + self._rank(2, degree) == self._count(2, degree)
-            ):
-                d1 = [col for key in blocks for col in self._kept.get((1, key), {}).values()]
-                space = Subspace.from_spanning(d1, ambient)
+            if self._closes(degree):
+                space = Subspace.from_spanning(self._d1_columns(degree), ambient)
             else:
                 vectors: list[dict[int, Fraction]] = []
-                for cols in blocks.values():
+                for key, cols in self._blocks(2).items():
+                    if key[0] != degree:
+                        continue
                     d2 = self._builder.columns(2, cols)
                     rows: dict[int, dict[int, int]] = {}
                     for p, c in enumerate(cols):
@@ -381,6 +382,35 @@ class AdjointCohomology:
                 space = Subspace(ambient, tuple(sorted(vectors, key=min)))
             self._kernel[degree] = space
         return self._kernel[degree]
+
+    def _closes(self, degree: int) -> bool:
+        """Whether the d^1 columns of a degree span its 2-cocycles:
+        d^2 d^1 = 0 puts im d^1 inside ker d^2, and rank d^1 + rank d^2 =
+        cols(d^2) in the degree makes the two equal."""
+        return self.squares_to_zero(1) and (
+            self._rank(1, degree) + self._rank(2, degree) == self._count(2, degree)
+        )
+
+    def _d1_columns(self, degree: int) -> list[dict[int, int]]:
+        """The kept integer columns of d^1 of one degree."""
+        return [col for (n, key), block in self._kept.items() if n == 1 and key[0] == degree
+                for col in block.values()]
+
+    def _cocycle_span(self, degree: int) -> tuple[list[dict[int, int]], int]:
+        """``(vectors, dim)``: integer vectors spanning the 2-cocycles of a
+        degree, and the dimension of their span. Where the rank chain
+        closes these are the kept d^1 columns, of dimension rank d^1 in
+        the degree, so no basis is reduced; elsewhere they are the rows of
+        :meth:`zl_graded_basis`, the fallback kernel."""
+        if degree not in self._spans:
+            if self._closes(degree):
+                span = self._d1_columns(degree)
+                dim = self._rank(1, degree)
+            else:
+                span = [_integer_row(vec) for vec in self.zl_graded_basis(degree).basis]
+                dim = len(span)
+            self._spans[degree] = span, dim
+        return self._spans[degree]
 
     def report(self, n: int) -> CohomologyReport:
         """Totals plus the per-degree split, cross-checked against each
@@ -444,29 +474,26 @@ class AdjointCohomology:
         return tuple(sorted(out))
 
     def block_analysis(self, degree: int, block: BlockSpec) -> BlockAnalysis:
-        """Dimensions only, as pivot counts of :func:`_echelon` on the
-        integer rows of the cocycle basis: restricted to the block's
+        """Dimensions only, as pivot counts of :func:`_echelon` on integer
+        vectors spanning the cocycles (:meth:`_cocycle_span`: the d^1
+        columns where the rank chain closes): restricted to the block's
         coordinates they give the projection's dimension, and restricted
         to the other coordinates, by rank-nullity, the dimension of the
         cocycles that vanish off the block."""
         pairs = self._normalize_block(block)
         coords = set(self.block_coords(degree, pairs))
-        if degree not in self._kernel_rows:
-            self._kernel_rows[degree] = [
-                _integer_row(vec) for vec in self.zl_graded_basis(degree).basis
-            ]
-        rows = self._kernel_rows[degree]
-        proj = len(_echelon([{c: v for c, v in r.items() if c in coords} for r in rows]))
-        off = len(_echelon([{c: v for c, v in r.items() if c not in coords} for r in rows]))
-        supported = len(rows) - off
-        if not supported <= proj <= len(rows):
+        span, dim = self._cocycle_span(degree)
+        proj = len(_echelon([{c: v for c, v in r.items() if c in coords} for r in span]))
+        off = len(_echelon([{c: v for c, v in r.items() if c not in coords} for r in span]))
+        supported = dim - off
+        if not supported <= proj <= dim:
             raise AssertionError("block dimensions violate the projection bounds")
         return BlockAnalysis(
             degree=degree,
             blocks=pairs,
             projection_dim=proj,
             supported_dim=supported,
-            projection_injective=proj == len(rows),
+            projection_injective=proj == dim,
         )
 
     def degree_zero_part(self) -> AlgebraStructure:
@@ -485,24 +512,33 @@ class AdjointCohomology:
         2-coboundaries of the degree-0 subalgebra acting on itself.
 
         The comparison space is the image of t -> [t(x), y] + [x, t(y)]
-        - t([x, y]) over all linear maps t on the degree-0 part.
+        - t([x, y]) over all linear maps t on the degree-0 part, spanned
+        by the integer columns of its d^1. Both sides are spans of integer
+        vectors, the cocycles restricted to G*G and those columns, and two
+        spans A and B are equal exactly when rank A = rank B = rank(A + B).
+        Skewness is linear, so checking it on the spanning vectors checks
+        it on their span.
         """
         g_idx, _ = self._classes()
         ng = len(g_idx)
-        coords = self.block_coords(0, (("G", "G"),))
-        projected = project(self.zl_graded_basis(0), coords)
+        pos = {c: p for p, c in enumerate(self.block_coords(0, (("G", "G"),)))}
+        projected = [{pos[c]: v for c, v in vec.items() if c in pos}
+                     for vec in self._cocycle_span(0)[0]]
         # coordinate p inside the block decodes as ((a, b), c) over the
         # degree-0 basis in index order
-        for vec in projected.basis:
+        for vec in projected:
             for p, v in vec.items():
                 rest, c = divmod(p, ng)
                 a, b = divmod(rest, ng)
-                swapped = (b * ng + a) * ng + c
-                if vec.get(swapped, Fraction(0)) != -v:
+                if vec.get((b * ng + a) * ng + c, 0) != -v:
                     return False
         sub = self.degree_zero_part()
-        d1 = coboundary_matrix(sub, adjoint_bimodule(sub), 1)
-        return subspace_equal(projected, column_space(d1))
+        lie = list(coboundary_columns(sub, adjoint_bimodule(sub), 1)[1].values())
+        r_zl, r_lie, r_both = (
+            len(_echelon([dict(vec) for vec in vectors]))
+            for vectors in (projected, lie, projected + lie)
+        )
+        return r_zl == r_lie == r_both
 
 
 def _require_lie_module(algebra: AlgebraStructure, module: Bimodule, what: str) -> None:

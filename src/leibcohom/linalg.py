@@ -39,13 +39,15 @@ The Lie layer of :mod:`leibcohom.cohomology` ranks each coboundary by
 one :func:`_echelon` of its integer columns. The graded engine there
 holds them keyed by the flat cochain index and splits them by degree
 itself: it counts the pivots of :func:`_echelon` on copies of one
-degree's columns for each rank, and on the rows of a cocycle basis
-restricted to a block's coordinates (and to the other coordinates) for
-each block analysis. It calls :func:`_reversed_echelon` and
-:func:`_reversed_kernel` on the rows only for a kernel it cannot read
-off the image of the previous coboundary. That kernel numbers the
-degree's columns of d^2 by position, and :func:`embed` maps it back to
-flat coordinates.
+degree's columns for each rank; for each block analysis, on integer
+vectors spanning the cocycles (the d^1 columns where the rank chain
+closes, the rows of a fallback kernel elsewhere) restricted to a block's
+coordinates and to the other coordinates; and for the G*G check, on two
+spans and their union, which are equal when the three ranks are. It
+calls :func:`_reversed_echelon` and :func:`_reversed_kernel` on the
+rows only for a kernel it cannot read off the image of the previous
+coboundary. That kernel numbers the degree's columns of d^2 by position,
+and :func:`embed` maps it back to flat coordinates.
 
 :func:`rank_modular` runs its own elimination mod a few word-size primes.
 It is an independent cross-check of :func:`rank` for the tests, never the

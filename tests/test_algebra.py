@@ -8,6 +8,7 @@ from leibcohom.algebra import (
     AlgebraStructure,
     Bimodule,
     Grading,
+    IdentityViolation,
     adjoint_bimodule,
     check_bimodule_axioms,
     check_grading,
@@ -16,7 +17,7 @@ from leibcohom.algebra import (
     symmetric_bimodule,
 )
 from leibcohom.catalog import irreducible_sl2_module, simple_leibniz_sl2, sl2
-from leibcohom.linalg import Subspace, subspace_equal
+from leibcohom.linalg import Subspace, _axpy, subspace_equal
 
 F = Fraction
 
@@ -65,6 +66,27 @@ class TestAlgebraStructure:
             AlgebraStructure(2, ("a", "b"), {(0, 1): {0: F(1), 2: F(0)}})
 
 
+def reference_leibniz_defects(algebra):
+    """The Leibniz identity checked triple by triple in Fractions, through
+    the algebra's own bracket of a basis element and a vector."""
+    n = algebra.dim
+    violations = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                p_jk = algebra.product(j, k)
+                p_ij = algebra.product(i, j)
+                p_ik = algebra.product(i, k)
+                if not (p_jk or p_ij or p_ik):
+                    continue
+                defect = algebra.bracket_basis_vector(i, p_jk)
+                _axpy(defect, algebra.bracket_vector_basis(p_ij, k), F(-1))
+                _axpy(defect, algebra.bracket_vector_basis(p_ik, j), F(1))
+                if defect:
+                    violations.append(IdentityViolation((i, j, k), defect))
+    return violations
+
+
 class TestLeibnizIdentity:
     def test_family_satisfies_identity(self):
         for m in (2, 3, 5):
@@ -83,6 +105,21 @@ class TestLeibnizIdentity:
         assert by_triple[(4, 0, 1)] == {4: F(1)}
         # (x1, e, h) stays balanced: both routes scale the same way
         assert (4, 0, 2) not in by_triple
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fractional_defects_match_reference(self, seed, conjugate):
+        # the integer defects, divided by the square of the tensor's
+        # scale, against the Fraction loop: same triples, same vectors
+        bad = conjugate(perturbed_family_algebra(), seed)
+        denominators = {c.denominator for vec in bad.tensor.values() for c in vec.values()}
+        assert max(denominators) > 1
+        defects = leibniz_defects(bad)
+        assert defects and defects == reference_leibniz_defects(bad)
+
+    @pytest.mark.parametrize("m,seed", [(2, 1), (3, 2)])
+    def test_fractional_family_satisfies_identity(self, m, seed, conjugate):
+        algebra = conjugate(simple_leibniz_sl2(m)[0], seed)
+        assert leibniz_defects(algebra) == reference_leibniz_defects(algebra) == []
 
 
 class TestSquaresIdeal:

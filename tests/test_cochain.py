@@ -24,6 +24,7 @@ from leibcohom.cochain import (
     graded_columns,
     graded_submatrix,
 )
+from leibcohom.cohomology import AdjointCohomology
 from leibcohom.linalg import kernel_basis, rank
 
 F = Fraction
@@ -292,6 +293,32 @@ class TestCoboundaryMatrices:
                 if idx_out.flat(args, k) in image
             }
             assert got == expected, f"mismatch at {args}"
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: simple_leibniz_sl2(2), id="m2"),
+        pytest.param(
+            lambda: (direct_sum(sl2(), AlgebraStructure(1, ("c",), {})), Grading((0, 0, 0, 1))),
+            id="sl2_plus_line",
+        ),
+    ])
+    def test_one_builder_across_arities_and_blocks(self, build):
+        # the builder keeps each argument tuple's row bases per arity for
+        # its whole life; d^1 whole, then the blocks of d^2, d^1 and d^3
+        # in shuffled order, all on one builder, against fresh whole builds
+        algebra, grading = build()
+        module = adjoint_bimodule(algebra)
+        coh = AdjointCohomology(algebra, grading)
+        builder = _integer_builder(algebra, module)[1]
+        rng = random.Random(7)
+        assert builder.columns(1) == _integer_builder(algebra, module)[1].columns(1)
+        for n in (2, 1, 3):
+            whole = _integer_builder(algebra, module)[1].columns(n)
+            blocks = list(coh._blocks(n).values())
+            rng.shuffle(blocks)
+            got = {}
+            for cols in blocks:
+                got.update(builder.columns(n, cols))
+            assert got == whole, n
 
     def test_complex_property(self):
         algebra, _ = simple_leibniz_sl2(3)

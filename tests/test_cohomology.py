@@ -41,9 +41,11 @@ from leibcohom.linalg import (
     SparseRationalMatrix,
     Subspace,
     _add,
+    column_space,
     kernel_basis,
     project,
     restrict_to_coords,
+    subspace_equal,
 )
 
 F = Fraction
@@ -764,6 +766,78 @@ class TestBlockAnalysisReference:
         coh = AdjointCohomology(*sl2_plus_line())
         assert not chain_closes(coh, -1)
         self.assert_blocks_match(coh)
+
+
+def reference_gg_block_is_lie_coboundary(coh):
+    """The G*G check on canonical bases: the cocycle basis of degree 0
+    projected to G*G, checked skew vector by vector, and compared with
+    the column space of the degree-0 part's Fraction d^1."""
+    ng = len(coh._classes()[0])
+    projected = project(coh.zl_graded_basis(0), coh.block_coords(0, (("G", "G"),)))
+    for vec in projected.basis:
+        for p, v in vec.items():
+            rest, c = divmod(p, ng)
+            a, b = divmod(rest, ng)
+            if vec.get((b * ng + a) * ng + c, F(0)) != -v:
+                return False
+    sub = coh.degree_zero_part()
+    d1 = coboundary_matrix(sub, adjoint_bimodule(sub), 1)
+    return subspace_equal(projected, column_space(d1))
+
+
+class TestGGBlockReference:
+    """gg_block_is_lie_coboundary compares integer ranks of spanning
+    vectors (the d^1 columns where the rank chain closes); the reference
+    compares canonical bases. Both must agree, on True and on False."""
+
+    @staticmethod
+    def assert_matches(coh, expected):
+        assert coh.gg_block_is_lie_coboundary() is expected
+        assert reference_gg_block_is_lie_coboundary(coh) is expected
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_family(self, m):
+        coh = AdjointCohomology(*simple_leibniz_sl2(m))
+        assert chain_closes(coh, 0)
+        self.assert_matches(coh, True)
+
+    def test_graded_conjugate(self, conjugate):
+        algebra, grading = simple_leibniz_sl2(3)
+        twisted = conjugate(algebra, 2, grading)
+        assert any(c.denominator != 1 for vec in twisted.tensor.values() for c in vec.values())
+        self.assert_matches(AdjointCohomology(twisted, grading), True)
+
+    def test_sl2_plus_line_falls_back(self):
+        # with c in degree 0 the degree-0 chain does not close, and the
+        # 2-cocycle c (x) c -> c is not skew
+        algebra, _ = sl2_plus_line()
+        coh = AdjointCohomology(algebra, Grading((0, 0, 0, 0)))
+        assert not chain_closes(coh, 0)
+        self.assert_matches(coh, False)
+        # with c in degree 1 it closes, and G*G holds sl2's coboundaries
+        coh = AdjointCohomology(*sl2_plus_line())
+        assert chain_closes(coh, 0)
+        self.assert_matches(coh, True)
+
+    def test_projection_not_skew(self):
+        # with every element in degree 0, G*G is all of Hom(L^2, L), and
+        # the coboundaries of a non-Lie Leibniz algebra are not all skew
+        algebra, _ = simple_leibniz_sl2(2)
+        coh = AdjointCohomology(algebra, Grading((0,) * algebra.dim))
+        assert chain_closes(coh, 0)
+        self.assert_matches(coh, False)
+
+    def test_equal_dimension_different_span(self, monkeypatch):
+        # the degree-0 part swapped for the Leibniz algebra [x, y] = x: its
+        # coboundaries span a space of dimension 6, as sl2's do, but not
+        # the same space, so only rank(A + B) tells them apart
+        coh = AdjointCohomology(*simple_leibniz_sl2(2))
+        other = AlgebraStructure(3, ("x", "y", "z"), {(0, 1): {0: F(1)}})
+        assert leibniz_defects(other) == []
+        d1 = coboundary_matrix(other, adjoint_bimodule(other), 1)
+        assert linalg.rank(d1) == coh.block_analysis(0, ("G", "G")).projection_dim == 6
+        monkeypatch.setattr(coh, "degree_zero_part", lambda: other)
+        self.assert_matches(coh, False)
 
 
 def family_with_left_action():

@@ -121,6 +121,40 @@ MUTANTS = (
             "tests/test_cohomology.py::TestWeightRefinement::test_diagonal_non_grading_refused",
         ),
     ),
+    Mutant(
+        "row_bases_shared_across_arities",
+        "src/leibcohom/cochain.py",
+        "self._bases.setdefault(n, {})",
+        "self._bases.setdefault(0, {})",
+        (
+            "tests/test_cochain.py::TestCoboundaryMatrices"
+            "::test_one_builder_across_arities_and_blocks",
+        ),
+    ),
+    Mutant(
+        "cocycle_dimension_counts_the_spanning_vectors",
+        "src/leibcohom/cohomology.py",
+        "dim = self._rank(1, degree)",
+        "dim = len(span)",
+        ("tests/test_cohomology.py::TestBlockAnalysisReference::test_family",),
+    ),
+    Mutant(
+        "gg_check_drops_the_union_rank",
+        "src/leibcohom/cohomology.py",
+        "return r_zl == r_lie == r_both",
+        "return r_zl == r_lie",
+        (
+            "tests/test_cohomology.py::TestGGBlockReference"
+            "::test_equal_dimension_different_span",
+        ),
+    ),
+    Mutant(
+        "leibniz_defect_divided_by_the_scale",
+        "src/leibcohom/algebra.py",
+        "square = scale * scale",
+        "square = scale",
+        ("tests/test_algebra.py::TestLeibnizIdentity::test_fractional_defects_match_reference",),
+    ),
 )
 
 
