@@ -9,18 +9,16 @@ bilinear identity in question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .linalg import Subspace, _as_rational, _axpy, _compose, _sparse
+from .linalg import Subspace, _Value, _as_rational, _axpy, _compose, _sparse
 
 _EMPTY: dict[int, Fraction] = {}
 
 
-@dataclass(frozen=True)
-class AlgebraStructure:
+class AlgebraStructure(_Value):
     """A finite-dimensional algebra given by its multiplication tensor.
 
     ``tensor[(i, j)]`` holds the coefficients of ``[b_i, b_j]`` on the
@@ -28,24 +26,22 @@ class AlgebraStructure:
     at construction time; run :func:`leibniz_defects` to certify one.
     """
 
-    dim: int
-    basis_labels: tuple[str, ...]
-    tensor: dict[tuple[int, int], dict[int, Fraction]]
+    _fields = ("dim", "basis_labels", "tensor")
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
+    def __init__(self, dim: int, basis_labels: tuple[str, ...],
+                 tensor: dict[tuple[int, int], dict[int, Fraction]]) -> None:
+        if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        if len(self.basis_labels) != self.dim:
+        if len(basis_labels) != dim:
             raise ValueError("label count does not match the dimension")
         clean: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), vec in self.tensor.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
+        for (i, j), vec in tensor.items():
+            if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"product ({i}, {j}) out of range")
-            cv = _sparse(vec, self.dim, f"product ({i}, {j})")
+            cv = _sparse(vec, dim, f"product ({i}, {j})")
             if cv:
                 clean[(i, j)] = cv
-        object.__setattr__(self, "tensor", clean)
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
+        self.__dict__.update(dim=dim, basis_labels=tuple(basis_labels), tensor=clean)
 
     def product(self, i: int, j: int) -> Mapping[int, Fraction]:
         """Coefficient vector of ``[b_i, b_j]``."""
@@ -70,18 +66,17 @@ class AlgebraStructure:
         return out
 
 
-@dataclass(frozen=True)
-class Grading(object):
+class Grading(_Value):
     """Integer degrees per basis index; validity is a property of a pair
     (algebra, grading) and is checked by :func:`check_grading`."""
 
-    degrees: tuple[int, ...]
+    _fields = ("degrees",)
 
-    def __post_init__(self) -> None:
-        for d in self.degrees:
+    def __init__(self, degrees: tuple[int, ...]) -> None:
+        for d in degrees:
             if not isinstance(d, int):
                 raise TypeError(f"not an integer degree: {d!r}")
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        self.__dict__.update(degrees=tuple(int(d) for d in degrees))
 
     def classes(self) -> dict[int, tuple[int, ...]]:
         """Basis indices grouped by degree, each group in index order."""
@@ -91,8 +86,7 @@ class Grading(object):
         return {d: tuple(ix) for d, ix in sorted(out.items())}
 
 
-@dataclass(frozen=True)
-class IdentityViolation:
+class IdentityViolation(_Value):
     """One failed instance of a bilinear identity on basis elements.
 
     ``triple`` names the basis indices that were substituted and
@@ -101,17 +95,16 @@ class IdentityViolation:
     the last triple entry indexes the module basis.
     """
 
-    triple: tuple[int, int, int]
-    defect: dict[int, Fraction]
-    axiom: int | None = None
+    _fields = ("triple", "defect", "axiom")
 
-    def __post_init__(self) -> None:
-        if not self.defect:
+    def __init__(self, triple: tuple[int, int, int], defect: dict[int, Fraction],
+                 axiom: int | None = None) -> None:
+        if not defect:
             raise ValueError("a violation must carry a nonzero defect")
+        self.__dict__.update(triple=triple, defect=defect, axiom=axiom)
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(_Value):
     """Two-sided action matrices over a based algebra.
 
     ``left_action[x]`` is the matrix of ``m -> [b_x, m]`` and
@@ -119,28 +112,29 @@ class Bimodule:
     sparse ``(out, in)`` mappings of size module_dim x module_dim.
     """
 
-    algebra_dim: int
-    module_dim: int
-    left_action: tuple[dict[tuple[int, int], Fraction], ...]
-    right_action: tuple[dict[tuple[int, int], Fraction], ...]
+    _fields = ("algebra_dim", "module_dim", "left_action", "right_action")
 
-    def __post_init__(self) -> None:
-        if self.algebra_dim < 0 or self.module_dim < 0:
+    def __init__(self, algebra_dim: int, module_dim: int,
+                 left_action: tuple[dict[tuple[int, int], Fraction], ...],
+                 right_action: tuple[dict[tuple[int, int], Fraction], ...]) -> None:
+        if algebra_dim < 0 or module_dim < 0:
             raise ValueError("dimensions must be nonnegative")
-        for name, actions in (("left", self.left_action), ("right", self.right_action)):
-            if len(actions) != self.algebra_dim:
+        fields = {"algebra_dim": algebra_dim, "module_dim": module_dim}
+        for name, actions in (("left", left_action), ("right", right_action)):
+            if len(actions) != algebra_dim:
                 raise ValueError(f"{name} action count does not match the algebra")
             clean = []
             for x, mat in enumerate(actions):
                 cm: dict[tuple[int, int], Fraction] = {}
                 for (out, inp), v in mat.items():
-                    if not (0 <= out < self.module_dim and 0 <= inp < self.module_dim):
+                    if not (0 <= out < module_dim and 0 <= inp < module_dim):
                         raise ValueError(f"{name} action of index {x}: entry out of range")
                     fv = _as_rational(v)
                     if fv:
                         cm[(out, inp)] = fv
                 clean.append(cm)
-            object.__setattr__(self, f"{name}_action", tuple(clean))
+            fields[f"{name}_action"] = tuple(clean)
+        self.__dict__.update(fields)
 
 
 def adjoint_bimodule(algebra: AlgebraStructure) -> Bimodule:

@@ -27,7 +27,6 @@ parameter order regardless.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -135,6 +134,8 @@ def _emit(args: argparse.Namespace, payload: dict, pretty_lines: list[str]) -> i
 
 def _to_csv(payload: dict) -> str:
     """Flatten a result dictionary to deterministic key-path CSV rows."""
+    import csv  # only --format csv needs it; every other command skips the import
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])

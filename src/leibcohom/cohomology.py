@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -69,6 +68,7 @@ from .cochain import (
 )
 from .linalg import (
     Subspace,
+    _Value,
     _axpy,
     _echelon,
     _integer_row,
@@ -103,22 +103,20 @@ def hl_dim(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
     return zl_dim(algebra, module, n) - bl_dim(algebra, module, n)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(_Value):
     """Total and per-degree dimensions of ZL^n, BL^n and HL^n."""
 
-    arity: int
-    dim_z: int
-    dim_b: int
-    dim_h: int
-    per_degree: dict[int, tuple[int, int, int]]
+    _fields = ("arity", "dim_z", "dim_b", "dim_h", "per_degree")
 
-    def __post_init__(self) -> None:
-        if self.dim_h != self.dim_z - self.dim_b or self.dim_h < 0:
+    def __init__(self, arity: int, dim_z: int, dim_b: int, dim_h: int,
+                 per_degree: dict[int, tuple[int, int, int]]) -> None:
+        if dim_h != dim_z - dim_b or dim_h < 0:
             raise ValueError("inconsistent cohomology dimensions")
-        for degree, (z, b, h) in self.per_degree.items():
+        for degree, (z, b, h) in per_degree.items():
             if h != z - b or h < 0:
                 raise ValueError(f"inconsistent dimensions in degree {degree}")
+        self.__dict__.update(arity=arity, dim_z=dim_z, dim_b=dim_b, dim_h=dim_h,
+                             per_degree=per_degree)
 
     def to_dict(self) -> dict:
         return {
@@ -133,8 +131,7 @@ class CohomologyReport:
         }
 
 
-@dataclass(frozen=True)
-class BlockAnalysis:
+class BlockAnalysis(_Value):
     """How the degree-``degree`` cocycles meet one signature block.
 
     ``projection_dim`` is the dimension of the image of the cocycle space
@@ -143,11 +140,13 @@ class BlockAnalysis:
     is injective when no nonzero cocycle vanishes on the block.
     """
 
-    degree: int
-    blocks: tuple[tuple[str, str], ...]
-    projection_dim: int
-    supported_dim: int
-    projection_injective: bool
+    _fields = ("degree", "blocks", "projection_dim", "supported_dim", "projection_injective")
+
+    def __init__(self, degree: int, blocks: tuple[tuple[str, str], ...], projection_dim: int,
+                 supported_dim: int, projection_injective: bool) -> None:
+        self.__dict__.update(degree=degree, blocks=blocks, projection_dim=projection_dim,
+                             supported_dim=supported_dim,
+                             projection_injective=projection_injective)
 
     def to_dict(self) -> dict:
         return {
@@ -592,7 +591,8 @@ def lie_ce_h(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, int]:
     The algebra must be Lie and only the right action of the bimodule is
     used, checked as a bimodule with zero left action.
     """
-    probe = replace(module, left_action=tuple({} for _ in module.right_action))
+    probe = Bimodule(module.algebra_dim, module.module_dim,
+                     tuple({} for _ in module.right_action), module.right_action)
     _require_lie_module(algebra, probe, "right action is not a Lie module action")
     dl, dm = algebra.dim, module.module_dim
     columns = (_ce_columns(algebra, module, n).values() for n in range(3))

@@ -16,13 +16,13 @@ z * n + t for the same coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraStructure, Grading
 from .linalg import (
     SparseRationalMatrix,
     Subspace,
+    _Value,
     _add,
     _axpy,
     kernel_basis,
@@ -138,8 +138,7 @@ def delta_generator(
     return SparseRationalMatrix(len(i_idx), len(g_idx), local)
 
 
-@dataclass(frozen=True)
-class DerivationDecomposition:
+class DerivationDecomposition(_Value):
     """Coordinates of a derivation in the canonical spanning family.
 
     The derivation equals
@@ -150,10 +149,11 @@ class DerivationDecomposition:
     is exact.
     """
 
-    coefficients: tuple[Fraction, ...]
-    lam: Fraction
-    delta: SparseRationalMatrix
-    residual: SparseRationalMatrix
+    _fields = ("coefficients", "lam", "delta", "residual")
+
+    def __init__(self, coefficients: tuple[Fraction, ...], lam: Fraction,
+                 delta: SparseRationalMatrix, residual: SparseRationalMatrix) -> None:
+        self.__dict__.update(coefficients=coefficients, lam=lam, delta=delta, residual=residual)
 
     @property
     def is_exact(self) -> bool:

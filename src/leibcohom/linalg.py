@@ -66,7 +66,6 @@ update inside :func:`_eliminate` and the modular loop of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
@@ -145,31 +144,59 @@ def _compose(
     return out
 
 
-@dataclass(frozen=True)
-class SparseRationalMatrix:
+class _Value:
+    """Base of the package's immutable value classes. Equality (within one
+    class only), hash and repr run over the fields named in ``_fields``,
+    and attributes can be neither assigned nor deleted, as for a frozen
+    dataclass; each subclass's ``__init__`` checks its arguments and
+    stores the fields through ``__dict__``. ``dataclasses`` would give the
+    same, but importing it loads ``inspect`` (with ``ast``, ``dis`` and
+    ``tokenize``) at the start of every command."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SparseRationalMatrix(_Value):
     """Immutable sparse matrix with Fraction entries.
 
     ``entries`` maps ``(row, col)`` to a nonzero value; zeros are dropped
     on construction and out-of-range indices are rejected.
     """
 
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], Fraction]
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         clean: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(
-                    f"entry ({r}, {c}) outside a {self.rows} x {self.cols} matrix"
-                )
+        for (r, c), v in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r}, {c}) outside a {rows} x {cols} matrix")
             fv = _as_rational(v)
             if fv:
                 clean[(r, c)] = fv
-        object.__setattr__(self, "entries", clean)
+        self.__dict__.update(rows=rows, cols=cols, entries=clean)
 
     @property
     def nnz(self) -> int:
@@ -455,8 +482,7 @@ def _check_coords(coords: Iterable[int], ambient_dim: int) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Value):
     """A linear subspace held in canonical reduced-echelon form.
 
     Basis vectors are sparse mappings; each has leading coordinate 1 at a
@@ -466,30 +492,30 @@ class Subspace:
     constructor validates and should only see already-canonical data.
     """
 
-    ambient_dim: int
-    basis: tuple[dict[int, Fraction], ...]
+    _fields = ("ambient_dim", "basis")
 
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 0:
+    def __init__(self, ambient_dim: int, basis: tuple[dict[int, Fraction], ...]) -> None:
+        if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         last_pivot = -1
         pivots: set[int] = set()
-        for vec in self.basis:
+        for vec in basis:
             if not vec:
                 raise ValueError("zero vector stored in a basis")
             p = min(vec)
             if p <= last_pivot:
                 raise ValueError("basis pivots must strictly increase")
-            if max(vec) >= self.ambient_dim:
+            if max(vec) >= ambient_dim:
                 raise ValueError("basis vector outside the ambient space")
             if vec[p] != 1:
                 raise ValueError("basis pivot entries must be 1")
             pivots.add(p)
             last_pivot = p
         # each vector's only stored entry at a pivot is its own
-        for vec in self.basis:
+        for vec in basis:
             if len(pivots.intersection(vec)) != 1:
                 raise ValueError("basis is not fully reduced")
+        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
 
     @property
     def dim(self) -> int:

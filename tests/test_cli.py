@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -418,3 +421,17 @@ class TestClaimTable:
         claims, _ = cli._verify_one(m, False)
         assert all(c["status"] == "pass" for c in claims)
         assert len(calls) == 3
+
+
+def test_import_skips_modules_no_command_needs():
+    # -S keeps the host's site .pth imports out of the module list
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import leibcohom.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "leibcohom.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "csv", "concurrent.futures"})

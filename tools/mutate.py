@@ -155,6 +155,40 @@ MUTANTS = (
         "square = scale",
         ("tests/test_algebra.py::TestLeibnizIdentity::test_fractional_defects_match_reference",),
     ),
+    Mutant(
+        "value_fields_assignable",
+        "src/leibcohom/linalg.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        ("tests/test_values.py::TestValueSemantics::test_immutable",),
+    ),
+    Mutant(
+        "value_equality_reads_the_first_field_only",
+        "src/leibcohom/linalg.py",
+        "return self._values() == other._values()",
+        "return self._values()[:1] == other._values()[:1]",
+        ("tests/test_values.py::TestValueSemantics::test_equality",),
+    ),
+    Mutant(
+        "axpy_sign_flipped",
+        "src/leibcohom/linalg.py",
+        "_add(acc, k, scale * v)",
+        "_add(acc, k, -scale * v)",
+        (
+            "tests/test_algebra.py::TestAlgebraStructure::test_bracket_vectors_bilinear",
+            "tests/test_algebra.py::TestBimodules::test_module_axioms_hold",
+        ),
+    ),
+    Mutant(
+        "add_keeps_a_cancelled_entry",
+        "src/leibcohom/linalg.py",
+        "        if cur:\n            acc[key] = cur\n        else:\n            del acc[key]",
+        "        acc[key] = cur",
+        (
+            "tests/test_algebra.py::TestLeibnizIdentity::test_sl2_satisfies_identity",
+            "tests/test_catalog.py::TestSl2::test_is_lie",
+        ),
+    ),
 )
 
 
