@@ -85,6 +85,14 @@ class Grading(_Value):
             out.setdefault(d, []).append(i)
         return {d: tuple(ix) for d, ix in sorted(out.items())}
 
+    def parts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(G, I): the basis indices of degree 0 and of degree 1, either
+        possibly empty. Raises ValueError for any other degree."""
+        classes = self.classes()
+        if not set(classes) <= {0, 1}:
+            raise ValueError("the G/I split needs a grading with degrees in {0, 1}")
+        return classes.get(0, ()), classes.get(1, ())
+
 
 class IdentityViolation(_Value):
     """One failed instance of a bilinear identity on basis elements.

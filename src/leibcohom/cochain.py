@@ -20,7 +20,8 @@ subset of them. For any bimodule,
 * :func:`coboundary_matrix` flattens the columns into a Fraction matrix;
   it is the ungraded path;
 * :func:`coboundary_columns` scales them to integers by one common
-  denominator, with no grading. Rows and columns keep their flat cochain
+  denominator, which no rank or span sees and so is not returned, with
+  no grading. Rows and columns keep their flat cochain
   index, so the columns of d^{n+1} and the rows of d^n share one index
   space. :func:`_integer_builder` hands out the same integer builder, so
   that :mod:`leibcohom.cohomology` can build d^n one block of columns at
@@ -207,32 +208,29 @@ def coboundary_matrix(
     return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm, entries)
 
 
-def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, _ColumnBuilder]:
-    """``(scale, builder)``: ``scale`` is the least common denominator of
-    the structure constants and of both actions, and the builder makes
-    ``scale`` times the columns of :func:`coboundary_matrix`, as integers."""
+def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> _ColumnBuilder:
+    """The builder of s times the columns of :func:`coboundary_matrix`, as
+    integers, where s is the least common denominator of the structure
+    constants and of both actions."""
     _check(algebra, module)
     vectors = (*algebra.tensor.values(), *module.left_action, *module.right_action)
     scale = lcm(*(v.denominator for vec in vectors for v in vec.values()))
     left = [_integral(act, scale) for act in module.left_action]
     right = [_integral(act, scale) for act in module.right_action]
     tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
-    return scale, _ColumnBuilder(left, right, tensor, module.module_dim)
+    return _ColumnBuilder(left, right, tensor, module.module_dim)
 
 
 def coboundary_columns(
     algebra: AlgebraStructure, module: Bimodule, n: int
-) -> tuple[int, dict[int, dict[int, int]]]:
-    """d^n with coefficients in a bimodule, as integer columns, n in 0..3.
-
-    Returns ``(scale, columns)``: ``scale`` is the least common
-    denominator of the structure constants and of both actions, and
-    ``columns`` maps each nonzero column of d^n to ``{row: value}``,
-    ``scale`` times the entries of :func:`coboundary_matrix`, at their
-    flat cochain indices.
-    """
-    scale, builder = _integer_builder(algebra, module)
-    return scale, builder.columns(n)
+) -> dict[int, dict[int, int]]:
+    """d^n with coefficients in a bimodule, as integer columns, n in 0..3:
+    each nonzero column of d^n maps to ``{row: value}`` at the flat
+    cochain indices, s times the entries of :func:`coboundary_matrix` for
+    the least common denominator s of the structure constants and of both
+    actions. Every caller reads ranks or spans, which the scale leaves
+    alone."""
+    return _integer_builder(algebra, module).columns(n)
 
 
 def _check_degrees(algebra: AlgebraStructure, grading: Grading) -> tuple[int, ...]:

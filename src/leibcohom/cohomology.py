@@ -19,22 +19,24 @@ per-degree numbers are sums of block ranks.
 Columns, cocycle bases and G/I coordinates all use the flat cochain
 index, so a row of d^n is also a column of d^{n+1}: d^{n+1} d^n = 0 is
 checked by applying each block of d^{n+1} to the columns of d^n with the
-same key. A cocycle basis of degree i is the span of the d^1 columns
-when d^2 d^1 = 0 and rank d^1_i + rank d^2_i = cols(d^2_i), since
-im d^1_i then fills ker d^2_i; only a degree where that chain does not
-close (HL^2 nonzero there, or a broken complex) rebuilds its d^2 blocks
-and reduces each to a kernel.
+same key. The 2-cocycles of degree i are read in one place, as integer
+vectors spanning them: the d^1 columns when d^2 d^1 = 0 and
+rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i then fills
+ker d^2_i; only a degree where that chain does not close (HL^2 nonzero
+there, or a broken complex) rebuilds its d^2 blocks and reduces each to
+a kernel. The cocycle basis, the block analyses and the G*G check all
+read that span.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
-and I the degree-1 part; a tag pair such as ("I", "G") selects the
-cochains with first argument in I, second in G, and target in whichever
-part the cochain degree forces. A block analysis reports dimensions
-only, so it counts pivots instead of building the projected and the
-supported subspaces, on integer vectors that span the cocycles: where
-the rank chain closes these are the kept d^1 columns of the degree,
-whose span has dimension rank d^1 there, so no basis is reduced to
-echelon form over the rationals; elsewhere the rows of the fallback
-kernel. The G*G check reads the same vectors: skewness is linear, and
+and I the degree-1 part, as :meth:`~leibcohom.algebra.Grading.parts`
+splits them; a tag pair such as ("I", "G") selects the cochains with
+first argument in I, second in G, and target in whichever part the
+cochain degree forces, and a block that selects no cochain is refused.
+A block analysis reports dimensions only, so it counts pivots on the
+integer cocycle span instead of building the projected and the
+supported subspaces; where the rank chain closes, that span has
+dimension rank d^1, so no basis is reduced to echelon form over the
+rationals. The G*G check reads the same vectors: skewness is linear, and
 two integer spans A and B are equal when rank A = rank B = rank(A + B).
 
 The Lie layer (:func:`lie_ce_h`, :func:`leibniz_h_with_coefficients`)
@@ -209,11 +211,12 @@ class AdjointCohomology:
     degree in the grading, then its degree in each weight. The blocks of
     each d^n are built one at a time from one integer column builder;
     each block's rank is the pivot count of an echelon of its columns,
-    computed once, and only the blocks of d^0 and d^1 are kept. A cocycle
-    basis (:meth:`zl_graded_basis`) is read off the columns of d^1 where
-    the rank chain closes, and off kernels of rebuilt d^2 blocks
-    elsewhere; the block analyses and the G*G check use those d^1
-    columns directly (:meth:`_cocycle_span`).
+    computed once, and only the blocks of d^0 and d^1 are kept. The
+    2-cocycles of a degree are read in one place, :meth:`_cocycle_span`:
+    off the columns of d^1 where the rank chain closes, and off kernels
+    of rebuilt d^2 blocks elsewhere. The cocycle basis
+    (:meth:`zl_graded_basis`), the block analyses and the G*G check all
+    use that span.
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -224,7 +227,7 @@ class AdjointCohomology:
         self.module = adjoint_bimodule(algebra)
         # the input grading is always the first component of a key
         self._gradings = (grading.degrees, *_weights(algebra, grading))
-        self._builder = _integer_builder(algebra, self.module)[1]
+        self._builder = _integer_builder(algebra, self.module)
         self._cells: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
         self._kept: dict[tuple[int, tuple[int, ...]], dict[int, dict[int, int]]] = {}
         self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -350,36 +353,11 @@ class AdjointCohomology:
 
     def zl_graded_basis(self, degree: int) -> Subspace:
         """Kernel of the degree block of d^2, in flat coordinates of
-        Hom(L^2, L).
-
-        d^2 d^1 = 0 puts im d^1 inside ker d^2; when also rank d^1 +
-        rank d^2 = cols(d^2) in this degree, the two are equal and the
-        canonical basis is that of the span of the d^1 columns. Otherwise
-        the d^2 blocks of the degree are rebuilt, and each kernel is read
-        off a reversed echelon of the block's rows, with its columns
-        numbered by position and mapped back by
-        :func:`~leibcohom.linalg.embed`. The blocks use disjoint
-        coordinates, so the union of their canonical bases is the
-        canonical basis of the degree.
-        """
+        Hom(L^2, L): the canonical basis of the span that
+        :meth:`_cocycle_span` reads."""
         if degree not in self._kernel:
-            ambient = self.algebra.dim**3
-            if self._closes(degree):
-                space = Subspace.from_spanning(self._d1_columns(degree), ambient)
-            else:
-                vectors: list[dict[int, Fraction]] = []
-                for key, cols in self._blocks(2).items():
-                    if key[0] != degree:
-                        continue
-                    d2 = self._builder.columns(2, cols)
-                    rows: dict[int, dict[int, int]] = {}
-                    for p, c in enumerate(cols):
-                        for r, v in d2.get(c, {}).items():
-                            rows.setdefault(r, {})[p] = v
-                    pivots = _reversed_echelon(rows.values(), len(cols))
-                    vectors += embed(_reversed_kernel(pivots, len(cols)), cols, ambient).basis
-                space = Subspace(ambient, tuple(sorted(vectors, key=min)))
-            self._kernel[degree] = space
+            span = self._cocycle_span(degree)[0]
+            self._kernel[degree] = Subspace.from_spanning(span, self.algebra.dim**3)
         return self._kernel[degree]
 
     def _closes(self, degree: int) -> bool:
@@ -390,23 +368,38 @@ class AdjointCohomology:
             self._rank(1, degree) + self._rank(2, degree) == self._count(2, degree)
         )
 
-    def _d1_columns(self, degree: int) -> list[dict[int, int]]:
-        """The kept integer columns of d^1 of one degree."""
-        return [col for (n, key), block in self._kept.items() if n == 1 and key[0] == degree
-                for col in block.values()]
-
     def _cocycle_span(self, degree: int) -> tuple[list[dict[int, int]], int]:
         """``(vectors, dim)``: integer vectors spanning the 2-cocycles of a
-        degree, and the dimension of their span. Where the rank chain
-        closes these are the kept d^1 columns, of dimension rank d^1 in
-        the degree, so no basis is reduced; elsewhere they are the rows of
-        :meth:`zl_graded_basis`, the fallback kernel."""
+        degree, and the dimension of their span. The only reader of the
+        2-cocycles.
+
+        Where the rank chain closes (:meth:`_closes`) these are the kept
+        d^1 columns of the degree, of dimension rank d^1 there, so no
+        basis is reduced. Otherwise the d^2 blocks of the degree are
+        rebuilt, and each kernel is read off a reversed echelon of the
+        block's rows, with its columns numbered by position and mapped
+        back by :func:`~leibcohom.linalg.embed`; the blocks use disjoint
+        coordinates, so the union of their kernel bases is a basis of the
+        degree's cocycles.
+        """
         if degree not in self._spans:
             if self._closes(degree):
-                span = self._d1_columns(degree)
+                span = [col for (n, key), block in self._kept.items()
+                        if n == 1 and key[0] == degree for col in block.values()]
                 dim = self._rank(1, degree)
             else:
-                span = [_integer_row(vec) for vec in self.zl_graded_basis(degree).basis]
+                span = []
+                for key, cols in self._blocks(2).items():
+                    if key[0] != degree:
+                        continue
+                    d2 = self._builder.columns(2, cols)
+                    rows: dict[int, dict[int, int]] = {}
+                    for p, c in enumerate(cols):
+                        for r, v in d2.get(c, {}).items():
+                            rows.setdefault(r, {})[p] = v
+                    pivots = _reversed_echelon(rows.values(), len(cols))
+                    kernel = embed(_reversed_kernel(pivots, len(cols)), cols, self.algebra.dim**3)
+                    span += [_integer_row(vec) for vec in kernel.basis]
                 dim = len(span)
             self._spans[degree] = span, dim
         return self._spans[degree]
@@ -431,12 +424,6 @@ class AdjointCohomology:
 
     # G/I blocks
 
-    def _classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        classes = self.grading.classes()
-        if not set(classes) <= {0, 1}:
-            raise ValueError("block analysis needs a grading with degrees in {0, 1}")
-        return classes.get(0, ()), classes.get(1, ())
-
     def _normalize_block(self, block: BlockSpec) -> tuple[tuple[str, str], ...]:
         pairs = list(block)
         if pairs and isinstance(pairs[0], str):
@@ -452,19 +439,19 @@ class AdjointCohomology:
         return tuple(out)
 
     def block_coords(self, degree: int, pairs: Sequence[tuple[str, str]]) -> tuple[int, ...]:
-        """Flat indices of the blocks' cochains of the given degree."""
-        g_idx, i_idx = self._classes()
-        by_tag = {"G": g_idx, "I": i_idx}
+        """Flat indices of the blocks' cochains of the given degree. A
+        block whose target class or either argument class is empty holds
+        no cochain and raises ValueError."""
+        by_tag = dict(zip("GI", self.grading.parts()))
         dl = self.algebra.dim
         degs = self.grading.degrees
         out: set[int] = set()
         for ta, tb in pairs:
             target_deg = degree + _TAG_DEGREE[ta] + _TAG_DEGREE[tb]
             targets = [k for k in range(dl) if degs[k] == target_deg]
-            if not targets:
-                raise ValueError(
-                    f"block {ta}*{tb} has no target component in degree {degree}"
-                )
+            if not (targets and by_tag[ta] and by_tag[tb]):
+                raise ValueError(f"block {ta}*{tb} holds no cochain in degree {degree}: "
+                                 "an empty argument class or no target component")
             for a in by_tag[ta]:
                 for b in by_tag[tb]:
                     base = (a * dl + b) * dl
@@ -497,7 +484,7 @@ class AdjointCohomology:
 
     def degree_zero_part(self) -> AlgebraStructure:
         """The degree-0 block as an algebra on its own basis."""
-        g_idx, _ = self._classes()
+        g_idx, _ = self.grading.parts()
         pos = {g: p for p, g in enumerate(g_idx)}
         tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), vec in self.algebra.tensor.items():
@@ -518,8 +505,7 @@ class AdjointCohomology:
         Skewness is linear, so checking it on the spanning vectors checks
         it on their span.
         """
-        g_idx, _ = self._classes()
-        ng = len(g_idx)
+        ng = len(self.grading.parts()[0])
         pos = {c: p for p, c in enumerate(self.block_coords(0, (("G", "G"),)))}
         projected = [{pos[c]: v for c, v in vec.items() if c in pos}
                      for vec in self._cocycle_span(0)[0]]
@@ -532,7 +518,7 @@ class AdjointCohomology:
                 if vec.get((b * ng + a) * ng + c, 0) != -v:
                     return False
         sub = self.degree_zero_part()
-        lie = list(coboundary_columns(sub, adjoint_bimodule(sub), 1)[1].values())
+        lie = list(coboundary_columns(sub, adjoint_bimodule(sub), 1).values())
         r_zl, r_lie, r_both = (
             len(_echelon([dict(vec) for vec in vectors]))
             for vectors in (projected, lie, projected + lie)
@@ -553,13 +539,13 @@ def _ce_columns(algebra: AlgebraStructure, module: Bimodule, n: int) -> dict[int
     as integer columns (Loday-Pirashvili): column (i_1 < ... < i_n; k), at
     (position among the increasing n-tuples) * dim M + k, is sum_sigma
     sgn(sigma) times the column at (i_sigma(1), ..., i_sigma(n); k) of the
-    Leibniz d^n of ``symmetric_bimodule(module)``, with its scale and rows.
+    Leibniz d^n of ``symmetric_bimodule(module)``, with its rows.
     For an alternating f each Leibniz term is the CE term: (-1)^p [f(..,
     ^x_p, ..), x_p] = (-1)^{p+1} x_p . f(..), and moving [x_p, x_q] to the
     front costs (-1)^{p-1}, turning (-1)^{q+1} into (-1)^{p+q}. So d_L f =
     d_CE f, the image is alternating and every rank is the CE one."""
     dl, dm = algebra.dim, module.module_dim
-    leibniz = coboundary_columns(algebra, symmetric_bimodule(module), n)[1]
+    leibniz = coboundary_columns(algebra, symmetric_bimodule(module), n)
     out: dict[int, dict[int, int]] = {}
     for pos, args in enumerate(itertools.combinations(range(dl), n)):
         terms = []
@@ -607,5 +593,5 @@ def leibniz_h_with_coefficients(algebra: AlgebraStructure, module: Bimodule) -> 
     """
     _require_lie_module(algebra, module, "not a Leibniz bimodule")
     dl, dm = algebra.dim, module.module_dim
-    columns = (coboundary_columns(algebra, module, n)[1].values() for n in range(3))
+    columns = (coboundary_columns(algebra, module, n).values() for n in range(3))
     return _h1_h2((dl * dm, dl * dl * dm), columns)

@@ -74,10 +74,11 @@ def right_mult_operator(
 
 
 def _classes_01(grading: Grading) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    classes = grading.classes()
-    if not set(classes) <= {0, 1} or 0 not in classes or 1 not in classes:
+    """:meth:`~leibcohom.algebra.Grading.parts`, with both parts nonempty."""
+    g_idx, i_idx = grading.parts()
+    if not (g_idx and i_idx):
         raise ValueError("decomposition needs a grading with degrees exactly {0, 1}")
-    return classes[0], classes[1]
+    return g_idx, i_idx
 
 
 def ideal_projection(algebra: AlgebraStructure, grading: Grading) -> SparseRationalMatrix:

@@ -142,6 +142,18 @@ class TestGrading:
         g = Grading((0, 0, 1, 1, 1))
         assert g.classes() == {0: (0, 1), 1: (2, 3, 4)}
 
+    def test_parts(self):
+        assert Grading((0, 1, 0, 1, 1)).parts() == ((0, 2), (1, 3, 4))
+        # either part may be empty
+        assert Grading((0, 0)).parts() == ((0, 1), ())
+        assert Grading((1,)).parts() == ((), (0,))
+        assert Grading(()).parts() == ((), ())
+
+    @pytest.mark.parametrize("degrees", [(0, 2), (-1, 0, 1), (1, -1, 0)])
+    def test_parts_reject_other_degrees(self, degrees):
+        with pytest.raises(ValueError, match="degrees in"):
+            Grading(degrees).parts()
+
     def test_family_grading_respected(self):
         algebra, grading = simple_leibniz_sl2(3)
         assert grading.degrees == (0, 0, 0, 1, 1, 1, 1)

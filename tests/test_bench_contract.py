@@ -10,11 +10,17 @@ and run one traced command in a subprocess against the untraced report.
 A count metric is only recorded when a traced command calls the function
 it counts, so a change that moves a workload off ``coboundary_matrix``,
 ``rank`` or ``kernel_basis`` leaves its traced result without those
-metrics. The last test feeds bench/run.py's ``layer_values`` the spans of
-a graded and of an ungraded traced pass and checks that each one yields
+metrics. One test feeds bench/run.py's ``layer_values`` the spans of a
+graded and of an ungraded traced pass and checks that each one yields
 every ``per_layer`` name of BENCHMARK.json.
+
+The pin keeps targets in the package that nothing else calls. The last
+test reads the package's syntax trees and lists exactly those targets,
+so that giving one a caller, or taking the last caller from another,
+shows up as a failing test.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -138,3 +144,61 @@ def test_traced_pass_yields_every_per_layer_metric(workload, tmp_path, monkeypat
     values["trace.overhead_s"] = 0.0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted({m["name"] for m in declared} - set(values)) == []
+
+
+# the LAYERS targets that no module of the package calls, measured when
+# this test was written; they stay only because the tracer names them
+UNCALLED_PINS = {
+    "cochain.graded_submatrix",
+    "cohomology.hl_dim",
+    "linalg.SparseRationalMatrix.__matmul__",
+    "linalg.column_space",
+    "linalg.project",
+    "linalg.rank_modular",
+    "linalg.subspace_sum_dim",
+}
+
+
+def package_reads():
+    """What the modules of the package but ``__init__`` read: the names
+    each module reads, by module; the attributes read anywhere; whether
+    ``@`` appears; and the names each module imports from its sibling
+    modules by ``from .module import name``."""
+    names, attrs, matmul, imports = {}, set(), False, {}
+    for path in sorted((ROOT / "src" / "leibcohom").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = path.stem
+        names[module], imports[module] = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names[module].add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                matmul |= isinstance(node.op, ast.MatMult)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports[module] |= {(node.module, alias.name) for alias in node.names}
+    return names, attrs, matmul, imports
+
+
+def test_pinned_names_without_a_package_caller():
+    # the tracer pins these names, so they cannot be deleted before a
+    # benchmark change; a change that gives one a caller, or leaves
+    # another target without one, edits UNCALLED_PINS. A module-level
+    # function is called when its name is read in its own module or in a
+    # module that imports it; a method, when its attribute is read
+    # anywhere; __matmul__, when @ appears.
+    names, attrs, matmul, imports = package_reads()
+
+    def called(target):
+        module, _, attr = target.partition(".")
+        if "." in attr:
+            method = attr.partition(".")[2]
+            return matmul if method == "__matmul__" else method in attrs
+        return any(attr in names[m] for m in names
+                   if m == module or (module, attr) in imports[m])
+
+    targets = [t for targets in load_tracer().LAYERS.values() for t in targets
+               if not t.endswith(".*")]
+    assert {t for t in targets if not called(t)} == UNCALLED_PINS

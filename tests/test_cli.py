@@ -11,7 +11,8 @@ import pytest
 
 import leibcohom.cli as cli
 import leibcohom.cohomology as cohomology
-from leibcohom.catalog import dumps_algebra, save_algebra, simple_leibniz_sl2, sl2
+from leibcohom.algebra import AlgebraStructure, Grading
+from leibcohom.catalog import direct_sum, dumps_algebra, save_algebra, simple_leibniz_sl2, sl2
 from leibcohom.cli import main
 
 
@@ -183,6 +184,35 @@ class TestCohomology:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "{0, 1}" in err
+
+    def test_blocks_skip_an_empty_part(self, capsys, tmp_path):
+        # the m=3 family graded all 0 has an empty I: only G*G in degree 0
+        # holds cochains, and no row is printed for the vacuous blocks
+        algebra, _ = simple_leibniz_sl2(3)
+        path = tmp_path / "flat.alg"
+        save_algebra(algebra, Grading((0,) * algebra.dim), path)
+        code, out = run(capsys, ["cohomology", "--algebra", str(path), "--graded", "--blocks",
+                                 "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["blocks"] == [{
+            "degree": 0, "blocks": ["G*G"], "projection_dim": 45, "supported_dim": 45,
+            "projection_injective": True,
+        }]
+
+    def test_blocks_keep_every_row_of_sl2_plus_line(self, capsys, tmp_path):
+        # sl2 + C graded (0, 0, 0, 1): both parts nonempty, every standard
+        # block has a target, so all nine rows stay
+        path = tmp_path / "line.alg"
+        save_algebra(direct_sum(sl2(), AlgebraStructure(1, ("c",), {})), Grading((0, 0, 0, 1)),
+                     path)
+        code, out = run(capsys, ["cohomology", "--algebra", str(path), "--blocks",
+                                 "--format", "json"])
+        assert code == 0
+        rows = [(r["degree"], tuple(r["blocks"])) for r in json.loads(out)["blocks"]]
+        assert rows == [
+            (degree, tuple("*".join(p) for p in pairs)) for degree, pairs in cli.STANDARD_BLOCKS
+        ]
+        assert len(rows) == 9
 
     def test_csv_format(self, capsys):
         code, out = run(capsys, ["cohomology", "--m", "2", "--format", "csv"])

@@ -5,6 +5,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -258,10 +259,11 @@ class TestCoboundaryMatrices:
     @staticmethod
     def _cross_check_builder(algebra, module, n, seed, count=40, samples=40):
         """The integer builder on a random subset of the columns of d^n,
-        divided by its scale and applied to a random cochain supported
-        there, against the reference evaluator at every argument tuple
-        the image reaches and at random others."""
-        scale, builder = _integer_builder(algebra, module)
+        divided by the inputs' scale and applied to a random cochain
+        supported there, against the reference evaluator at every argument
+        tuple the image reaches and at random others."""
+        scale = input_scale(algebra, module)
+        builder = _integer_builder(algebra, module)
         idx_in = CochainIndex(algebra.dim, module.module_dim, n)
         idx_out = CochainIndex(algebra.dim, module.module_dim, n + 1)
         rng = random.Random(seed)
@@ -308,11 +310,11 @@ class TestCoboundaryMatrices:
         algebra, grading = build()
         module = adjoint_bimodule(algebra)
         coh = AdjointCohomology(algebra, grading)
-        builder = _integer_builder(algebra, module)[1]
+        builder = _integer_builder(algebra, module)
         rng = random.Random(7)
-        assert builder.columns(1) == _integer_builder(algebra, module)[1].columns(1)
+        assert builder.columns(1) == _integer_builder(algebra, module).columns(1)
         for n in (2, 1, 3):
-            whole = _integer_builder(algebra, module)[1].columns(n)
+            whole = _integer_builder(algebra, module).columns(n)
             blocks = list(coh._blocks(n).values())
             rng.shuffle(blocks)
             got = {}
@@ -384,15 +386,24 @@ class TestGradedStructure:
             assert d2.apply(full) == {}
 
 
+def input_scale(algebra, module):
+    """The least common denominator of the structure constants and of
+    both actions."""
+    values = (*algebra.tensor.values(), *module.left_action, *module.right_action)
+    return lcm(*(v.denominator for vec in values for v in vec.values()))
+
+
 def assert_blocks_match_reference(algebra, grading, n, module=None):
     """The integer columns of d^n, all together, are scale times the full
     Fraction matrix, and with a grading the columns of each degree are
     scale times the block that graded_submatrix cuts out of it, mapped
     back to flat indices through graded_columns; every value is an int
-    and no column is empty. The module defaults to the adjoint one, the
+    and no column is empty. The scale is :func:`input_scale`, computed
+    here from the inputs. The module defaults to the adjoint one, the
     only one a grading splits. Returns the scale."""
     module = module or adjoint_bimodule(algebra)
-    scale, columns = coboundary_columns(algebra, module, n)
+    scale = input_scale(algebra, module)
+    columns = coboundary_columns(algebra, module, n)
     d = coboundary_matrix(algebra, module, n)
     assert all(columns.values())
     got = {(r, c): v for c, col in columns.items() for r, v in col.items()}

@@ -156,6 +156,59 @@ MUTANTS = (
         ("tests/test_algebra.py::TestLeibnizIdentity::test_fractional_defects_match_reference",),
     ),
     Mutant(
+        "grading_parts_accept_any_degree",
+        "src/leibcohom/algebra.py",
+        "if not set(classes) <= {0, 1}:",
+        "if False:",
+        ("tests/test_algebra.py::TestGrading::test_parts_reject_other_degrees",),
+    ),
+    Mutant(
+        "block_coords_accept_an_empty_argument_class",
+        "src/leibcohom/cohomology.py",
+        "if not (targets and by_tag[ta] and by_tag[tb]):",
+        "if not targets:",
+        (
+            "tests/test_cohomology.py::TestBlockAnalyses::test_empty_argument_class_rejected",
+            "tests/test_cli.py::TestCohomology::test_blocks_skip_an_empty_part",
+        ),
+    ),
+    Mutant(
+        "engine_skips_check_grading",
+        "src/leibcohom/cohomology.py",
+        "if not check_grading(algebra, grading):\n"
+        '            raise ValueError("the grading does not respect the multiplication")',
+        "if False:\n"
+        '            raise ValueError("the grading does not respect the multiplication")',
+        ("tests/test_cohomology.py::TestGradedReport::test_invalid_grading_rejected",),
+    ),
+    Mutant(
+        "kernel_vector_sign_dropped",
+        "src/leibcohom/linalg.py",
+        "vectors[last - c][last - p] = -v",
+        "vectors[last - c][last - p] = v",
+        (
+            "tests/test_linalg.py::TestRankAndKernel::test_kernel_annihilates",
+            "tests/test_linalg.py::TestAgainstReference::test_kernel_basis",
+        ),
+    ),
+    Mutant(
+        "solve_keeps_the_sentinel_pivot",
+        "src/leibcohom/linalg.py",
+        "    pivots.pop(sentinel, None)\n",
+        "",
+        (
+            "tests/test_linalg.py::TestSolve::test_inconsistent_system",
+            "tests/test_linalg.py::TestAgainstReference::test_solve",
+        ),
+    ),
+    Mutant(
+        "eliminate_skips_the_content_strip",
+        "src/leibcohom/linalg.py",
+        "            _strip_content(row)\n            if row[lead] < 0:",
+        "            if row[lead] < 0:",
+        ("tests/test_linalg.py::TestDeferredStrip::test_random_matrices",),
+    ),
+    Mutant(
         "value_fields_assignable",
         "src/leibcohom/linalg.py",
         'raise AttributeError(f"cannot assign to field {name!r}")',
