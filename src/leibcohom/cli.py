@@ -18,10 +18,6 @@ Exit codes: 0 on success, 1 when a mathematical check fails, 2 for
 usage or input-file errors. JSON and CSV output is deterministic:
 identical inputs produce identical bytes. Timing information is only
 ever shown in the pretty format.
-
-The environment variable LEIBCOHOM_WORKERS sets the number of worker
-processes used by ``verify-paper`` (default 1); results are reported in
-parameter order regardless.
 """
 
 from __future__ import annotations
@@ -68,8 +64,6 @@ from .derivations import (
     derivation_space,
 )
 from .linalg import Subspace, kernel_basis, subspace_equal
-
-WORKERS_ENV = "LEIBCOHOM_WORKERS"
 
 STANDARD_BLOCKS: tuple[tuple[int, tuple[tuple[str, str], ...]], ...] = (
     (1, (("G", "G"),)),
@@ -490,26 +484,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         return _fail(f"cannot write {args.out}: no such directory")
     ms = list(range(first, last + 1))
-    workers = 1
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            [workers] = _ints([env], f"{WORKERS_ENV} must be an integer, got {env!r}")
-        except ValueError as exc:
-            return _fail(str(exc))
-        workers = max(1, workers)
-
-    if workers > 1 and len(ms) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the pool takes the largest m first, so the slowest task never
-        # starts last, and the outcomes are put back in m order; with two
-        # workers on a 2-core host this took verify-paper 2..12 from 0.49 s
-        # to 0.44 s (medians of 10 alternating runs, BENCH_6.json)
-        with ProcessPoolExecutor(max_workers=min(workers, len(ms))) as pool:
-            outcomes = list(pool.map(_verify_one, ms[::-1], [args.deep] * len(ms)))[::-1]
-    else:
-        outcomes = [_verify_one(m, args.deep) for m in ms]
+    outcomes = [_verify_one(m, args.deep) for m in ms]
 
     results = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}

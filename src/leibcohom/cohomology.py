@@ -24,8 +24,7 @@ vectors spanning them: the d^1 columns when d^2 d^1 = 0 and
 rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i then fills
 ker d^2_i; only a degree where that chain does not close (HL^2 nonzero
 there, or a broken complex) rebuilds its d^2 blocks and reduces each to
-a kernel. The cocycle basis, the block analyses and the G*G check all
-read that span.
+a kernel. The block analyses and the G*G check both read that span.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part, as :meth:`~leibcohom.algebra.Grading.parts`
@@ -69,7 +68,6 @@ from .cochain import (
     cochain_degrees,
 )
 from .linalg import (
-    Subspace,
     _Value,
     _axpy,
     _echelon,
@@ -214,9 +212,8 @@ class AdjointCohomology:
     computed once, and only the blocks of d^0 and d^1 are kept. The
     2-cocycles of a degree are read in one place, :meth:`_cocycle_span`:
     off the columns of d^1 where the rank chain closes, and off kernels
-    of rebuilt d^2 blocks elsewhere. The cocycle basis
-    (:meth:`zl_graded_basis`), the block analyses and the G*G check all
-    use that span.
+    of rebuilt d^2 blocks elsewhere. The block analyses and the G*G
+    check both use that span.
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -233,7 +230,6 @@ class AdjointCohomology:
         self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
         self._squares: dict[int, bool] = {}
         self._streamed: set[int] = set()
-        self._kernel: dict[int, Subspace] = {}
         self._spans: dict[int, tuple[list[dict[int, int]], int]] = {}
 
     # blocks and totals
@@ -350,15 +346,6 @@ class AdjointCohomology:
 
     def graded_bl_dim(self, n: int, degree: int) -> int:
         return self._rank(n - 1, degree)
-
-    def zl_graded_basis(self, degree: int) -> Subspace:
-        """Kernel of the degree block of d^2, in flat coordinates of
-        Hom(L^2, L): the canonical basis of the span that
-        :meth:`_cocycle_span` reads."""
-        if degree not in self._kernel:
-            span = self._cocycle_span(degree)[0]
-            self._kernel[degree] = Subspace.from_spanning(span, self.algebra.dim**3)
-        return self._kernel[degree]
 
     def _closes(self, degree: int) -> bool:
         """Whether the d^1 columns of a degree span its 2-cocycles:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from leibcohom.algebra import AlgebraStructure
+from leibcohom.linalg import Subspace
 
 
 def inverse_and_det(p):
@@ -78,3 +79,16 @@ def conjugate_algebra(algebra, seed, grading=None):
 def conjugate():
     """``conjugate_algebra``, for the tests that draw basis changes."""
     return conjugate_algebra
+
+
+def zl_graded_basis(coh, degree):
+    """The 2-cocycles of one degree of an ``AdjointCohomology``, as the
+    canonical basis of the span its engine reads, in flat coordinates of
+    Hom(L^2, L)."""
+    return Subspace.from_spanning(coh._cocycle_span(degree)[0], coh.algebra.dim ** 3)
+
+
+@pytest.fixture
+def zl_basis():
+    """``zl_graded_basis``, for the tests that compare cocycle bases."""
+    return zl_graded_basis

@@ -95,6 +95,26 @@ def test_traced_report_equals_untraced(tmp_path):
     assert sorted({stage for _, stage, *_ in CLAIMS} - layers) == []
 
 
+def test_traced_multi_m_run_sees_every_claim(tmp_path):
+    # verify-paper checks every m in its own process, whatever the
+    # environment says, so the tracer records one _verify_one span per m
+    argv = ["verify-paper", "--m-range", "2..4", "--format", "json"]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    spans = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), "--spans", str(spans), "--", *argv],
+        capture_output=True, text=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "LEIBCOHOM_WORKERS": "2"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == buf.getvalue()
+    records = [json.loads(line) for line in spans.read_text().splitlines()]
+    ms = [span["m"] for span in records if span["fn"] == "cli._verify_one"]
+    assert sorted(ms) == [2, 3, 4]
+
+
 def load_bench_run(monkeypatch):
     # run.py imports its sibling modules by bare name, as when it is run
     # as a script

@@ -364,31 +364,6 @@ class TestVerifyPaper:
         assert out == ""
         assert err.startswith("error: ")
 
-    def test_workers_do_not_change_output(self, capsys, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        run(capsys, [
-            "verify-paper", "--m-range", "2..4", "--format", "json",
-            "--out", str(serial),
-        ])
-        monkeypatch.setenv("LEIBCOHOM_WORKERS", "3")
-        run(capsys, [
-            "verify-paper", "--m-range", "2..4", "--format", "json",
-            "--out", str(parallel),
-        ])
-        assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_bad_workers_value_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("LEIBCOHOM_WORKERS", "many")
-        assert run(capsys, ["verify-paper", "--m-range", "2..2"])[0] == 2
-
-    @pytest.mark.parametrize("value", ["1_0", "+2", "٢"])
-    def test_non_integer_workers_value_exits_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("LEIBCOHOM_WORKERS", value)
-        code, out, err = run_err(capsys, ["verify-paper", "--m-range", "2..3"])
-        assert (code, out) == (2, "")
-        assert f"LEIBCOHOM_WORKERS must be an integer, got {value!r}" in err
-
     def test_csv_format(self, capsys):
         code, out = run(
             capsys, ["verify-paper", "--m-range", "2..2", "--format", "csv"]
@@ -404,7 +379,6 @@ class TestClaimTable:
     expected and computed values, and its stage in the pretty output."""
 
     def test_failing_claim_names_its_stage(self, capsys, monkeypatch):
-        monkeypatch.delenv("LEIBCOHOM_WORKERS", raising=False)
         row = next(r for r in cli.CLAIMS if r[0] == "hl2_zero")
         cid, stage, anchor, _, computed = row
         patched = (cid, stage, anchor, lambda member: 1, computed)

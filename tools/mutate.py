@@ -202,6 +202,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "solve_residual_sign_flipped",
+        "src/leibcohom/linalg.py",
+        "_axpy(residual, b, Fraction(-1))",
+        "_axpy(residual, b, Fraction(1))",
+        (
+            "tests/test_linalg.py::TestSolve::test_consistent_system",
+            "tests/test_derivations.py::TestDecomposition::test_ideal_projection_decomposes",
+        ),
+    ),
+    Mutant(
+        "count_order_positions_are_counts",
+        "src/leibcohom/linalg.py",
+        "pos = {c: i for i, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}",
+        "pos = count",
+        (
+            "tests/test_linalg.py::TestAgainstReference::test_rank",
+            "tests/test_linalg.py::TestRankAndKernel::test_rank_on_shared_counts",
+        ),
+    ),
+    Mutant(
         "eliminate_skips_the_content_strip",
         "src/leibcohom/linalg.py",
         "            _strip_content(row)\n            if row[lead] < 0:",
