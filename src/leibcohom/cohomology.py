@@ -15,7 +15,9 @@ one arity are classified in one pass. The blocks of d^n are built one
 at a time by the column builder of :mod:`leibcohom.cochain`; each is
 checked against d^{n-1}, eliminated once in place and dropped, so only
 the block ranks and the blocks of d^0 and d^1 stay. The totals and the
-per-degree numbers are sums of block ranks.
+per-degree numbers are sums of block ranks. A checked automorphism that
+negates the weights pairs the blocks of d^2 and d^3 into orbits of equal
+rank, and one block per orbit is built.
 Columns, cocycle bases and G/I coordinates all use the flat cochain
 index, so a row of d^n is also a column of d^{n+1}: d^{n+1} d^n = 0 is
 checked by applying each block of d^{n+1} to the columns of d^n with the
@@ -183,6 +185,67 @@ def _weights(algebra: AlgebraStructure, grading: Grading) -> list[tuple[int, ...
     return out
 
 
+def _weight_flip(algebra: AlgebraStructure,
+                 gradings: Sequence[tuple[int, ...]]) -> list[tuple[int, Fraction]] | None:
+    """A monomial automorphism phi(b_i) = c_i b_{p(i)} that keeps the first
+    grading and negates the others, as the pairs (p(i), c_i); None when
+    there is no other grading, when some b_i has no partner or more than
+    one, or when phi fails a product.
+
+    p(i) is the one basis element whose degrees are those of b_i with every
+    weight negated. phi is multiplicative exactly when c_t c_{ij}^t =
+    c_i c_j c_{p(i) p(j)}^{p(t)} for all i, j, t, so each nonzero pair of
+    constants gives one unknown scalar from the other two; when nothing
+    follows, the unknown scalar of the least key is set to 1, so neither
+    step depends on the order of the basis. The scalars are only a guess
+    until phi([b_i, b_j]) = [phi b_i, phi b_j] is checked exactly for every
+    pair (i, j)."""
+    if len(gradings) < 2:
+        return None
+    keys = list(zip(*gradings))
+    by_key: dict[tuple[int, ...], list[int]] = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    p = []
+    for key in keys:
+        twins = by_key.get((key[0], *(-w for w in key[1:])), ())
+        if len(twins) != 1:
+            return None
+        p.append(twins[0])
+    tensor = algebra.tensor
+    # c_t = c_i c_j r over the products whose partner constant is nonzero
+    rules = [(i, j, t, image[p[t]] / v)
+             for (i, j), vec in tensor.items()
+             if (image := tensor.get((p[i], p[j])))
+             for t, v in vec.items() if p[t] in image]
+    c: list[Fraction | None] = [None] * algebra.dim
+    for first in sorted(range(algebra.dim), key=keys.__getitem__):
+        if c[first] is not None:
+            continue
+        c[first] = Fraction(1)
+        found = True
+        while found:
+            found = False
+            for i, j, t, r in rules:
+                if c[t] is None and c[i] is not None and c[j] is not None:
+                    c[t] = c[i] * c[j] * r
+                elif i != j and c[t] is not None and (c[i] is None) != (c[j] is None):
+                    if c[i] is None:
+                        c[i] = c[t] / (c[j] * r)
+                    else:
+                        c[j] = c[t] / (c[i] * r)
+                else:
+                    continue
+                found = True
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            lhs = {p[t]: c[t] * v for t, v in tensor.get((i, j), {}).items()}
+            rhs = {s: c[i] * c[j] * v for s, v in tensor.get((p[i], p[j]), {}).items()}
+            if lhs != rhs:
+                return None
+    return list(zip(p, c))
+
+
 def _annihilates(upper: dict[int, dict[int, int]], cells: set[int],
                  columns: Iterable[dict[int, int]]) -> bool:
     """Whether the block ``upper`` of d^{n+1}, the nonzero columns among
@@ -214,6 +277,22 @@ class AdjointCohomology:
     off the columns of d^1 where the rank chain closes, and off kernels
     of rebuilt d^2 blocks elsewhere. The block analyses and the G*G
     check both use that span.
+
+    d^2 and d^3 are streamed by orbits of a weight flip. Let phi(b_i) =
+    c_i b_{p(i)} keep the degree and negate every weight, with c_t c_{ij}^t
+    = c_i c_j c_{p(i) p(j)}^{p(t)} checked on every product
+    (:func:`_weight_flip`). Then phi* f = phi o f o (phi^{-1})^n sends the
+    basis cochain (i_1, ..., i_n; k) to c_k / (c_{i_1} ... c_{i_n}) times
+    (p(i_1), ..., p(i_n); p(k)), the cochains of key (deg, w) onto those of
+    key (deg, -w). d^n is built from the structure constants alone, which
+    phi preserves, so phi* d^n = d^n phi*, and block (deg, -w) of d^n is
+    D P (block (deg, w)) P' D' with permutations P, P' and invertible
+    diagonals D, D'. The two blocks have the same rank, and d^n d^{n-1} is
+    zero on one exactly when it is zero on the other. So only the larger
+    key of each orbit {(deg, w), (deg, -w)} is built, checked and ranked,
+    and a key with w = 0 is its own orbit. d^0 and d^1 stay whole: the
+    cocycle span and the block lemmas read them, and :meth:`_commutes`
+    checks that the kept d^1 commutes with phi* before any block is skipped.
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -230,6 +309,7 @@ class AdjointCohomology:
         self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
         self._squares: dict[int, bool] = {}
         self._streamed: set[int] = set()
+        self._flip: bool | None = None
         self._spans: dict[int, tuple[list[dict[int, int]], int]] = {}
 
     # blocks and totals
@@ -269,16 +349,28 @@ class AdjointCohomology:
         a time: build it, check d^n d^{n-1} = 0 on the d^{n-1} columns of
         the same key, and for n <= 2 rank it by eliminating its columns in
         place. The d^0 and d^1 blocks are kept (copies are eliminated);
-        the d^{n-1} columns of d^3 after d^2 are rebuilt."""
+        the d^{n-1} columns of d^3 after d^2 are rebuilt. For n >= 2, when
+        :func:`_weight_flip` finds an automorphism and the kept d^1
+        commutes with it, only the larger key of each orbit {(deg, w),
+        (deg, -w)} is built, checked and ranked, and its twin gets the
+        same rank."""
         if n in self._streamed:
             return
         if 0 < n <= 2:
             self._stream(n - 1)
+        if n >= 2 and self._flip is None:
+            self._stream(1)
+            phi = _weight_flip(self.algebra, self._gradings)
+            self._flip = phi is not None and self._commutes(phi)
+        flip = n >= 2 and self._flip
         upper = self._blocks(n)
         lower = self._blocks(n - 1) if n else {}
         ok = True
         keys = sorted(upper.keys() | lower.keys())
         for key in keys:
+            twin = (key[0], *(-w for w in key[1:])) if flip else key
+            if twin > key:
+                continue
             cols = upper.get(key, ())
             block = self._builder.columns(n, cols)
             if n:
@@ -291,10 +383,41 @@ class AdjointCohomology:
                 self._kept[(n, key)] = block
                 self._ranks[(n, key)] = len(_echelon([dict(col) for col in block.values()]))
             elif n == 2:
-                self._ranks[(n, key)] = len(_echelon(list(block.values())))
+                r = len(_echelon(list(block.values())))
+                self._ranks[(n, key)] = self._ranks[(n, twin)] = r
         if n:
             self._squares[n - 1] = ok
         self._streamed.add(n)
+
+    def _commutes(self, phi: list[tuple[int, Fraction]]) -> bool:
+        """Whether the kept d^1 commutes with phi*, which sends the basis
+        cochain (i; k) to c_k / c_i times (p(i); p(k)), and (a, b; t) to
+        c_t / (c_a c_b) times (p(a), p(b); p(t)): the column of (p(i); p(k))
+        must hold c_t c_i / (c_a c_b c_k) times the entry of (i; k) at
+        (a, b; t), at (p(a), p(b); p(t)). A builder fault in a d^1 block
+        that breaks the symmetry thus turns the reduction off, and the
+        d^2 d^1 check of its own key sees it."""
+        dl = self.algebra.dim
+        p = [t for t, _ in phi]
+        # with c = num / den, in integers, which multiply faster than Fractions
+        num = [c.numerator for _, c in phi]
+        den = [c.denominator for _, c in phi]
+        columns = {col: vec for (n, _), block in self._kept.items() if n == 1
+                   for col, vec in block.items()}
+        for col, vec in columns.items():
+            i, k = divmod(col, dl)
+            twin = columns.get(p[i] * dl + p[k], {})
+            if len(twin) != len(vec):
+                return False
+            left, right = num[k] * den[i], num[i] * den[k]
+            for r, v in vec.items():
+                ab, t = divmod(r, dl)
+                a, b = divmod(ab, dl)
+                w = twin.get((p[a] * dl + p[b]) * dl + p[t])
+                if w is None or (w * num[a] * num[b] * den[t] * left
+                                 != v * num[t] * den[a] * den[b] * right):
+                    return False
+        return True
 
     def _rank(self, n: int, degree: int) -> int:
         """Rank of the degree block of d^n, n in 0..2: the sum of the ranks

@@ -96,8 +96,9 @@ def test_traced_report_equals_untraced(tmp_path):
 
 
 def test_traced_multi_m_run_sees_every_claim(tmp_path):
-    # verify-paper checks every m in its own process, whatever the
-    # environment says, so the tracer records one _verify_one span per m
+    # verify-paper checks every m in the one process the tracer wraps, so
+    # the tracer records one _verify_one span per m; LEIBCOHOM_WORKERS is
+    # set only to show that it is ignored
     argv = ["verify-paper", "--m-range", "2..4", "--format", "json"]
     buf = io.StringIO()
     with redirect_stdout(buf):

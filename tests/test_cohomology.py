@@ -3,6 +3,7 @@ comparison theorems."""
 
 import bisect
 import itertools
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -548,15 +549,56 @@ class TestEngineTotals:
         assert (coh.zl_dim(2), coh.hl_dim(2)) == (45, 0)
         coh.report(2)
         assert reduced == []
-        # every block rank is one elimination of the block's nonzero columns
+        # every block of d^0 and d^1, and the larger key of each weight-flip
+        # orbit of d^2, is ranked by one elimination of its nonzero columns
+        assert coh._flip
+        ranked = [(n, key) for n, key in coh._ranks if n < 2 or key >= flip_key(key)]
+        assert len(ranked) < len(coh._ranks)
         assert sorted(eliminated) == sorted(
-            len(coh._builder.columns(n, coh._blocks(n)[key])) for n, key in coh._ranks
+            len(coh._builder.columns(n, coh._blocks(n)[key])) for n, key in ranked
         )
         # reading a cocycle basis reduces the span of the d^1 columns, once;
         # the span itself is cached
         zl_basis(coh, 0)
         assert reduced == [coh.graded_bl_dim(2, 0)]
         assert coh._cocycle_span(0) is coh._cocycle_span(0)
+
+
+def flip_key(key):
+    """The twin of a block key under the weight flip: the degree kept,
+    every weight negated."""
+    return (key[0], *(-w for w in key[1:]))
+
+
+def flip_cochain(flat, n, phi, dl):
+    """phi* on the basis n-cochain at a flat index, as (image index,
+    factor): (i_1, ..., i_n; k) goes to c_k / (c_{i_1} ... c_{i_n}) times
+    (p(i_1), ..., p(i_n); p(k)), where phi(b_i) = c_i b_{p(i)}."""
+    digits = []
+    for _ in range(n + 1):
+        flat, d = divmod(flat, dl)
+        digits.append(d)
+    k, *args = digits
+    image = 0
+    for d in reversed(digits):
+        image = image * dl + phi[d][0]
+    factor = F(phi[k][1])
+    for a in args:
+        factor /= phi[a][1]
+    return image, factor
+
+
+def flip_columns(columns, n, phi, dl):
+    """The columns of d^n conjugated by phi*: the column at phi*(x) is
+    phi* of the column at x, divided by the factor of phi*(x)."""
+    out = {}
+    for col, vec in columns.items():
+        image, scale = flip_cochain(col, n, phi, dl)
+        out[image] = {}
+        for r, v in vec.items():
+            row, factor = flip_cochain(r, n + 1, phi, dl)
+            out[image][row] = v * factor / scale
+    return out
 
 
 def sl2_plus_line():
@@ -589,8 +631,27 @@ class TestStreamedBlocks:
     ])
 
     @cases
-    def test_union_of_blocks_is_d2(self, build):
+    def test_union_of_blocks_is_d2(self, build, monkeypatch):
         algebra, grading = build()
+        d2 = coboundary_columns(algebra, adjoint_bimodule(algebra), 2)
+        # one block per weight-flip orbit is built; phi* of it is its twin
+        coh = AdjointCohomology(algebra, grading)
+        phi = cohomology._weight_flip(algebra, coh._gradings)
+        blocks = recorded_blocks(coh, 2)
+        keys = coh._blocks(2)
+        assert phi and len(blocks) == sum(key >= flip_key(key) for key in keys) < len(keys)
+        union = {}
+        for block in blocks:
+            image = flip_columns(block, 2, phi, algebra.dim)
+            if image.keys() == block.keys():  # a key with w = 0 is its own twin
+                assert image == block
+                image = {}
+            for part in (block, image):
+                assert not union.keys() & part.keys()
+                union.update(part)
+        assert union == d2
+        # without the flip every block is built
+        monkeypatch.setattr(cohomology, "_weight_flip", lambda *args: None)
         coh = AdjointCohomology(algebra, grading)
         blocks = recorded_blocks(coh, 2)
         assert len(blocks) == len(coh._blocks(2)) > len(coh.degrees(2))
@@ -598,7 +659,7 @@ class TestStreamedBlocks:
         for block in blocks:
             assert not union.keys() & block.keys()
             union.update(block)
-        assert union == coboundary_columns(algebra, adjoint_bimodule(algebra), 2)
+        assert union == d2
 
     @cases
     def test_blocks_partition_the_cochains(self, build):
@@ -643,6 +704,155 @@ class TestWeightRefinement:
             assert coh.squares_to_zero(n) == TestBlockwiseComplex.full_product_is_zero(algebra, n)
         for degree in coh.degrees(2):
             assert zl_basis(coh, degree) == reference_zl_basis(algebra, grading, degree)
+
+
+def sl2_without_fe():
+    """sl2 with the product [f, e] = -h removed: the weights of h still
+    pair e with f and h with itself, but no scalars make the pairing an
+    automorphism, since [f, e] = 0 while [e, f] = h."""
+    tensor = {key: vec for key, vec in sl2().tensor.items() if key != (1, 0)}
+    return AlgebraStructure(3, ("e", "f", "h"), tensor)
+
+
+def permuted(algebra, grading, seed):
+    """The algebra and its grading with the basis in a seeded order."""
+    order = list(range(algebra.dim))
+    random.Random(seed).shuffle(order)
+    tensor = {(order[i], order[j]): {order[t]: v for t, v in vec.items()}
+              for (i, j), vec in algebra.tensor.items()}
+    labels, degrees = [None] * algebra.dim, [None] * algebra.dim
+    for i, o in enumerate(order):
+        labels[o], degrees[o] = algebra.basis_labels[i], grading.degrees[i]
+    return AlgebraStructure(algebra.dim, tuple(labels), tensor), Grading(tuple(degrees))
+
+
+def assert_automorphism(algebra, phi):
+    """phi(b_i) = c_i b_{p(i)} is a bijection with nonzero scalars, and
+    phi([b_i, b_j]) = [phi b_i, phi b_j] for every pair, with the bracket
+    of the algebra itself."""
+    assert sorted(t for t, _ in phi) == list(range(algebra.dim))
+    assert all(c for _, c in phi)
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            lhs = {phi[t][0]: phi[t][1] * v for t, v in algebra.product(i, j).items()}
+            (pi, ci), (pj, cj) = phi[i], phi[j]
+            rhs = algebra.bracket_vector_basis({pi: ci * cj}, pj)
+            assert lhs == rhs, (i, j)
+
+
+class TestWeightFlip:
+    """_weight_flip finds the monomial automorphism that negates the
+    h-weights, checked on every product, or returns None."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 20])
+    def test_family_flip(self, m):
+        algebra, grading = simple_leibniz_sl2(m)
+        coh = AdjointCohomology(algebra, grading)
+        phi = cohomology._weight_flip(algebra, coh._gradings)
+        # e -> c f, f -> c' e, h -> c'' h, x_k -> c_k x_{m-k}
+        assert [t for t, _ in phi] == [1, 0, 2, *range(algebra.dim - 1, 2, -1)]
+        assert_automorphism(algebra, phi)
+        coh.zl_dim(2)
+        assert coh._flip
+
+    def test_pairing_without_automorphism(self):
+        algebra = sl2_without_fe()
+        coh = AdjointCohomology(algebra, Grading((0, 0, 0)))
+        assert coh._gradings == ((0, 0, 0), (2, -2, 0))
+        assert cohomology._weight_flip(algebra, coh._gradings) is None
+        assert coh.zl_dim(2) == zl_dim(algebra, adjoint_bimodule(algebra), 2)
+        assert coh._flip is False
+
+    def test_negated_weight_missing(self):
+        # the Borel subalgebra [e, h] = 2e: e has weight 2, nothing has -2
+        borel = AlgebraStructure(2, ("e", "h"), {(0, 1): {0: F(2)}, (1, 0): {0: F(-2)}})
+        coh = AdjointCohomology(borel, Grading((0, 0)))
+        assert coh._gradings == ((0, 0), (2, 0))
+        assert cohomology._weight_flip(borel, coh._gradings) is None
+
+    def test_partner_not_unique(self):
+        # sl2 + C all in degree 0: h and c both have weight 0
+        algebra, _ = sl2_plus_line()
+        coh = AdjointCohomology(algebra, Grading((0, 0, 0, 0)))
+        assert coh._gradings == ((0, 0, 0, 0), (2, -2, 0, 0))
+        assert cohomology._weight_flip(algebra, coh._gradings) is None
+
+    def test_graded_conjugate_has_no_flip(self, conjugate):
+        algebra, grading = simple_leibniz_sl2(3)
+        twisted = conjugate(algebra, 1, grading)
+        coh = AdjointCohomology(twisted, grading)
+        assert coh._gradings == (grading.degrees,)
+        assert cohomology._weight_flip(twisted, coh._gradings) is None
+        coh.report(2)
+        assert coh._flip is False
+
+    def test_d1_off_the_flip_turns_it_off(self):
+        # one d^1 entry doubled in a block of negative weight, which the
+        # flip would skip, at a row where d^2 is nonzero: the kept d^1 no
+        # longer commutes with phi*, so every d^2 block is checked
+        algebra, grading = simple_leibniz_sl2(2)
+        coh = AdjointCohomology(algebra, grading)
+        d1 = coboundary_columns(algebra, coh.module, 1)
+        d2 = coboundary_columns(algebra, coh.module, 2)
+        key = next(k for k in coh._blocks(1) if k < flip_key(k)
+                   and any(r in d2 for c in coh._blocks(1)[k] for r in d1.get(c, {})))
+        col = next(c for c in coh._blocks(1)[key] if any(r in d2 for r in d1.get(c, {})))
+        row = next(r for r in d1[col] if r in d2)
+        real = coh._builder.columns
+
+        def changed(n, cols=None):
+            out = real(n, cols)
+            if n == 1 and col in out:
+                out[col][row] *= 2
+            return out
+
+        coh._builder.columns = changed
+        assert not coh.squares_to_zero(1)
+        assert coh._flip is False
+
+
+class TestFlipEquivalence:
+    """With the flip, the engine gives every number it gives without it:
+    each block rank, the complex checks, the reports and the block
+    analyses of the CLI."""
+
+    @staticmethod
+    def results(algebra, grading, deep):
+        coh = AdjointCohomology(algebra, grading)
+        analyses = []
+        for degree, pairs in STANDARD_BLOCKS:
+            try:
+                analyses.append(coh.block_analysis(degree, pairs))
+            except ValueError as exc:
+                analyses.append(str(exc))
+        out = [coh.report(1), coh.report(2), coh.squares_to_zero(1), analyses]
+        if deep:
+            out.append(coh.squares_to_zero(2))
+        return coh, out
+
+    def assert_equivalent(self, algebra, grading, deep, monkeypatch):
+        reduced, got = self.results(algebra, grading, deep)
+        assert reduced._flip
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "_weight_flip", lambda *args: None)
+            plain, want = self.results(algebra, grading, deep)
+        assert plain._flip is False
+        assert reduced._ranks == plain._ranks
+        assert got == want
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_family(self, m, monkeypatch):
+        self.assert_equivalent(*simple_leibniz_sl2(m), m <= 4, monkeypatch)
+
+    @pytest.mark.parametrize("m,seed", [(3, 1), (6, 2)])
+    def test_permuted_basis(self, m, seed, monkeypatch):
+        algebra, grading = permuted(*simple_leibniz_sl2(m), seed)
+        assert algebra.basis_labels[:3] != ("e", "f", "h")
+        self.assert_equivalent(algebra, grading, m <= 4, monkeypatch)
+
+    def test_sl2_plus_line(self, monkeypatch):
+        # HL^2 = 1: the degree that does not close rebuilds its d^2 blocks
+        self.assert_equivalent(*sl2_plus_line(), True, monkeypatch)
 
 
 def reference_zl_basis(algebra, grading, degree):

@@ -122,6 +122,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "weight_flip_without_the_product_check",
+        "src/leibcohom/cohomology.py",
+        "if lhs != rhs:",
+        "if False:",
+        ("tests/test_cohomology.py::TestWeightFlip::test_pairing_without_automorphism",),
+    ),
+    Mutant(
+        "flip_rank_recorded_outside_the_orbit",
+        "src/leibcohom/cohomology.py",
+        "self._ranks[(n, twin)]",
+        "self._ranks[(n, (-twin[0], *twin[1:]))]",
+        ("tests/test_cohomology.py::TestFlipEquivalence::test_family",),
+    ),
+    Mutant(
+        "flip_skips_the_d1_commutation_check",
+        "src/leibcohom/cohomology.py",
+        "if w is None or (w * num[a] * num[b] * den[t] * left\n"
+        "                                 != v * num[t] * den[a] * den[b] * right):",
+        "if w is None:",
+        (
+            "tests/test_cohomology.py::TestWeightFlip::test_d1_off_the_flip_turns_it_off",
+            "tests/test_cohomology.py::TestCocycleBasisRead"
+            "::test_changed_d1_entry_forces_the_fallback",
+        ),
+    ),
+    Mutant(
         "row_bases_shared_across_arities",
         "src/leibcohom/cochain.py",
         "self._bases.setdefault(n, {})",
