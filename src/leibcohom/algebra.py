@@ -9,11 +9,12 @@ bilinear identity in question.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .linalg import Subspace, _Value, _as_rational, _axpy, _compose, _sparse
+from .linalg import Subspace, _Value, _as_rational, _axpy, _sparse
 
 _EMPTY: dict[int, Fraction] = {}
 
@@ -178,14 +179,27 @@ def _integral(vec: Mapping, scale: int) -> dict:
     return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}
 
 
-def leibniz_defects(algebra: AlgebraStructure) -> list[IdentityViolation]:
-    """All basis triples where [x,[y,z]] - [[x,y],z] + [[x,z],y] != 0.
+def _semidirect_tensor(algebra: AlgebraStructure, module: Bimodule) -> dict:
+    """The tensor of L ⋉ M: the products of L, ``[b_x, m] = L_x m`` and
+    ``[m, b_x] = R_x m``, and M·M = 0, with the module basis numbered
+    after the algebra's."""
+    n = algebra.dim
+    tensor = dict(algebra.tensor)
+    for x in range(n):
+        for (out, inp), v in module.left_action[x].items():
+            tensor.setdefault((x, n + inp), {})[n + out] = v
+        for (out, inp), v in module.right_action[x].items():
+            tensor.setdefault((n + inp, x), {})[n + out] = v
+    return tensor
 
-    An empty list certifies the (right) Leibniz identity, since the
-    identity is trilinear and the basis triples span everything. The
-    tensor is scaled once to integers by the lcm s of its denominators;
-    every term is a product of two structure constants, so the integer
-    defect is s^2 times the rational one, which is reported.
+
+def _defects(algebra: AlgebraStructure, groups) -> list[IdentityViolation]:
+    """The triples (i, j, k), for each k in ks of every group (i, j, ks),
+    where [x,[y,z]] - [[x,y],z] + [[x,z],y] != 0.
+
+    The tensor is scaled once to integers by the lcm s of its
+    denominators; every term is a product of two structure constants, so
+    the integer defect is s^2 times the rational one, which is reported.
     """
     n = algebra.dim
     scale = lcm(*(v.denominator for vec in algebra.tensor.values() for v in vec.values()))
@@ -196,28 +210,38 @@ def leibniz_defects(algebra: AlgebraStructure) -> list[IdentityViolation]:
     for (i, t), vec in algebra.tensor.items():
         lefts[i][t] = rights[t][i] = _integral(vec, scale)
     violations = []
-    for i in range(n):
-        for j in range(n):
-            p_ij = lefts[i].get(j)
-            for k in range(n):
-                p_jk = lefts[j].get(k)
-                p_ik = lefts[i].get(k)
-                if not (p_jk or p_ij or p_ik):
-                    continue
-                defect: dict[int, int] = {}
-                for vec, products, sign in (
-                    (p_jk, lefts[i], 1), (p_ij, rights[k], -1), (p_ik, rights[j], 1)
-                ):
-                    if vec:
-                        for t, c in vec.items():
-                            prod = products.get(t)
-                            if prod:
-                                _axpy(defect, prod, sign * c)
-                if defect:
-                    violations.append(IdentityViolation(
-                        (i, j, k), {t: Fraction(v, square) for t, v in defect.items()}
-                    ))
+    for i, j, ks in groups:
+        p_ij = lefts[i].get(j)
+        for k in ks:
+            p_jk = lefts[j].get(k)
+            p_ik = lefts[i].get(k)
+            if not (p_jk or p_ij or p_ik):
+                continue
+            defect: dict[int, int] = {}
+            for vec, products, sign in (
+                (p_jk, lefts[i], 1), (p_ij, rights[k], -1), (p_ik, rights[j], 1)
+            ):
+                if vec:
+                    for t, c in vec.items():
+                        prod = products.get(t)
+                        if prod:
+                            _axpy(defect, prod, sign * c)
+            if defect:
+                violations.append(IdentityViolation(
+                    (i, j, k), {t: Fraction(v, square) for t, v in defect.items()}
+                ))
     return violations
+
+
+def leibniz_defects(algebra: AlgebraStructure) -> list[IdentityViolation]:
+    """All basis triples where [x,[y,z]] - [[x,y],z] + [[x,z],y] != 0.
+
+    An empty list certifies the (right) Leibniz identity, since the
+    identity is trilinear and the basis triples span everything. The
+    defects are exact rationals; see :func:`_defects`.
+    """
+    xs = range(algebra.dim)
+    return _defects(algebra, itertools.product(xs, xs, [xs]))
 
 
 def squares_ideal(algebra: AlgebraStructure) -> Subspace:
@@ -272,45 +296,25 @@ def check_bimodule_axioms(algebra: AlgebraStructure, module: Bimodule) -> list[I
         3.  L_i L_j = sum_t c_ij^t L_t - R_j L_i
 
     Each violation is reported per module basis column with the defect
-    vector of the failing composite.
+    vector of the failing composite. They are checked by :func:`_defects`
+    on L ⋉ M, whose Leibniz identity at (m, i, j), (i, m, j) and (i, j, m)
+    is axiom 1 negated, 2 and 3 (Loday and Pirashvili, Math. Ann. 296, 1993).
     """
     if module.algebra_dim != algebra.dim:
         raise ValueError("module is over an algebra of different dimension")
     n = algebra.dim
-    m = module.module_dim
+    total = n + module.module_dim
+    semidirect = AlgebraStructure(total, ("",) * total, _semidirect_tensor(algebra, module))
+    xs, ms = range(n), range(n, total)
+    groups = [(mu, i, xs) for mu in ms for i in xs]
+    groups += [(i, mu, xs) for i in xs for mu in ms]
+    groups += [(i, j, ms) for i in xs for j in xs]
     violations = []
-    for i in range(n):
-        l_i = module.left_action[i]
-        r_i = module.right_action[i]
-        for j in range(n):
-            l_j = module.left_action[j]
-            r_j = module.right_action[j]
-            c_ij = algebra.product(i, j)
-            rj_li = _compose(r_j, l_i)
-
-            d1 = _compose(r_j, r_i)
-            _axpy(d1, _compose(r_i, r_j), Fraction(-1))
-            for t, c in c_ij.items():
-                _axpy(d1, module.right_action[t], -c)
-
-            d2 = _compose(l_i, r_j)
-            _axpy(d2, rj_li, Fraction(-1))
-            for t, c in c_ij.items():
-                _axpy(d2, module.left_action[t], c)
-
-            d3 = _compose(l_i, l_j)
-            _axpy(d3, rj_li, Fraction(1))
-            for t, c in c_ij.items():
-                _axpy(d3, module.left_action[t], -c)
-
-            for axiom, defect in ((1, d1), (2, d2), (3, d3)):
-                if not defect:
-                    continue
-                by_col: dict[int, dict[int, Fraction]] = {}
-                for (out, inp), v in defect.items():
-                    by_col.setdefault(inp, {})[out] = v
-                for mu in sorted(by_col):
-                    violations.append(
-                        IdentityViolation((i, j, mu), by_col[mu], axiom=axiom)
-                    )
+    for v in _defects(semidirect, groups):
+        pos = next(p for p, x in enumerate(v.triple) if x >= n)
+        i, j = (x for x in v.triple if x < n)
+        sign = -1 if pos == 0 else 1
+        defect = {t - n: sign * c for t, c in v.defect.items()}
+        violations.append(IdentityViolation((i, j, v.triple[pos] - n), defect, axiom=pos + 1))
+    violations.sort(key=lambda v: (*v.triple[:2], v.axiom, v.triple[2]))
     return violations

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .algebra import AlgebraStructure, Grading, Bimodule, leibniz_defects
+from .algebra import AlgebraStructure, Bimodule, Grading, _semidirect_tensor, leibniz_defects
 
 _FORMAT_NAME = "algebra-file"
 _FORMAT_VERSION = 1
@@ -80,16 +80,13 @@ def simple_leibniz_sl2(m: int) -> tuple[AlgebraStructure, Grading]:
         [x_k, h] = (m-2k) x_k           (0 <= k <= m)
 
     All products with a left factor acting on the x-block from the left
-    vanish. The returned grading is 0 on the sl2 block and 1 on the
-    x-block.
+    vanish: this is sl2 ⋉ V_m, built by the L ⋉ M constructor that
+    :func:`~leibcohom.algebra.check_bimodule_axioms` also runs on. The
+    returned grading is 0 on the sl2 block and 1 on the x-block.
     """
     if m < 2:
         raise ValueError("the simple family needs m >= 2")
-    tensor = dict(sl2().tensor)
-    # [x_inp, b] = v x_out for each entry (out, inp) -> v of the action of b
-    for b, action in enumerate(irreducible_sl2_module(m).right_action):
-        for (out, inp), v in action.items():
-            tensor[(3 + inp, b)] = {3 + out: v}
+    tensor = _semidirect_tensor(sl2(), irreducible_sl2_module(m))
     labels = ("e", "f", "h") + tuple(f"x{k}" for k in range(m + 1))
     algebra = AlgebraStructure(m + 4, labels, tensor)
     grading = Grading((0, 0, 0) + (1,) * (m + 1))

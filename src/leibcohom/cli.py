@@ -58,6 +58,7 @@ from .cohomology import (
     zl_dim,
 )
 from .derivations import (
+    _classes_01,
     cochain_to_matrix,
     decompose_derivation,
     delta_generator,
@@ -190,8 +191,11 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         return _fail("per-degree and per-block output need a graded algebra")
     if args.blocks and args.n != 2:
         return _fail("block analysis is defined for n=2 cocycles only")
-    if args.blocks and not set(grading.degrees) <= {0, 1}:
-        return _fail("block analysis needs a grading with degrees in {0, 1}")
+    if args.blocks:
+        try:
+            grading.parts()
+        except ValueError:
+            return _fail("block analysis needs a grading with degrees in {0, 1}")
 
     payload: dict = {"algebra": label, "n": args.n}
     pretty = [f"{label}: cohomology of the algebra acting on itself, n={args.n}"]
@@ -247,8 +251,12 @@ def cmd_derivations(args: argparse.Namespace) -> int:
     payload: dict = {"algebra": label, "dim": space.dim}
     pretty = [f"{label}: derivation space has dimension {space.dim}"]
 
-    classes = grading.classes() if grading is not None else {}
-    decomposable = set(classes) == {0, 1}
+    decomposable = grading is not None
+    if decomposable:
+        try:
+            _classes_01(grading)
+        except ValueError:  # degrees other than exactly {0, 1}
+            decomposable = False
     exit_code = 0
     if decomposable:
         try:

@@ -58,10 +58,11 @@ Sparse vectors from outside the module pass through one check,
 :func:`_sparse` (indices in range, exact scalars, zeros dropped), and
 every sparse accumulation in the package goes through :func:`_add` (one
 entry) or :func:`_axpy` (a scaled vector), which drop entries that
-cancel; every sparse matrix product is :func:`_compose`: the composites
-of the bimodule axiom check, and ``@``, which only the tests use. Only the integer row
-update inside :func:`_eliminate` and the modular loop of
-:func:`rank_modular` stay inline, for speed.
+cancel. Three accumulators stay inline, for speed: the integer row
+update inside :func:`_eliminate`, the modular loop of
+:func:`rank_modular`, and :func:`leibcohom.cochain._merge`, which adds
+each coboundary term into its column. The one sparse matrix product is
+``@``, which only the tests use.
 """
 
 from __future__ import annotations
@@ -124,24 +125,6 @@ def _axpy(acc: dict, vec: Mapping, scale: Fraction) -> None:
     if scale:
         for k, v in vec.items():
             _add(acc, k, scale * v)
-
-
-def _compose(
-    x: Mapping[tuple[int, int], Fraction], y: Mapping[tuple[int, int], Fraction]
-) -> dict[tuple[int, int], Fraction]:
-    """Product x y of two sparse ``{(row, col): value}`` matrices (apply
-    y, then x), dropping entries that cancel."""
-    x_by_col: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), v in x.items():
-        x_by_col.setdefault(c, []).append((r, v))
-    out: dict[tuple[int, int], Fraction] = {}
-    for (t, c), yv in y.items():
-        hits = x_by_col.get(t)
-        if not hits:
-            continue
-        for r, xv in hits:
-            _add(out, (r, c), xv * yv)
-    return out
 
 
 class _Value:
@@ -233,7 +216,14 @@ class SparseRationalMatrix(_Value):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        return SparseRationalMatrix(self.rows, other.cols, _compose(self.entries, other.entries))
+        by_col: dict[int, list[tuple[int, Fraction]]] = {}
+        for (r, c), v in self.entries.items():
+            by_col.setdefault(c, []).append((r, v))
+        out: dict[tuple[int, int], Fraction] = {}
+        for (t, c), yv in other.entries.items():
+            for r, xv in by_col.get(t, ()):
+                _add(out, (r, c), xv * yv)
+        return SparseRationalMatrix(self.rows, other.cols, out)
 
 
 def _strip_content(row: dict[int, int]) -> None:

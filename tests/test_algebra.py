@@ -1,5 +1,6 @@
 """Structure tensors, identity checking, gradings and bimodule axioms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from leibcohom.algebra import (
     symmetric_bimodule,
 )
 from leibcohom.catalog import irreducible_sl2_module, simple_leibniz_sl2, sl2
-from leibcohom.linalg import Subspace, _axpy, subspace_equal
+from leibcohom.linalg import SparseRationalMatrix, Subspace, _axpy, subspace_equal
 
 F = Fraction
 
@@ -213,3 +214,117 @@ class TestBimodules:
         module = irreducible_sl2_module(2)
         with pytest.raises(ValueError):
             check_bimodule_axioms(sl2(), Bimodule(4, 3, module.left_action, module.right_action))
+
+
+def reference_bimodule_axioms(algebra, module):
+    """The three axioms as composites of the action matrices, through
+    ``@``: for each pair (i, j) the defect matrices
+
+        1.  R_j R_i - R_i R_j - sum_t c_ij^t R_t
+        2.  L_i R_j - R_j L_i + sum_t c_ij^t L_t
+        3.  L_i L_j + R_j L_i - sum_t c_ij^t L_t
+
+    each reported per nonzero column mu, in the order (i, j, axiom, mu)."""
+    d = module.module_dim
+    left = [SparseRationalMatrix(d, d, act) for act in module.left_action]
+    right = [SparseRationalMatrix(d, d, act) for act in module.right_action]
+    violations = []
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            c_ij = algebra.product(i, j).items()
+            composites = (
+                [(1, right[j] @ right[i]), (-1, right[i] @ right[j])]
+                + [(-c, right[t]) for t, c in c_ij],
+                [(1, left[i] @ right[j]), (-1, right[j] @ left[i])]
+                + [(c, left[t]) for t, c in c_ij],
+                [(1, left[i] @ left[j]), (1, right[j] @ left[i])]
+                + [(-c, left[t]) for t, c in c_ij],
+            )
+            for axiom, terms in enumerate(composites, start=1):
+                defect = {}
+                for scale, mat in terms:
+                    _axpy(defect, mat.entries, F(scale))
+                by_col = {}
+                for (out, inp), v in defect.items():
+                    by_col.setdefault(inp, {})[out] = v
+                for mu in sorted(by_col):
+                    violations.append(IdentityViolation((i, j, mu), by_col[mu], axiom=axiom))
+    return violations
+
+
+def small_rational(rng):
+    return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+
+
+def random_algebra(rng):
+    """A seeded random tensor of dimension 1 to 5, Leibniz or not."""
+    n = rng.randint(1, 5)
+    tensor = {
+        (i, j): {k: small_rational(rng) for k in range(n) if rng.random() < 0.4}
+        for i in range(n) for j in range(n) if rng.random() < 0.5
+    }
+    return AlgebraStructure(n, tuple(f"b{i}" for i in range(n)), tensor)
+
+
+def broken_sl2_module(rng):
+    """V_m or its symmetric bimodule over sl2, m in 0..5, with a few
+    entries of both the left and the right actions changed."""
+    module = irreducible_sl2_module(rng.randint(0, 5))
+    if rng.random() < 0.5:
+        module = symmetric_bimodule(module)
+    d = module.module_dim
+    actions = []
+    for side in (module.left_action, module.right_action):
+        side = [dict(act) for act in side]
+        for _ in range(rng.randint(1, 2)):
+            x, key = rng.randrange(3), (rng.randrange(d), rng.randrange(d))
+            side[x][key] = side[x].get(key, F(0)) + small_rational(rng)
+        actions.append(tuple(side))
+    return Bimodule(3, d, *actions)
+
+
+class TestBimoduleAxiomsReference:
+    """check_bimodule_axioms, which runs the Leibniz identity of L ⋉ M,
+    against the axioms written out as composites of action matrices:
+    the same violations in the same order, with the same defects."""
+
+    def test_broken_sl2_modules(self):
+        rng = random.Random(1)
+        axioms = set()
+        for _ in range(60):
+            module = broken_sl2_module(rng)
+            violations = check_bimodule_axioms(sl2(), module)
+            assert violations == reference_bimodule_axioms(sl2(), module)
+            axioms.update(v.axiom for v in violations)
+        assert axioms == {1, 2, 3}
+
+    def test_adjoint_bimodules_of_random_algebras(self):
+        rng = random.Random(2)
+        axioms = set()
+        for _ in range(60):
+            algebra = random_algebra(rng)
+            module = adjoint_bimodule(algebra)
+            violations = check_bimodule_axioms(algebra, module)
+            assert violations == reference_bimodule_axioms(algebra, module)
+            axioms.update(v.axiom for v in violations)
+        assert axioms == {1, 2, 3}
+
+    def test_axiom_2_alone_fails(self):
+        # over the line, L_0 = E_01 and R_0 = E_11 give L_0^2 = R_0 L_0 = 0,
+        # so axioms 1 and 3 hold, but L_0 R_0 - R_0 L_0 = E_01
+        line = AlgebraStructure(1, ("a",), {})
+        module = Bimodule(1, 2, ({(0, 1): F(1)},), ({(1, 1): F(1)},))
+        expected = [IdentityViolation((0, 0, 1), {0: F(1)}, axiom=2)]
+        assert check_bimodule_axioms(line, module) == expected
+        assert reference_bimodule_axioms(line, module) == expected
+
+    def test_axiom_1_defect_sign(self):
+        # [e, f] = h acts as 2 on x0 of V_2; with R_h doubled there,
+        # R_f R_e - R_e R_f - R_h = -2 on x0, and axiom 1 reports that
+        module = irreducible_sl2_module(2)
+        right = [dict(act) for act in module.right_action]
+        right[2][(0, 0)] = F(4)
+        bad = Bimodule(3, 3, module.left_action, tuple(right))
+        violations = check_bimodule_axioms(sl2(), bad)
+        assert IdentityViolation((0, 1, 0), {0: F(-2)}, axiom=1) in violations
+        assert violations == reference_bimodule_axioms(sl2(), bad)

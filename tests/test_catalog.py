@@ -72,6 +72,17 @@ class TestFamily:
                     expected[(3 + k, 2)] = {3 + k: F(m - 2 * k)}
             assert simple_leibniz_sl2(m)[0].tensor == expected
 
+    def test_equals_the_hand_built_semidirect_tensor(self):
+        # sl2's products, then [x_inp, b] = v x_out for each entry of V_m's
+        # right action of b: the L ⋉ M constructor that the bimodule check
+        # runs on gives this tensor, in this key order
+        for m in range(2, 41):
+            tensor = dict(sl2().tensor)
+            for b, action in enumerate(irreducible_sl2_module(m).right_action):
+                for (out, inp), v in action.items():
+                    tensor[(3 + inp, b)] = {3 + out: v}
+            assert list(simple_leibniz_sl2(m)[0].tensor.items()) == list(tensor.items())
+
     def test_zero_weight_entry_omitted(self):
         algebra, _ = simple_leibniz_sl2(2)
         # [x1, h] = (2-2) x1 = 0: no tensor entry at all

@@ -251,6 +251,22 @@ class TestDerivations:
         assert payload["dim"] == 3
         assert "basis_decompositions" not in payload
 
+    def test_grading_outside_0_1_gives_dimension_only(self, capsys, tmp_path):
+        # a valid grading of sl2 whose degrees are not {0, 1}
+        path = tmp_path / "sl2_weights.alg"
+        path.write_text(
+            dumps_algebra(sl2()).replace("basis e f h\n", "basis e f h\ngrading 1 -1 0\n")
+        )
+        code, out = run(capsys, ["derivations", "--algebra", str(path)])
+        assert code == 0
+        assert out.splitlines() == [
+            f"{path}: derivation space has dimension 3",
+            "  (grading degrees are not {0, 1}; no canonical decomposition)",
+        ]
+        code, out = run(capsys, ["derivations", "--algebra", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"algebra": str(path), "dim": 3}
+
     def test_bad_grading_exits_2(self, capsys, badly_graded):
         code, out, err = run_err(capsys, ["derivations", "--algebra", str(badly_graded)])
         assert code == 2

@@ -189,6 +189,26 @@ MUTANTS = (
         ("tests/test_algebra.py::TestGrading::test_parts_reject_other_degrees",),
     ),
     Mutant(
+        "bimodule_axiom_1_defect_not_negated",
+        "src/leibcohom/algebra.py",
+        "sign = -1 if pos == 0 else 1",
+        "sign = 1",
+        (
+            "tests/test_algebra.py::TestBimoduleAxiomsReference::test_axiom_1_defect_sign",
+            "tests/test_algebra.py::TestBimoduleAxiomsReference::test_broken_sl2_modules",
+        ),
+    ),
+    Mutant(
+        "bimodule_check_drops_the_i_m_j_groups",
+        "src/leibcohom/algebra.py",
+        "    groups += [(i, mu, xs) for i in xs for mu in ms]\n",
+        "",
+        (
+            "tests/test_algebra.py::TestBimoduleAxiomsReference::test_axiom_2_alone_fails",
+            "tests/test_algebra.py::TestBimoduleAxiomsReference::test_broken_sl2_modules",
+        ),
+    ),
+    Mutant(
         "block_coords_accept_an_empty_argument_class",
         "src/leibcohom/cohomology.py",
         "if not (targets and by_tag[ta] and by_tag[tb]):",
