@@ -491,17 +491,29 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         return _fail(f"cannot write {args.out}: no such directory")
-    ms = list(range(first, last + 1))
-    outcomes = [_verify_one(m, args.deep) for m in ms]
-
     results = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}
-    timings: dict[int, float] = {}
-    for m, (claims, seconds) in zip(ms, outcomes):
+    stages = {cid: stage for cid, stage, *_ in CLAIMS}
+    pretty = []
+    for m in range(first, last + 1):
+        claims, seconds = _verify_one(m, args.deep)
+        results.append({"m": m, "claims": claims})
+        statuses = [c["status"] for c in claims]
+        pretty.append(
+            f"m={m}: {statuses.count('pass')} pass,"
+            f" {statuses.count('fail')} fail, {statuses.count('skipped')} skipped"
+            f"  [{seconds:.2f}s]"
+        )
         for claim in claims:
             counts[claim["status"]] += 1
-        results.append({"m": m, "claims": claims})
-        timings[m] = seconds
+            marker = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[claim["status"]]
+            detail = ""
+            if claim["status"] == "fail":
+                detail = (
+                    f"  (expected {claim['expected']}, computed {claim['computed']};"
+                    f" stage {stages[claim['id']]})"
+                )
+            pretty.append(f"  {marker} {claim['id']}{detail}")
     payload = {
         "m_first": first,
         "m_last": last,
@@ -514,26 +526,6 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
             "skipped": counts["skipped"],
         },
     }
-
-    stages = {cid: stage for cid, stage, *_ in CLAIMS}
-    pretty = []
-    for entry in results:
-        m = entry["m"]
-        statuses = [c["status"] for c in entry["claims"]]
-        pretty.append(
-            f"m={m}: {statuses.count('pass')} pass,"
-            f" {statuses.count('fail')} fail, {statuses.count('skipped')} skipped"
-            f"  [{timings[m]:.2f}s]"
-        )
-        for claim in entry["claims"]:
-            marker = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[claim["status"]]
-            detail = ""
-            if claim["status"] == "fail":
-                detail = (
-                    f"  (expected {claim['expected']}, computed {claim['computed']};"
-                    f" stage {stages[claim['id']]})"
-                )
-            pretty.append(f"  {marker} {claim['id']}{detail}")
     summary = payload["summary"]
     pretty.append(
         f"total: {summary['claims']} claims, {summary['pass']} pass,"

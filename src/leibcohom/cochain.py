@@ -19,13 +19,12 @@ subset of them. For any bimodule,
 
 * :func:`coboundary_matrix` flattens the columns into a Fraction matrix;
   it is the ungraded path;
-* :func:`coboundary_columns` scales them to integers by one common
-  denominator, which no rank or span sees and so is not returned, with
-  no grading. Rows and columns keep their flat cochain
-  index, so the columns of d^{n+1} and the rows of d^n share one index
-  space. :func:`_integer_builder` hands out the same integer builder, so
-  that :mod:`leibcohom.cohomology` can build d^n one block of columns at
-  a time.
+* :func:`_integer_builder` hands out a builder of integer columns,
+  scaled by one common denominator, which no rank or span sees and so
+  is not returned, with no grading. Rows and columns keep their flat
+  cochain index, so the columns of d^{n+1} and the rows of d^n share one
+  index space. :mod:`leibcohom.cohomology` keeps one such builder per
+  complex and builds d^n whole or one block of columns at a time.
 
 A cochain has degree i when it shifts the total argument degree by i;
 when the grading respects the product, the coboundary preserves that
@@ -211,7 +210,8 @@ def coboundary_matrix(
 def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> _ColumnBuilder:
     """The builder of s times the columns of :func:`coboundary_matrix`, as
     integers, where s is the least common denominator of the structure
-    constants and of both actions."""
+    constants and of both actions. Every caller reads ranks or spans,
+    which the scale leaves alone."""
     _check(algebra, module)
     vectors = (*algebra.tensor.values(), *module.left_action, *module.right_action)
     scale = lcm(*(v.denominator for vec in vectors for v in vec.values()))
@@ -219,18 +219,6 @@ def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> _ColumnBuil
     right = [_integral(act, scale) for act in module.right_action]
     tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
     return _ColumnBuilder(left, right, tensor, module.module_dim)
-
-
-def coboundary_columns(
-    algebra: AlgebraStructure, module: Bimodule, n: int
-) -> dict[int, dict[int, int]]:
-    """d^n with coefficients in a bimodule, as integer columns, n in 0..3:
-    each nonzero column of d^n maps to ``{row: value}`` at the flat
-    cochain indices, s times the entries of :func:`coboundary_matrix` for
-    the least common denominator s of the structure constants and of both
-    actions. Every caller reads ranks or spans, which the scale leaves
-    alone."""
-    return _integer_builder(algebra, module).columns(n)
 
 
 def _check_degrees(algebra: AlgebraStructure, grading: Grading) -> tuple[int, ...]:
@@ -289,8 +277,8 @@ def graded_submatrix(
     degree-``degree`` columns of Hom(L^n, L) and rows of Hom(L^{n+1}, L).
     Any entry leading from such a column to a row of a different degree
     makes the claimed grading invalid and raises ValueError. The graded
-    engine splits :func:`coboundary_columns` by degree instead; this is
-    the reference it is tested against.
+    engine splits the integer builder's columns by degree instead; this
+    is the reference it is tested against.
     """
     cols = graded_columns(algebra, grading, n, degree)
     rows = graded_columns(algebra, grading, n + 1, degree)

@@ -41,9 +41,10 @@ rationals. The G*G check reads the same vectors: skewness is linear, and
 two integer spans A and B are equal when rank A = rank B = rank(A + B).
 
 The Lie layer (:func:`lie_ce_h`, :func:`leibniz_h_with_coefficients`)
-checks its inputs once and ranks d^0, d^1 and d^2 once each as integer
-columns; the Chevalley-Eilenberg complex is the alternating subcomplex of
-the Leibniz one with symmetric coefficients (:func:`_ce_columns`).
+checks its inputs once and ranks d^0, d^1 and d^2 once each as the
+integer columns of one builder per complex; the Chevalley-Eilenberg
+complex is the alternating subcomplex of the Leibniz one with symmetric
+coefficients (:func:`_ce_complex`).
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .algebra import (
 from .catalog import lie_as_leibniz
 from .cochain import (
     _integer_builder,
-    coboundary_columns,
     coboundary_matrix,
     cochain_degrees,
 )
@@ -628,7 +628,7 @@ class AdjointCohomology:
                 if vec.get((b * ng + a) * ng + c, 0) != -v:
                     return False
         sub = self.degree_zero_part()
-        lie = list(coboundary_columns(sub, adjoint_bimodule(sub), 1).values())
+        lie = list(_integer_builder(sub, adjoint_bimodule(sub)).columns(1).values())
         r_zl, r_lie, r_both = (
             len(_echelon([dict(vec) for vec in vectors]))
             for vectors in (projected, lie, projected + lie)
@@ -644,34 +644,31 @@ def _require_lie_module(algebra: AlgebraStructure, module: Bimodule, what: str) 
         raise ValueError(f"{what} ({len(bad)} axiom defects)")
 
 
-def _ce_columns(algebra: AlgebraStructure, module: Bimodule, n: int) -> dict[int, dict[int, int]]:
-    """The Chevalley-Eilenberg d^n on alternating n-cochains, x.m = -[m, x],
-    as integer columns (Loday-Pirashvili): column (i_1 < ... < i_n; k), at
-    (position among the increasing n-tuples) * dim M + k, is sum_sigma
-    sgn(sigma) times the column at (i_sigma(1), ..., i_sigma(n); k) of the
-    Leibniz d^n of ``symmetric_bimodule(module)``, with its rows.
-    For an alternating f each Leibniz term is the CE term: (-1)^p [f(..,
-    ^x_p, ..), x_p] = (-1)^{p+1} x_p . f(..), and moving [x_p, x_q] to the
-    front costs (-1)^{p-1}, turning (-1)^{q+1} into (-1)^{p+q}. So d_L f =
-    d_CE f, the image is alternating and every rank is the CE one."""
+def _ce_complex(
+    algebra: AlgebraStructure, module: Bimodule
+) -> tuple[dict[int, dict[int, int]], ...]:
+    """The Chevalley-Eilenberg d^0, d^1 and d^2 on alternating cochains,
+    x.m = -[m, x], as integer columns (Loday-Pirashvili), all from one
+    builder of the Leibniz complex of ``symmetric_bimodule(module)``, with
+    its rows. Every 0- and 1-cochain is alternating, so d^0 and d^1 are
+    the Leibniz ones; column (i < j; k) of d^2, at (position of (i, j)
+    among the increasing pairs) * dim M + k, is the Leibniz column at
+    (i, j; k) minus the one at (j, i; k). For an alternating f each
+    Leibniz term is the CE term: (-1)^p [f(.., ^x_p, ..), x_p] =
+    (-1)^{p+1} x_p . f(..), and moving [x_p, x_q] to the front costs
+    (-1)^{p-1}, turning (-1)^{q+1} into (-1)^{p+q}. So d_L f = d_CE f, the
+    image is alternating and every rank is the CE one."""
     dl, dm = algebra.dim, module.module_dim
-    leibniz = coboundary_columns(algebra, symmetric_bimodule(module), n)
-    out: dict[int, dict[int, int]] = {}
-    for pos, args in enumerate(itertools.combinations(range(dl), n)):
-        terms = []
-        for perm in itertools.permutations(range(n)):
-            sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
-            flat = 0
-            for p in perm:
-                flat = flat * dl + args[p]
-            terms.append((sign, flat * dm))
+    builder = _integer_builder(algebra, symmetric_bimodule(module))
+    leibniz = builder.columns(2)
+    d2: dict[int, dict[int, int]] = {}
+    for pos, (i, j) in enumerate(itertools.combinations(range(dl), 2)):
         for k in range(dm):
-            col: dict[int, int] = {}
-            for sign, base in terms:
-                _axpy(col, leibniz.get(base + k, {}), sign)
+            col = dict(leibniz.get((i * dl + j) * dm + k, {}))
+            _axpy(col, leibniz.get((j * dl + i) * dm + k, {}), -1)
             if col:
-                out[pos * dm + k] = col
-    return out
+                d2[pos * dm + k] = col
+    return builder.columns(0), builder.columns(1), d2
 
 
 def _h1_h2(cochains: tuple[int, int], columns: Iterable[Iterable[dict]]) -> tuple[int, int]:
@@ -691,7 +688,7 @@ def lie_ce_h(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, int]:
                      tuple({} for _ in module.right_action), module.right_action)
     _require_lie_module(algebra, probe, "right action is not a Lie module action")
     dl, dm = algebra.dim, module.module_dim
-    columns = (_ce_columns(algebra, module, n).values() for n in range(3))
+    columns = (cols.values() for cols in _ce_complex(algebra, module))
     return _h1_h2((dl * dm, dl * (dl - 1) // 2 * dm), columns)
 
 
@@ -703,5 +700,6 @@ def leibniz_h_with_coefficients(algebra: AlgebraStructure, module: Bimodule) -> 
     """
     _require_lie_module(algebra, module, "not a Leibniz bimodule")
     dl, dm = algebra.dim, module.module_dim
-    columns = (coboundary_columns(algebra, module, n).values() for n in range(3))
+    builder = _integer_builder(algebra, module)
+    columns = (builder.columns(n).values() for n in range(3))
     return _h1_h2((dl * dm, dl * dl * dm), columns)

@@ -10,9 +10,17 @@ from pathlib import Path
 import pytest
 
 import leibcohom.cli as cli
+import leibcohom.cochain as cochain
 import leibcohom.cohomology as cohomology
-from leibcohom.algebra import AlgebraStructure, Grading
-from leibcohom.catalog import direct_sum, dumps_algebra, save_algebra, simple_leibniz_sl2, sl2
+from leibcohom.algebra import AlgebraStructure, Grading, symmetric_bimodule
+from leibcohom.catalog import (
+    direct_sum,
+    dumps_algebra,
+    irreducible_sl2_module,
+    save_algebra,
+    simple_leibniz_sl2,
+    sl2,
+)
 from leibcohom.cli import main
 
 
@@ -441,6 +449,37 @@ class TestClaimTable:
         claims, _ = cli._verify_one(m, False)
         assert all(c["status"] == "pass" for c in claims)
         assert len(calls) == 3
+
+    @staticmethod
+    def count_builders(monkeypatch):
+        calls = []
+        make = cochain._integer_builder
+
+        def counted(*args):
+            calls.append(args)
+            return make(*args)
+
+        for module in (cochain, cohomology):
+            monkeypatch.setattr(module, "_integer_builder", counted)
+        return calls
+
+    def test_one_builder_per_lie_complex(self, monkeypatch):
+        calls = self.count_builders(monkeypatch)
+        module = irreducible_sl2_module(3)
+        assert cohomology.lie_ce_h(sl2(), module) == (0, 0)
+        assert len(calls) == 1
+        for coefficients in (module, symmetric_bimodule(module)):
+            calls.clear()
+            cohomology.leibniz_h_with_coefficients(sl2(), coefficients)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_builder_per_complex(self, monkeypatch, m):
+        # the graded engine, the G*G check and the three Lie complexes
+        calls = self.count_builders(monkeypatch)
+        claims, _ = cli._verify_one(m, False)
+        assert all(c["status"] == "pass" for c in claims)
+        assert len(calls) == 5
 
 
 def test_import_skips_modules_no_command_needs():

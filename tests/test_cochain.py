@@ -19,7 +19,6 @@ from leibcohom.algebra import (
 from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
 from leibcohom.cochain import (
     _integer_builder,
-    coboundary_columns,
     coboundary_matrix,
     cochain_degrees,
     graded_columns,
@@ -403,7 +402,7 @@ def assert_blocks_match_reference(algebra, grading, n, module=None):
     only one a grading splits. Returns the scale."""
     module = module or adjoint_bimodule(algebra)
     scale = input_scale(algebra, module)
-    columns = coboundary_columns(algebra, module, n)
+    columns = _integer_builder(algebra, module).columns(n)
     d = coboundary_matrix(algebra, module, n)
     assert all(columns.values())
     got = {(r, c): v for c, col in columns.items() for r, v in col.items()}

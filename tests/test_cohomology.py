@@ -21,7 +21,7 @@ from leibcohom.algebra import (
 )
 from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
 from leibcohom.cochain import (
-    coboundary_columns,
+    _integer_builder,
     coboundary_matrix,
     graded_columns,
     graded_submatrix,
@@ -30,7 +30,7 @@ from leibcohom.cohomology import (
     AdjointCohomology,
     BlockAnalysis,
     CohomologyReport,
-    _ce_columns,
+    _ce_complex,
     bl_dim,
     hl_dim,
     leibniz_h_with_coefficients,
@@ -285,14 +285,14 @@ class TestBlockAnalyses:
 
 
 def ce_rows(algebra, module, n):
-    """The columns of _ce_columns as rows, {Leibniz row: {CE column: value}},
-    divided by the scale back to the entries of the CE d^n: the least
-    common denominator of the structure constants and of the actions of
-    the symmetric bimodule."""
+    """The columns of _ce_complex's d^n as rows, {Leibniz row: {CE column:
+    value}}, divided by the scale back to the entries of the CE d^n: the
+    least common denominator of the structure constants and of the
+    actions of the symmetric bimodule."""
     sym = symmetric_bimodule(module)
     values = (*algebra.tensor.values(), *sym.left_action, *sym.right_action)
     scale = lcm(*(v.denominator for vec in values for v in vec.values()))
-    columns = _ce_columns(algebra, module, n)
+    columns = _ce_complex(algebra, module)[n]
     rows = {}
     for c, col in columns.items():
         assert all(type(v) is int for v in col.values())
@@ -633,7 +633,7 @@ class TestStreamedBlocks:
     @cases
     def test_union_of_blocks_is_d2(self, build, monkeypatch):
         algebra, grading = build()
-        d2 = coboundary_columns(algebra, adjoint_bimodule(algebra), 2)
+        d2 = _integer_builder(algebra, adjoint_bimodule(algebra)).columns(2)
         # one block per weight-flip orbit is built; phi* of it is its twin
         coh = AdjointCohomology(algebra, grading)
         phi = cohomology._weight_flip(algebra, coh._gradings)
@@ -792,8 +792,8 @@ class TestWeightFlip:
         # longer commutes with phi*, so every d^2 block is checked
         algebra, grading = simple_leibniz_sl2(2)
         coh = AdjointCohomology(algebra, grading)
-        d1 = coboundary_columns(algebra, coh.module, 1)
-        d2 = coboundary_columns(algebra, coh.module, 2)
+        d1 = _integer_builder(algebra, coh.module).columns(1)
+        d2 = _integer_builder(algebra, coh.module).columns(2)
         key = next(k for k in coh._blocks(1) if k < flip_key(k)
                    and any(r in d2 for c in coh._blocks(1)[k] for r in d1.get(c, {})))
         col = next(c for c in coh._blocks(1)[key] if any(r in d2 for r in d1.get(c, {})))
@@ -1109,8 +1109,8 @@ class TestBlockwiseComplex:
         # at a row where d^2 is nonzero; the block is not the first one
         algebra, grading = simple_leibniz_sl2(2)
         coh = AdjointCohomology(algebra, grading)
-        d1 = coboundary_columns(algebra, coh.module, 1)
-        d2 = coboundary_columns(algebra, coh.module, 2)
+        d1 = _integer_builder(algebra, coh.module).columns(1)
+        d2 = _integer_builder(algebra, coh.module).columns(2)
         blocks = coh._blocks(1)
         key = max(blocks, key=lambda k: len(blocks[k]))
         nonzero = [c for c in blocks[key] if c in d1]

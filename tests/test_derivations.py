@@ -1,10 +1,12 @@
 """Derivation spaces, operator encodings, and canonical decompositions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from leibcohom.algebra import Grading, adjoint_bimodule
+import leibcohom.derivations as derivations
+from leibcohom.algebra import AlgebraStructure, Grading, adjoint_bimodule, leibniz_defects
 from leibcohom.catalog import simple_leibniz_sl2, sl2
 from leibcohom.cochain import coboundary_matrix
 from leibcohom.cohomology import AdjointCohomology
@@ -49,6 +51,37 @@ def is_derivation(algebra, op):
     return True
 
 
+def random_tensor(rng):
+    """A seeded random algebra of dimension 1 to 5 with small rational
+    structure constants, Leibniz or not."""
+    n = rng.randint(1, 5)
+    tensor = {
+        (i, j): {k: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+                 for k in range(n) if rng.random() < 0.4}
+        for i in range(n) for j in range(n) if rng.random() < 0.5
+    }
+    return AlgebraStructure(n, tuple(f"b{i}" for i in range(n)), tensor)
+
+
+def constraint_matrix(algebra, monkeypatch):
+    """The matrix whose kernel derivation_space returns."""
+    seen = []
+
+    def capture(matrix):
+        seen.append(matrix)
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(derivations, "kernel_basis", capture)
+    derivation_space(algebra)
+    (matrix,) = seen
+    return matrix
+
+
+def minus_d1(algebra):
+    d1 = coboundary_matrix(algebra, adjoint_bimodule(algebra), 1)
+    return SparseRationalMatrix(d1.rows, d1.cols, {key: -v for key, v in d1.entries.items()})
+
+
 class TestDerivationSpace:
     def test_sl2_is_inner_only(self):
         assert derivation_space(sl2()).dim == 3
@@ -63,6 +96,28 @@ class TestDerivationSpace:
         algebra, grading = simple_leibniz_sl2(m)
         d1 = coboundary_matrix(algebra, adjoint_bimodule(algebra), 1)
         assert subspace_equal(derivation_space(algebra), kernel_basis(d1))
+
+    # the hand-built constraints are -d^1 of the adjoint bimodule entry
+    # for entry, on any tensor: Der = ZL^1 needs no Leibniz identity
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_constraints_are_minus_d1_family(self, m, monkeypatch):
+        algebra, _ = simple_leibniz_sl2(m)
+        assert constraint_matrix(algebra, monkeypatch) == minus_d1(algebra)
+
+    @pytest.mark.parametrize("m,seed", [(2, 1), (3, 2), (4, 3)])
+    def test_constraints_are_minus_d1_conjugated(self, m, seed, monkeypatch, conjugate):
+        algebra, grading = simple_leibniz_sl2(m)
+        twisted = conjugate(algebra, seed, grading)
+        assert constraint_matrix(twisted, monkeypatch) == minus_d1(twisted)
+
+    def test_constraints_are_minus_d1_random(self, monkeypatch):
+        rng = random.Random(25)
+        leibniz = 0
+        for _ in range(30):
+            algebra = random_tensor(rng)
+            leibniz += not leibniz_defects(algebra)
+            assert constraint_matrix(algebra, monkeypatch) == minus_d1(algebra)
+        assert 0 < leibniz < 30
 
     def test_every_basis_vector_is_a_derivation(self):
         algebra, _ = simple_leibniz_sl2(3)

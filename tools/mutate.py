@@ -36,18 +36,28 @@ MUTANTS = (
     Mutant(
         "ce_sign_forced_positive",
         "src/leibcohom/cohomology.py",
-        "sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))",
-        "sign = 1",
+        "_axpy(col, leibniz.get((j * dl + i) * dm + k, {}), -1)",
+        "_axpy(col, leibniz.get((j * dl + i) * dm + k, {}), 1)",
         (
             "tests/test_cohomology.py::TestLieCohomology::test_rows_alternate",
             "tests/test_cohomology.py::TestLieCohomology::test_bracket_signs",
         ),
     ),
     Mutant(
+        "ce_d2_drops_the_swapped_term",
+        "src/leibcohom/cohomology.py",
+        "            _axpy(col, leibniz.get((j * dl + i) * dm + k, {}), -1)\n",
+        "",
+        (
+            "tests/test_cohomology.py::TestLieCohomology::test_rows_alternate",
+            "tests/test_cohomology.py::TestLieCohomology::test_matches_reference_ranks",
+        ),
+    ),
+    Mutant(
         "ce_on_the_module_not_its_symmetric_bimodule",
         "src/leibcohom/cohomology.py",
-        "coboundary_columns(algebra, symmetric_bimodule(module), n)",
-        "coboundary_columns(algebra, module, n)",
+        "_integer_builder(algebra, symmetric_bimodule(module))",
+        "_integer_builder(algebra, module)",
         (
             "tests/test_cohomology.py::TestLieCohomology::test_increasing_rows_match_reference",
             "tests/test_cohomology.py::TestLieCohomology::test_matches_reference_ranks",
