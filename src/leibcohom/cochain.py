@@ -20,8 +20,10 @@ subset of them. For any bimodule,
 * :func:`coboundary_matrix` flattens the columns into a Fraction matrix;
   it is the ungraded path;
 * :func:`_integer_builder` hands out a builder of integer columns,
-  scaled by one common denominator, which no rank or span sees and so
-  is not returned, with no grading. Rows and columns keep their flat
+  scaled by one common denominator, with no grading. No rank or span
+  sees the denominator; the builder keeps it as ``scale`` for the Cartan
+  certificate of :mod:`leibcohom.cohomology`, which compares entries
+  with the structure constants. Rows and columns keep their flat
   cochain index, so the columns of d^{n+1} and the rows of d^n share one
   index space. :mod:`leibcohom.cohomology` keeps one such builder per
   complex and builds d^n whole or one block of columns at a time.
@@ -71,12 +73,13 @@ class _ColumnBuilder:
     argument tuple are kept per arity for the builder's life, O(dim L^n)
     small tuples, so a tuple whose columns fall in several blocks is
     planned once. Scalars are whatever the actions and the tensor hold,
-    so integer inputs give integer columns.
+    so integer inputs give integer columns; ``scale`` records that they
+    are ``scale`` times the actions and constants of the input.
     """
 
     def __init__(self, left: Sequence[Mapping], right: Sequence[Mapping], tensor: Mapping,
-                 dm: int):
-        self.dl, self.dm = len(left), dm
+                 dm: int, scale: int = 1):
+        self.dl, self.dm, self.scale = len(left), dm, scale
         self.left, self.right = _by_input(left, dm), _by_input(right, dm)
         self.bracket: list[list[tuple]] = [[] for _ in range(self.dl)]
         for (x, y), vec in tensor.items():
@@ -210,15 +213,15 @@ def coboundary_matrix(
 def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> _ColumnBuilder:
     """The builder of s times the columns of :func:`coboundary_matrix`, as
     integers, where s is the least common denominator of the structure
-    constants and of both actions. Every caller reads ranks or spans,
-    which the scale leaves alone."""
+    constants and of both actions, kept as its ``scale``. Ranks and spans
+    do not see s; only an entry compared with the constants does."""
     _check(algebra, module)
     vectors = (*algebra.tensor.values(), *module.left_action, *module.right_action)
     scale = lcm(*(v.denominator for vec in vectors for v in vec.values()))
     left = [_integral(act, scale) for act in module.left_action]
     right = [_integral(act, scale) for act in module.right_action]
     tensor = {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
-    return _ColumnBuilder(left, right, tensor, module.module_dim)
+    return _ColumnBuilder(left, right, tensor, module.module_dim, scale)
 
 
 def _check_degrees(algebra: AlgebraStructure, grading: Grading) -> tuple[int, ...]:

@@ -17,7 +17,10 @@ checked against d^{n-1}, eliminated once in place and dropped, so only
 the block ranks and the blocks of d^0 and d^1 stay. The totals and the
 per-degree numbers are sums of block ranks. A checked automorphism that
 negates the weights pairs the blocks of d^2 and d^3 into orbits of equal
-rank, and one block per orbit is built.
+rank, and one block per orbit is built. A block of d^2 of nonzero weight
+is not eliminated either: the Cartan homotopy of h makes its rank
+cols - rank d^1 once two exact checks pass on the few columns they read,
+so only the weight-0 blocks of d^2 are built whole and eliminated.
 Columns, cocycle bases and G/I coordinates all use the flat cochain
 index, so a row of d^n is also a column of d^{n+1}: d^{n+1} d^n = 0 is
 checked by applying each block of d^{n+1} to the columns of d^n with the
@@ -71,6 +74,7 @@ from .cochain import (
 )
 from .linalg import (
     _Value,
+    _add,
     _axpy,
     _echelon,
     _integer_row,
@@ -160,15 +164,17 @@ class BlockAnalysis(_Value):
         }
 
 
-def _weights(algebra: AlgebraStructure, grading: Grading) -> list[tuple[int, ...]]:
-    """The h-weights that refine a grading. For each basis element h whose
-    right multiplication is diagonal with integer entries, [u, h] = w(u) u,
-    the vector w, when it is nonzero, new, and proved a grading by
-    :func:`~leibcohom.algebra.check_grading`. For a Leibniz algebra the
-    right Leibniz identity with z = h makes every such w a grading; the
-    check is what lets an algebra that fails it be refined safely."""
+def _weights(algebra: AlgebraStructure,
+             grading: Grading) -> list[tuple[int, tuple[int, ...]]]:
+    """The h-weights that refine a grading, as pairs (h, w). For each basis
+    element h whose right multiplication is diagonal with integer entries,
+    [u, h] = w(u) u, the vector w, when it is nonzero, new, and proved a
+    grading by :func:`~leibcohom.algebra.check_grading`. For a Leibniz
+    algebra the right Leibniz identity with z = h makes every such w a
+    grading; the check is what lets an algebra that fails it be refined
+    safely."""
     dl = algebra.dim
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[int, tuple[int, ...]]] = []
     for h in range(dl):
         w = []
         for u in range(dl):
@@ -179,9 +185,9 @@ def _weights(algebra: AlgebraStructure, grading: Grading) -> list[tuple[int, ...
             w.append(int(c))
         else:
             w = tuple(w)
-            new = any(w) and w != grading.degrees and w not in out
+            new = any(w) and w != grading.degrees and w not in (v for _, v in out)
             if new and check_grading(algebra, Grading(w)):
-                out.append(w)
+                out.append((h, w))
     return out
 
 
@@ -293,6 +299,44 @@ class AdjointCohomology:
     and a key with w = 0 is its own orbit. d^0 and d^1 stay whole: the
     cocycle span and the block lemmas read them, and :meth:`_commutes`
     checks that the kept d^1 commutes with phi* before any block is skipped.
+
+    A kept d^2 block of nonzero weight is certified by the Cartan homotopy
+    instead of eliminated (:meth:`_certified_rank`). Let h be the basis
+    element of a weight component in which the key has weight w != 0, with
+    degree 0 in every component, so (i, h; k) and (i; k) share a key.
+    Checked gradings force that: some u has w(u) != 0, and [u, h] = w(u) u
+    then needs g(u) + g(h) = g(u) in each of them. Contraction in the last
+    argument, (K_h f)(x_1, .., x_{n-1}) = (-1)^n f(x_1, .., x_{n-1}, h),
+    satisfies d^1 K_h + K_h d^2 = theta_h on C^2, theta_h f = [f(..), h] -
+    sum_p f(.., [x_p, h], ..), for any bracket (tests/test_cartan.py checks
+    it entry for entry). R_h is diagonal, so theta_h is w times the
+    identity on the block, and f in ker d^2 gives w f = d^1 K_h f: ker d^2
+    lies in im d^1. With d^2 d^1 = 0 the two are equal, and rank d^2 =
+    cols - rank d^1, with no elimination and no Leibniz identity.
+
+    * Checked exactly, on the key's own columns: d^2 d^1 = 0 on supp(d^1),
+      the 2-cochains the key's d^1 columns touch, which is all the product
+      reads; and the identity on each column (i, h; k): the d^1 column of
+      (i; k), less the rows (a, b, h; t) of the d^2 column read as (a, b;
+      t), is s w (i, h; k), s the builder's scale. Each 1-cochain (i; k) of
+      the key is K_h of (i, h; k), so this reads every d^1 column of the
+      key, and a d^1 fault that keeps d^2 d^1 = 0 still fails it.
+    * Proved, not checked, the diagonal lemma: in a column (i, j; k) with
+      j != h, the h-rows (a, b, h; t) hold only -s w, at (i, j, h; k), so
+      K_h d^2 (i, j; k) = s w (i, j; k). They come from -[f(x_1, x_2), h],
+      -s w(k), and from f([x_1, h], x_2) and f(x_1, [x_2, h]), s w(i) and
+      s w(j), which land on (i, j) because R_h is diagonal; every other
+      term needs j = h. C4's full-matrix ranks, the reference evaluator of
+      tests/test_cochain.py and tests/test_cartan.py are the oracles for
+      a builder fault there, which this path would not see.
+    * Not read: the entries outside the h-rows in columns outside
+      supp(d^1). Neither argument uses them, so they cannot change the
+      certified rank, and they are never built.
+
+    A key that fails either check is built whole, checked and eliminated,
+    as a weight-0 key is, and as every key is when no h is found (a graded
+    conjugate), so a failing check costs time and never a number. The
+    twin of a certified key gets its rank through the flip as before.
     """
 
     def __init__(self, algebra: AlgebraStructure, grading: Grading):
@@ -301,8 +345,13 @@ class AdjointCohomology:
         self.algebra = algebra
         self.grading = grading
         self.module = adjoint_bimodule(algebra)
+        weights = _weights(algebra, grading)
         # the input grading is always the first component of a key
-        self._gradings = (grading.degrees, *_weights(algebra, grading))
+        self._gradings = (grading.degrees, *(w for _, w in weights))
+        # per weight component, its h when h has degree 0 in every
+        # component, so that (i, h; k) has the key of (i; k); else None
+        self._contractions = [h if not any(g[h] for g in self._gradings) else None
+                              for h, _ in weights]
         self._builder = _integer_builder(algebra, self.module)
         self._cells: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
         self._kept: dict[tuple[int, tuple[int, ...]], dict[int, dict[int, int]]] = {}
@@ -353,7 +402,8 @@ class AdjointCohomology:
         :func:`_weight_flip` finds an automorphism and the kept d^1
         commutes with it, only the larger key of each orbit {(deg, w),
         (deg, -w)} is built, checked and ranked, and its twin gets the
-        same rank."""
+        same rank. A d^2 block that :meth:`_certified_rank` certifies is
+        neither built whole nor eliminated."""
         if n in self._streamed:
             return
         if 0 < n <= 2:
@@ -372,22 +422,58 @@ class AdjointCohomology:
             if twin > key:
                 continue
             cols = upper.get(key, ())
-            block = self._builder.columns(n, cols)
             if n:
                 below = self._kept.get((n - 1, key))
                 if below is None:
                     below = self._builder.columns(n - 1, lower.get(key, ()))
-                if ok and not _annihilates(block, set(cols), below.values()):
+            r = self._certified_rank(key, below) if n == 2 else None
+            if r is None:
+                block = self._builder.columns(n, cols)
+                if n and ok and not _annihilates(block, set(cols), below.values()):
                     ok = False
-            if n <= 1:
-                self._kept[(n, key)] = block
-                self._ranks[(n, key)] = len(_echelon([dict(col) for col in block.values()]))
-            elif n == 2:
-                r = len(_echelon(list(block.values())))
+                if n <= 1:
+                    self._kept[(n, key)] = block
+                    r = len(_echelon([dict(col) for col in block.values()]))
+                elif n == 2:
+                    r = len(_echelon(list(block.values())))
+            if n <= 2:
                 self._ranks[(n, key)] = self._ranks[(n, twin)] = r
         if n:
             self._squares[n - 1] = ok
         self._streamed.add(n)
+
+    def _certified_rank(self, key: tuple[int, ...],
+                        below: dict[int, dict[int, int]]) -> int | None:
+        """rank d^2 on the block ``key`` as cols - rank d^1, certified by the
+        Cartan homotopy of h, or None when the block must be eliminated:
+        when every weight of the key is 0, when there is no h, or when a
+        check fails. ``below`` holds the key's kept d^1 columns.
+
+        Two exact checks run on the key's own columns of d^2: d^2 d^1 = 0
+        on supp(d^1), and, for each (i, h; k), d^1 (i; k) + K_h d^2 (i, h; k)
+        = s w (i, h; k), with s the builder's scale and K_h d^2 the rows
+        (a, b, h; t) of the column, negated, as the 2-cochains (a, b; t)."""
+        j = next((j for j, w in enumerate(key[1:]) if w), None)
+        h = None if j is None else self._contractions[j]
+        if h is None:
+            return None
+        dl = self.algebra.dim
+        sw = self._builder.scale * key[1 + j]
+        ones, cols = self._blocks(1).get(key, ()), self._blocks(2).get(key, ())
+        # the columns (i, h; k) ending in h, one per 1-cochain (i; k)
+        ends = [(c // dl * dl + h) * dl + c % dl for c in ones]
+        support = {r for col in below.values() for r in col}
+        part = self._builder.columns(2, sorted(support.union(ends)))
+        if not _annihilates(part, set(cols), below.values()):
+            return None
+        for i_k, c in zip(ones, ends):
+            got = dict(below.get(i_k, {}))
+            for r, v in part.get(c, {}).items():
+                if r // dl % dl == h:
+                    _add(got, r // (dl * dl) * dl + r % dl, -v)
+            if got != {c: sw}:
+                return None
+        return len(cols) - self._ranks.get((1, key), 0)
 
     def _commutes(self, phi: list[tuple[int, Fraction]]) -> bool:
         """Whether the kept d^1 commutes with phi*, which sends the basis
@@ -636,10 +722,13 @@ class AdjointCohomology:
         return r_zl == r_lie == r_both
 
 
-def _require_lie_module(algebra: AlgebraStructure, module: Bimodule, what: str) -> None:
-    """Reject a non-Lie bracket, and a module failing the bimodule axioms."""
+def _require_lie_module(algebra: AlgebraStructure, module: Bimodule, what: str,
+                        bad: list | None) -> None:
+    """Reject a non-Lie bracket, and a module failing the bimodule axioms,
+    whose defects ``bad`` are found here unless the caller found them."""
     lie_as_leibniz(algebra)
-    bad = check_bimodule_axioms(algebra, module)
+    if bad is None:
+        bad = check_bimodule_axioms(algebra, module)
     if bad:
         raise ValueError(f"{what} ({len(bad)} axiom defects)")
 
@@ -678,27 +767,33 @@ def _h1_h2(cochains: tuple[int, int], columns: Iterable[Iterable[dict]]) -> tupl
     return cochains[0] - r1 - r0, cochains[1] - r2 - r1
 
 
-def lie_ce_h(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, int]:
+def lie_ce_h(algebra: AlgebraStructure, module: Bimodule, *,
+             _defects: list | None = None) -> tuple[int, int]:
     """(dim H^1, dim H^2) of the Chevalley-Eilenberg complex.
 
     The algebra must be Lie and only the right action of the bimodule is
-    used, checked as a bimodule with zero left action.
+    used, checked as a bimodule with zero left action. ``_defects`` is for
+    a caller that has run :func:`~leibcohom.algebra.check_bimodule_axioms`
+    on that zero-left bimodule already: its result, used instead of a
+    second run.
     """
     probe = Bimodule(module.algebra_dim, module.module_dim,
                      tuple({} for _ in module.right_action), module.right_action)
-    _require_lie_module(algebra, probe, "right action is not a Lie module action")
+    _require_lie_module(algebra, probe, "right action is not a Lie module action", _defects)
     dl, dm = algebra.dim, module.module_dim
     columns = (cols.values() for cols in _ce_complex(algebra, module))
     return _h1_h2((dl * dm, dl * (dl - 1) // 2 * dm), columns)
 
 
-def leibniz_h_with_coefficients(algebra: AlgebraStructure, module: Bimodule) -> tuple[int, int]:
+def leibniz_h_with_coefficients(algebra: AlgebraStructure, module: Bimodule, *,
+                                _defects: list | None = None) -> tuple[int, int]:
     """(dim HL^1, dim HL^2)(G, M) for a Lie algebra G and a Leibniz bimodule M.
 
     The bimodule axioms are enforced first, so results are only produced
-    for coefficient systems where the complex actually squares to zero.
+    for coefficient systems where the complex actually squares to zero;
+    ``_defects`` is the result of that check when the caller has run it.
     """
-    _require_lie_module(algebra, module, "not a Leibniz bimodule")
+    _require_lie_module(algebra, module, "not a Leibniz bimodule", _defects)
     dl, dm = algebra.dim, module.module_dim
     builder = _integer_builder(algebra, module)
     columns = (builder.columns(n).values() for n in range(3))

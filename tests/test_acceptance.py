@@ -281,7 +281,7 @@ def test_c10_report_determinism(tmp_path, capsys):
 # the block projections and restrictions, or only the totals, which the
 # command reads off the engine's degree blocks whenever the algebra is
 # graded. The 2..12 and 20..20 reports are the benchmark's paper_range
-# and large_m20 workloads.
+# and large_m20 workloads, and 30..30 is the next rung of the ladder.
 PINNED_REPORTS = {
     ("verify-paper", "--m-range", "2..12", "--format", "json"):
         "a306f5a50cdfa49f81c4e3dbe51db33d64b00651f7ca7114aaabf19c5f861de8",
@@ -289,6 +289,8 @@ PINNED_REPORTS = {
         "f65c5e523104c019c66180045c70356e425dc850b75c09f7ea1c4073f351f42b",
     ("verify-paper", "--m-range", "20..20", "--format", "json"):
         "7c82cf931c5df5f362bfc93cd6d4d2100dbeaf59215d938a3f6a9b9999d51e13",
+    ("verify-paper", "--m-range", "30..30", "--format", "json"):
+        "739f605be0f1ea95461ee819f9a7761d250173151540d6f27b4dee72fdc1075a",
     ("derivations", "--m", "2", "--format", "json"):
         "41f70d9ad8f6efa09b2aa324ca6ed0d72bd30f7d033d7308ac8282033deda52b",
     ("cohomology", "--m", "3", "--graded", "--blocks", "--format", "json"):

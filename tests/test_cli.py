@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,13 @@ import pytest
 import leibcohom.cli as cli
 import leibcohom.cochain as cochain
 import leibcohom.cohomology as cohomology
-from leibcohom.algebra import AlgebraStructure, Grading, symmetric_bimodule
+from leibcohom.algebra import (
+    AlgebraStructure,
+    Bimodule,
+    Grading,
+    check_bimodule_axioms,
+    symmetric_bimodule,
+)
 from leibcohom.catalog import (
     direct_sum,
     dumps_algebra,
@@ -449,6 +456,49 @@ class TestClaimTable:
         claims, _ = cli._verify_one(m, False)
         assert all(c["status"] == "pass" for c in claims)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_module_axioms_checked_once_per_m(self, monkeypatch, m):
+        # (sl2, V_m) once, for the module_axioms claim and for the CE and
+        # zero-left HL values; (sl2, symmetric V_m) once, for its HL
+        calls = []
+        check = check_bimodule_axioms
+
+        def counted(lie, module):
+            calls.append(module)
+            return check(lie, module)
+
+        for module in (cli, cohomology):
+            monkeypatch.setattr(module, "check_bimodule_axioms", counted)
+        claims, _ = cli._verify_one(m, False)
+        assert all(c["status"] == "pass" for c in claims)
+        module = irreducible_sl2_module(m)
+        assert sorted(calls, key=repr) == sorted([module, symmetric_bimodule(module)], key=repr)
+
+    def test_failing_module_refused_before_any_rank(self, monkeypatch):
+        # a V_m with a changed right action: the module_axioms claim runs
+        # the one check, and each Lie value on V_m raises the ValueError of
+        # the public function before anything is ranked
+        module = irreducible_sl2_module(2)
+        right = [dict(act) for act in module.right_action]
+        right[0][(0, 0)] = Fraction(1)
+        broken = Bimodule(3, 3, module.left_action, tuple(right))
+        monkeypatch.setattr(cli, "irreducible_sl2_module", lambda m: broken)
+        member = cli._Member(2)
+        assert member.module_defects == check_bimodule_axioms(sl2(), broken) != []
+
+        def no_ranks(*args):
+            raise AssertionError("a rank was computed")
+
+        monkeypatch.setattr(cohomology, "_h1_h2", no_ranks)
+        for value, public in (("ce", cohomology.lie_ce_h),
+                              ("hl_zero_left", cohomology.leibniz_h_with_coefficients)):
+            with pytest.raises(ValueError) as want:
+                public(sl2(), broken)
+            with pytest.raises(ValueError) as got:
+                getattr(member, value)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).endswith(f" ({len(member.module_defects)} axiom defects)")
 
     @staticmethod
     def count_builders(monkeypatch):

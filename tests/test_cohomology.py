@@ -545,23 +545,32 @@ class TestEngineTotals:
 
         monkeypatch.setattr(linalg, "_reduce", counted_reduce)
         monkeypatch.setattr(cohomology, "_echelon", counted_echelon)
-        coh = AdjointCohomology(*simple_leibniz_sl2(3))
-        assert (coh.zl_dim(2), coh.hl_dim(2)) == (45, 0)
-        coh.report(2)
-        assert reduced == []
-        # every block of d^0 and d^1, and the larger key of each weight-flip
-        # orbit of d^2, is ranked by one elimination of its nonzero columns
-        assert coh._flip
-        ranked = [(n, key) for n, key in coh._ranks if n < 2 or key >= flip_key(key)]
-        assert len(ranked) < len(coh._ranks)
-        assert sorted(eliminated) == sorted(
-            len(coh._builder.columns(n, coh._blocks(n)[key])) for n, key in ranked
-        )
-        # reading a cocycle basis reduces the span of the d^1 columns, once;
-        # the span itself is cached
-        zl_basis(coh, 0)
-        assert reduced == [coh.graded_bl_dim(2, 0)]
-        assert coh._cocycle_span(0) is coh._cocycle_span(0)
+        for certify in (True, False):
+            reduced.clear()
+            eliminated.clear()
+            if not certify:
+                no_certificate(monkeypatch)
+            coh = AdjointCohomology(*simple_leibniz_sl2(3))
+            assert (coh.zl_dim(2), coh.hl_dim(2)) == (45, 0)
+            coh.report(2)
+            assert reduced == []
+            # every block of d^0 and d^1, and the larger key of each
+            # weight-flip orbit of d^2, is ranked by one elimination of its
+            # nonzero columns; with the Cartan certificate, of d^2 only the
+            # blocks of weight 0 are
+            assert coh._flip
+            ranked = [(n, key) for n, key in coh._ranks if n < 2 or key >= flip_key(key)]
+            if certify:
+                ranked = [(n, key) for n, key in ranked if n < 2 or not any(key[1:])]
+            assert len(ranked) < len(coh._ranks)
+            assert sorted(eliminated) == sorted(
+                len(coh._builder.columns(n, coh._blocks(n)[key])) for n, key in ranked
+            )
+            # reading a cocycle basis reduces the span of the d^1 columns,
+            # once; the span itself is cached
+            zl_basis(coh, 0)
+            assert reduced == [coh.graded_bl_dim(2, 0)]
+            assert coh._cocycle_span(0) is coh._cocycle_span(0)
 
 
 def flip_key(key):
@@ -606,19 +615,36 @@ def sl2_plus_line():
 
 
 def recorded_blocks(coh, n):
-    """Copies of the blocks of d^n the engine builds while it streams d^n."""
+    """The builds of d^n the engine makes while it streams d^n, as pairs
+    (requested columns, copy of the columns built)."""
     seen = []
     real = coh._builder.columns
 
     def record(arity, cols=None):
         out = real(arity, cols)
         if arity == n:
-            seen.append({c: dict(col) for c, col in out.items()})
+            seen.append((tuple(cols), {c: dict(col) for c, col in out.items()}))
         return out
 
     coh._builder.columns = record
     coh.zl_dim(n)
     return seen
+
+
+def no_certificate(patch):
+    """Turn the Cartan certificate off: every block of d^2 is eliminated."""
+    patch.setattr(AdjointCohomology, "_certified_rank", lambda *args: None)
+
+
+def certificate_columns(coh, key):
+    """The columns of d^2 the certificate of ``key`` reads, found here from
+    the digits of the flat indices: supp(d^1) of the key, and the key's
+    2-cochains whose last argument is h."""
+    dl = coh.algebra.dim
+    [h] = coh._contractions
+    d1 = _integer_builder(coh.algebra, coh.module).columns(1, coh._blocks(1).get(key, ()))
+    support = {r for col in d1.values() for r in col}
+    return support | {c for c in coh._blocks(2).get(key, ()) if c // dl % dl == h}
 
 
 class TestStreamedBlocks:
@@ -630,33 +656,59 @@ class TestStreamedBlocks:
         pytest.param(sl2_plus_line, id="sl2_plus_line"),
     ])
 
-    @cases
-    def test_union_of_blocks_is_d2(self, build, monkeypatch):
-        algebra, grading = build()
-        d2 = _integer_builder(algebra, adjoint_bimodule(algebra)).columns(2)
-        # one block per weight-flip orbit is built; phi* of it is its twin
-        coh = AdjointCohomology(algebra, grading)
-        phi = cohomology._weight_flip(algebra, coh._gradings)
-        blocks = recorded_blocks(coh, 2)
-        keys = coh._blocks(2)
-        assert phi and len(blocks) == sum(key >= flip_key(key) for key in keys) < len(keys)
+    @staticmethod
+    def union_with_twins(builds, phi, dl):
+        """The columns built, each block with phi* of it, which a block of
+        weight 0 must equal, since it is its own twin."""
         union = {}
-        for block in blocks:
-            image = flip_columns(block, 2, phi, algebra.dim)
-            if image.keys() == block.keys():  # a key with w = 0 is its own twin
+        for _, block in builds:
+            image = flip_columns(block, 2, phi, dl)
+            if image.keys() == block.keys():
                 assert image == block
                 image = {}
             for part in (block, image):
                 assert not union.keys() & part.keys()
                 union.update(part)
-        assert union == d2
-        # without the flip every block is built
+        return union
+
+    @cases
+    def test_union_of_blocks_is_d2(self, build, monkeypatch):
+        algebra, grading = build()
+        d2 = _integer_builder(algebra, adjoint_bimodule(algebra)).columns(2)
+        coh = AdjointCohomology(algebra, grading)
+        phi = cohomology._weight_flip(algebra, coh._gradings)
+        keys = coh._blocks(2)
+        # the stream visits the keys in order, one build per orbit
+        kept = [key for key in sorted(keys | coh._blocks(1)) if key >= flip_key(key)]
+        zero = [key for key in kept if not any(key[1:])]
+        assert phi and zero and len(kept) < len(keys)
+        # with the Cartan certificate a key of weight 0 is built whole, and
+        # phi* of it is itself; any other kept key builds only the columns
+        # its certificate reads, each equal to that column of d^2
+        builds = recorded_blocks(coh, 2)
+        assert len(builds) == len(kept)
+        for key, (cols, block) in zip(kept, builds):
+            assert block == {c: d2[c] for c in cols if c in d2}
+            want = keys[key] if key in zero else sorted(certificate_columns(coh, key))
+            assert list(cols) == list(want)
+        assert sum(len(cols) for cols, _ in builds) < sum(len(keys[key]) for key in kept)
+        whole = [build for key, build in zip(kept, builds) if key in zero]
+        assert self.union_with_twins(whole, phi, algebra.dim) == {
+            c: d2[c] for key in zero for c in keys[key] if c in d2}
+        # with the certificate off, every kept key is built whole, and
+        # phi* of each block is its twin
+        no_certificate(monkeypatch)
+        coh = AdjointCohomology(algebra, grading)
+        builds = recorded_blocks(coh, 2)
+        assert [cols for cols, _ in builds] == [keys.get(key, ()) for key in kept]
+        assert self.union_with_twins(builds, phi, algebra.dim) == d2
+        # without the flip either, every block is built
         monkeypatch.setattr(cohomology, "_weight_flip", lambda *args: None)
         coh = AdjointCohomology(algebra, grading)
-        blocks = recorded_blocks(coh, 2)
-        assert len(blocks) == len(coh._blocks(2)) > len(coh.degrees(2))
+        builds = recorded_blocks(coh, 2)
+        assert len(builds) == len(coh._blocks(2)) > len(coh.degrees(2))
         union = {}
-        for block in blocks:
+        for _, block in builds:
             assert not union.keys() & block.keys()
             union.update(block)
         assert union == d2
@@ -853,6 +905,174 @@ class TestFlipEquivalence:
     def test_sl2_plus_line(self, monkeypatch):
         # HL^2 = 1: the degree that does not close rebuilds its d^2 blocks
         self.assert_equivalent(*sl2_plus_line(), True, monkeypatch)
+
+
+def certified_keys(patch):
+    """The keys the Cartan certificate ranks, recorded as it runs."""
+    keys = []
+    real = AdjointCohomology._certified_rank
+
+    def record(self, key, *args):
+        r = real(self, key, *args)
+        if r is not None:
+            keys.append(key)
+        return r
+
+    patch.setattr(AdjointCohomology, "_certified_rank", record)
+    return keys
+
+
+def changed_builder(coh, n, col, change):
+    """Make the engine's builder apply ``change`` to its column ``col`` of
+    d^n, in every build that holds it."""
+    real = coh._builder.columns
+
+    def changed(arity, cols=None):
+        out = real(arity, cols)
+        if arity == n and col in out:
+            change(out, col)
+        return out
+
+    coh._builder.columns = changed
+
+
+class TestCartanCertificate:
+    """A d^2 block of nonzero h-weight is ranked as cols - rank d^1 once
+    d^2 d^1 = 0 on supp(d^1) and d^1 K_h + K_h d^2 = w on its columns
+    ending in h are checked; any other block is eliminated. The engine
+    gives every number it gives with the certificate off."""
+
+    def assert_equivalent(self, algebra, grading, monkeypatch):
+        """The certificate changes no rank, report, complex check or block
+        analysis; returns the keys it ranked."""
+        with monkeypatch.context() as patch:
+            keys = certified_keys(patch)
+            certified, got = TestFlipEquivalence.results(algebra, grading, False)
+        with monkeypatch.context() as patch:
+            no_certificate(patch)
+            plain, want = TestFlipEquivalence.results(algebra, grading, False)
+        assert certified._ranks == plain._ranks
+        assert got == want
+        return certified, keys
+
+    @staticmethod
+    def off_weight_zero(coh):
+        """The keys of d^2 of nonzero weight that the stream of ``coh``
+        visits, once it has run."""
+        coh.zl_dim(2)
+        flip = flip_key if coh._flip else (lambda key: key)
+        return sorted(key for key in coh._blocks(2) if any(key[1:]) and key >= flip(key))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_family(self, m, monkeypatch):
+        coh, keys = self.assert_equivalent(*simple_leibniz_sl2(m), monkeypatch)
+        assert keys == self.off_weight_zero(coh)
+
+    @pytest.mark.parametrize("m,seed", [(3, 1), (6, 2)])
+    def test_permuted_basis(self, m, seed, monkeypatch):
+        algebra, grading = permuted(*simple_leibniz_sl2(m), seed)
+        coh, keys = self.assert_equivalent(algebra, grading, monkeypatch)
+        assert keys == self.off_weight_zero(coh)
+
+    def test_sl2_plus_line(self, monkeypatch):
+        # HL^2 = 1 sits at weight 0, which is eliminated
+        algebra, grading = sl2_plus_line()
+        coh, keys = self.assert_equivalent(algebra, grading, monkeypatch)
+        assert coh.hl_dim(2) == 1
+        assert keys == self.off_weight_zero(coh)
+
+    def test_rescaled_basis(self, monkeypatch):
+        # b'_i = c_i b_i with h kept: the weights stay integers, the
+        # constants c_i c_j / c_k c_{ij}^k do not, so the builder's columns
+        # are s > 1 times d^n and the identity must read s w
+        algebra, grading = simple_leibniz_sl2(4)
+        factors = [F(1, 2), F(2, 3), F(1), *(F(k + 1, 3) for k in range(algebra.dim - 3))]
+        tensor = {(i, j): {k: factors[i] * factors[j] / factors[k] * v for k, v in vec.items()}
+                  for (i, j), vec in algebra.tensor.items()}
+        scaled = AlgebraStructure(algebra.dim, algebra.basis_labels, tensor)
+        coh, keys = self.assert_equivalent(scaled, grading, monkeypatch)
+        assert coh._builder.scale > 1
+        assert keys == self.off_weight_zero(coh)
+
+    def test_graded_conjugate_has_no_h(self, conjugate, monkeypatch):
+        algebra, grading = simple_leibniz_sl2(3)
+        coh, keys = self.assert_equivalent(conjugate(algebra, 1, grading), grading,
+                                           monkeypatch)
+        assert coh._contractions == [] and keys == []
+
+    @staticmethod
+    def family(m):
+        algebra, grading = simple_leibniz_sl2(m)
+        coh = AdjointCohomology(algebra, grading)
+        builder = _integer_builder(algebra, coh.module)
+        return coh, builder.columns(1), builder.columns(2)
+
+    def test_changed_h_column_entry_forces_the_fallback(self, monkeypatch):
+        # an entry of an h-row doubled in a column (i, h; k) outside
+        # supp(d^1): d^2 d^1 = 0 still holds, the identity fails
+        coh, d1, d2 = self.family(3)
+        dl, [h] = coh.algebra.dim, coh._contractions
+        support = {r for col in d1.values() for r in col}
+        key, col = next((key, c) for key in self.off_weight_zero(self.family(3)[0])
+                        for c in coh._blocks(2)[key]
+                        if c // dl % dl == h and c not in support and c in d2)
+        row = next(r for r in d2[col] if r // dl % dl == h)
+
+        def double(out, c):
+            out[c][row] *= 2
+
+        changed_builder(coh, 2, col, double)
+        keys = certified_keys(monkeypatch)
+        assert coh.squares_to_zero(1)
+        assert key not in keys and keys
+        block = coh._builder.columns(2, coh._blocks(2)[key])
+        assert block[col][row] == 2 * d2[col][row]
+        assert coh._ranks[(2, key)] == len(linalg._echelon(list(block.values())))
+
+    def test_zeroed_d1_column_caught_by_the_identity(self, monkeypatch):
+        # d^2 d^1 = 0 holds with a column of d^1 zeroed, and the rank of
+        # d^1 drops; the identity at (i, h; k) sees the missing column, so
+        # the block is eliminated and keeps its true rank
+        coh, d1, _ = self.family(3)
+        plain = self.family(3)[0]
+        blocks = plain._blocks(1)
+        key, col = next(
+            (key, c) for key in self.off_weight_zero(plain) for c in blocks.get(key, ())
+            if c in d1 and len(linalg._echelon(
+                [dict(d1[o]) for o in blocks[key] if o in d1 and o != c]))
+            < plain._ranks[(1, key)])
+
+        def zero(out, c):
+            del out[c]
+
+        changed_builder(coh, 1, col, zero)
+        keys = certified_keys(monkeypatch)
+        assert coh.squares_to_zero(1)
+        assert coh._ranks[(1, key)] == plain._ranks[(1, key)] - 1
+        assert key not in keys and keys
+        assert coh._ranks[(2, key)] == plain._ranks[(2, key)]
+
+    def test_changed_supp_d1_entry_fails_the_complex_check(self):
+        # for every key of nonzero weight, an entry doubled in a column of
+        # supp(d^1) that does not end in h: only d^2 d^1 = 0 can see it
+        plain, d1, d2 = self.family(2)
+        dl, [h] = plain.algebra.dim, plain._contractions
+        checked = []
+        for key in self.off_weight_zero(plain):
+            coh = self.family(2)[0]
+            support = {r for c in coh._blocks(1).get(key, ()) for r in d1.get(c, {})}
+            col = next((c for c in sorted(support) if c // dl % dl != h and c in d2), None)
+            if col is None:
+                continue
+
+            def double(out, c):
+                r = next(iter(out[c]))
+                out[c][r] *= 2
+
+            changed_builder(coh, 2, col, double)
+            assert not coh.squares_to_zero(1), key
+            checked.append(key)
+        assert (0, 2) in checked
 
 
 def reference_zl_basis(algebra, grading, degree):

@@ -114,8 +114,8 @@ MUTANTS = (
     Mutant(
         "squares_to_zero_checks_the_first_block_only",
         "src/leibcohom/cohomology.py",
-        "if ok and not _annihilates(",
-        "if ok and key == keys[0] and not _annihilates(",
+        "if n and ok and not _annihilates(",
+        "if n and ok and key == keys[0] and not _annihilates(",
         (
             "tests/test_cohomology.py::TestBlockwiseComplex::test_failed_identity_detected",
             "tests/test_cohomology.py::TestBlockwiseComplex"
@@ -144,6 +144,55 @@ MUTANTS = (
         "self._ranks[(n, twin)]",
         "self._ranks[(n, (-twin[0], *twin[1:]))]",
         ("tests/test_cohomology.py::TestFlipEquivalence::test_family",),
+    ),
+    Mutant(
+        "cartan_identity_accepted_unchecked",
+        "src/leibcohom/cohomology.py",
+        "if got != {c: sw}:",
+        "if False:",
+        (
+            "tests/test_cohomology.py::TestCartanCertificate"
+            "::test_changed_h_column_entry_forces_the_fallback",
+            "tests/test_cohomology.py::TestCartanCertificate"
+            "::test_zeroed_d1_column_caught_by_the_identity",
+        ),
+    ),
+    Mutant(
+        "cartan_weight_taken_with_the_wrong_sign",
+        "src/leibcohom/cohomology.py",
+        "sw = self._builder.scale * key[1 + j]",
+        "sw = -self._builder.scale * key[1 + j]",
+        (
+            "tests/test_cohomology.py::TestCartanCertificate::test_family",
+            "tests/test_cohomology.py::TestEngineTotals::test_ranks_do_not_reduce",
+        ),
+    ),
+    Mutant(
+        "cartan_weight_not_scaled",
+        "src/leibcohom/cohomology.py",
+        "sw = self._builder.scale * key[1 + j]",
+        "sw = key[1 + j]",
+        ("tests/test_cohomology.py::TestCartanCertificate::test_rescaled_basis",),
+    ),
+    Mutant(
+        "cartan_skips_supp_d1_of_one_key",
+        "src/leibcohom/cohomology.py",
+        "support = {r for col in below.values() for r in col}",
+        "support = {r for col in below.values() for r in col if key != (0, 2)}",
+        (
+            "tests/test_cohomology.py::TestCartanCertificate::test_family",
+            "tests/test_cohomology.py::TestStreamedBlocks::test_union_of_blocks_is_d2",
+        ),
+    ),
+    Mutant(
+        "cartan_skips_the_d2d1_check_of_one_key",
+        "src/leibcohom/cohomology.py",
+        "if not _annihilates(part, set(cols), below.values()):",
+        "if key != (0, 2) and not _annihilates(part, set(cols), below.values()):",
+        (
+            "tests/test_cohomology.py::TestCartanCertificate"
+            "::test_changed_supp_d1_entry_fails_the_complex_check",
+        ),
     ),
     Mutant(
         "flip_skips_the_d1_commutation_check",
