@@ -28,8 +28,10 @@ same key. The 2-cocycles of degree i are read in one place, as integer
 vectors spanning them: the d^1 columns when d^2 d^1 = 0 and
 rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i then fills
 ker d^2_i; only a degree where that chain does not close (HL^2 nonzero
-there, or a broken complex) rebuilds its d^2 blocks and reduces each to
-a kernel. The block analyses and the G*G check both read that span.
+there, or a broken complex) reads each block on its own: the d^1 columns
+of a block the Cartan certificate ranked, whose kernel they fill, and
+the kernel of every other block, rebuilt. The block analyses and the
+G*G check both read that span.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part, as :meth:`~leibcohom.algebra.Grading.parts`
@@ -280,9 +282,10 @@ class AdjointCohomology:
     each block's rank is the pivot count of an echelon of its columns,
     computed once, and only the blocks of d^0 and d^1 are kept. The
     2-cocycles of a degree are read in one place, :meth:`_cocycle_span`:
-    off the columns of d^1 where the rank chain closes, and off kernels
-    of rebuilt d^2 blocks elsewhere. The block analyses and the G*G
-    check both use that span.
+    off the columns of d^1 where the rank chain closes; elsewhere off the
+    d^1 columns of each certified block and the kernel of each other d^2
+    block, rebuilt. The block analyses and the G*G check both use that
+    span.
 
     d^2 and d^3 are streamed by orbits of a weight flip. Let phi(b_i) =
     c_i b_{p(i)} keep the degree and negate every weight, with c_t c_{ij}^t
@@ -356,6 +359,8 @@ class AdjointCohomology:
         self._cells: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
         self._kept: dict[tuple[int, tuple[int, ...]], dict[int, dict[int, int]]] = {}
         self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
+        # the d^2 keys ranked by the Cartan certificate, twins included
+        self._certified: set[tuple[int, ...]] = set()
         self._squares: dict[int, bool] = {}
         self._streamed: set[int] = set()
         self._flip: bool | None = None
@@ -436,6 +441,8 @@ class AdjointCohomology:
                     r = len(_echelon([dict(col) for col in block.values()]))
                 elif n == 2:
                     r = len(_echelon(list(block.values())))
+            else:
+                self._certified.update((key, twin))
             if n <= 2:
                 self._ranks[(n, key)] = self._ranks[(n, twin)] = r
         if n:
@@ -571,12 +578,14 @@ class AdjointCohomology:
 
         Where the rank chain closes (:meth:`_closes`) these are the kept
         d^1 columns of the degree, of dimension rank d^1 there, so no
-        basis is reduced. Otherwise the d^2 blocks of the degree are
-        rebuilt, and each kernel is read off a reversed echelon of the
-        block's rows, with its columns numbered by position and mapped
-        back by :func:`~leibcohom.linalg.embed`; the blocks use disjoint
-        coordinates, so the union of their kernel bases is a basis of the
-        degree's cocycles.
+        basis is reduced. Otherwise each block of the degree is read on
+        its own; the blocks use disjoint coordinates, so the spans add up.
+        A block the Cartan certificate ranked (or its flip twin) has
+        ker d^2 = im d^1, so its kept d^1 columns span it, with dimension
+        rank d^1 of the key. Every other d^2 block is rebuilt, and its
+        kernel is read off a reversed echelon of the block's rows, with
+        its columns numbered by position and mapped back by
+        :func:`~leibcohom.linalg.embed`.
         """
         if degree not in self._spans:
             if self._closes(degree):
@@ -584,9 +593,13 @@ class AdjointCohomology:
                         if n == 1 and key[0] == degree for col in block.values()]
                 dim = self._rank(1, degree)
             else:
-                span = []
+                span, dim = [], 0
                 for key, cols in self._blocks(2).items():
                     if key[0] != degree:
+                        continue
+                    if key in self._certified:
+                        span += self._kept.get((1, key), {}).values()
+                        dim += self._ranks.get((1, key), 0)
                         continue
                     d2 = self._builder.columns(2, cols)
                     rows: dict[int, dict[int, int]] = {}
@@ -596,7 +609,7 @@ class AdjointCohomology:
                     pivots = _reversed_echelon(rows.values(), len(cols))
                     kernel = embed(_reversed_kernel(pivots, len(cols)), cols, self.algebra.dim**3)
                     span += [_integer_row(vec) for vec in kernel.basis]
-                dim = len(span)
+                    dim += kernel.dim
             self._spans[degree] = span, dim
         return self._spans[degree]
 

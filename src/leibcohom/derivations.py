@@ -2,11 +2,15 @@
 
 A derivation is a linear map D with D([a, b]) = [D(a), b] + [a, D(b)].
 The space of all derivations is cut out by one linear equation per basis
-triple and solved exactly. For algebras graded in degrees {0, 1} the
-module also expresses a given derivation in the canonical spanning
-family: right multiplications by degree-0 basis elements, the projection
-onto the degree-1 part, and the maps sending the degree-0 part into the
-degree-1 part.
+triple and solved exactly. The equations are -d^1 of the adjoint
+bimodule, entry for entry, and are written from the nonzero structure
+constants, so building them costs what the matrix holds rather than a
+pass over every basis triple. For algebras graded in degrees {0, 1} the
+module also expresses derivations in the canonical spanning family:
+right multiplications by degree-0 basis elements, the projection onto
+the degree-1 part, and the maps sending the degree-0 part into the
+degree-1 part. The family is built and ranked once per call, for every
+derivation given.
 
 Linear maps D are encoded two ways, and helpers convert between them:
 as n x n matrices with entry (t, z) the coefficient of basis element t
@@ -17,6 +21,7 @@ z * n + t for the same coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .algebra import AlgebraStructure, Grading
 from .linalg import (
@@ -37,21 +42,23 @@ def derivation_space(algebra: AlgebraStructure) -> Subspace:
 
     Row (i, j, t) of the constraint matrix states that the coefficient
     of basis element t in D([b_i, b_j]) - [D(b_i), b_j] - [b_i, D(b_j)]
-    vanishes.
+    vanishes. The rows are written from the nonzero structure constants
+    c_ab^t, each of which enters n entries of every term: +c at row
+    (a, b, s), column (t; s) from D([b_a, b_b]); -c at row (i, b, t),
+    column (i; a) from [D(b_i), b_b]; and -c at row (a, j, t), column
+    (j; b) from [b_a, D(b_j)], for every s, i and j.
     """
     n = algebra.dim
     entries: dict[tuple[int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            row_base = (i * n + j) * n
-            for k, c in algebra.product(i, j).items():
-                for t in range(n):
-                    _add(entries, (row_base + t, k * n + t), c)
-            for k in range(n):
-                for t, c in algebra.product(k, j).items():
-                    _add(entries, (row_base + t, i * n + k), -c)
-                for t, c in algebra.product(i, k).items():
-                    _add(entries, (row_base + t, j * n + k), -c)
+    for (a, b), vec in algebra.tensor.items():
+        row_base = (a * n + b) * n
+        for t, c in vec.items():
+            for s in range(n):
+                _add(entries, (row_base + s, t * n + s), c)
+            for i in range(n):
+                _add(entries, ((i * n + b) * n + t, i * n + a), -c)
+            for j in range(n):
+                _add(entries, ((a * n + j) * n + t, j * n + b), -c)
     constraints = SparseRationalMatrix(n * n * n, n * n, entries)
     return kernel_basis(constraints)
 
@@ -162,18 +169,20 @@ class DerivationDecomposition(_Value):
 
 
 def decompose_derivation(
-    algebra: AlgebraStructure, grading: Grading, deriv: SparseRationalMatrix
-) -> DerivationDecomposition:
-    """Express a derivation over the canonical spanning family.
+    algebra: AlgebraStructure, grading: Grading, derivs: Sequence[SparseRationalMatrix]
+) -> list[DerivationDecomposition]:
+    """Express each derivation over the canonical spanning family.
 
     The family consists of right multiplications by the degree-0 basis,
     the projection onto the degree-1 part, and the elementary maps from
-    the degree-0 part into the degree-1 part. These must be linearly
-    independent for the coordinates to be well defined; if they are not,
-    a ValueError reports the dependency.
+    the degree-0 part into the degree-1 part. It is built and ranked once
+    for all the derivations given, typically a basis of
+    :func:`derivation_space`. Its members must be linearly independent
+    for the coordinates to be well defined; if they are not, a ValueError
+    reports the dependency.
     """
     n = algebra.dim
-    if deriv.rows != n or deriv.cols != n:
+    if any(deriv.rows != n or deriv.cols != n for deriv in derivs):
         raise ValueError("derivation matrix has the wrong shape")
     g_idx, i_idx = _classes_01(grading)
     ng, ni = len(g_idx), len(i_idx)
@@ -197,19 +206,22 @@ def decompose_derivation(
         raise ValueError(
             "canonical spanning family is linearly dependent for this algebra"
         )
-    x, residual_vec = solve(family, matrix_to_cochain(deriv))
-    coeffs = tuple(x.get(p, Fraction(0)) for p in range(ng))
-    lam = x.get(ng, Fraction(0))
-    delta_entries = {
-        (ip, gp): x[ng + 1 + gp * ni + ip]
-        for gp in range(ng)
-        for ip in range(ni)
-        if ng + 1 + gp * ni + ip in x
-    }
-    residual = cochain_to_matrix(residual_vec, n)
-    return DerivationDecomposition(
-        coefficients=coeffs,
-        lam=lam,
-        delta=SparseRationalMatrix(ni, ng, delta_entries),
-        residual=residual,
-    )
+    out = []
+    for deriv in derivs:
+        x, residual_vec = solve(family, matrix_to_cochain(deriv))
+        coeffs = tuple(x.get(p, Fraction(0)) for p in range(ng))
+        lam = x.get(ng, Fraction(0))
+        delta_entries = {
+            (ip, gp): x[ng + 1 + gp * ni + ip]
+            for gp in range(ng)
+            for ip in range(ni)
+            if ng + 1 + gp * ni + ip in x
+        }
+        residual = cochain_to_matrix(residual_vec, n)
+        out.append(DerivationDecomposition(
+            coefficients=coeffs,
+            lam=lam,
+            delta=SparseRationalMatrix(ni, ng, delta_entries),
+            residual=residual,
+        ))
+    return out

@@ -488,7 +488,7 @@ class Subspace(_Value):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         last_pivot = -1
-        pivots: set[int] = set()
+        leads: list[int] = []
         for vec in basis:
             if not vec:
                 raise ValueError("zero vector stored in a basis")
@@ -499,13 +499,15 @@ class Subspace(_Value):
                 raise ValueError("basis vector outside the ambient space")
             if vec[p] != 1:
                 raise ValueError("basis pivot entries must be 1")
-            pivots.add(p)
+            leads.append(p)
             last_pivot = p
         # each vector's only stored entry at a pivot is its own
+        pivots = set(leads)
         for vec in basis:
             if len(pivots.intersection(vec)) != 1:
                 raise ValueError("basis is not fully reduced")
-        self.__dict__.update(ambient_dim=ambient_dim, basis=basis)
+        # the pivot of each basis vector, for contains; not a field
+        self.__dict__.update(ambient_dim=ambient_dim, basis=basis, _leads=tuple(leads))
 
     @property
     def dim(self) -> int:
@@ -524,8 +526,8 @@ class Subspace(_Value):
 
     def contains(self, vec: VectorLike) -> bool:
         w = _sparse(vec, self.ambient_dim, "vector")
-        for b in self.basis:
-            cv = w.get(min(b))
+        for p, b in zip(self._leads, self.basis):
+            cv = w.get(p)
             if cv:
                 _axpy(w, b, -cv)
         return not w

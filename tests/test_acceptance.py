@@ -139,10 +139,8 @@ def test_c05_derivation_structure(family, capsys):
         expected_dim = 5 if m == 2 else 4
         if space.dim != expected_dim:
             failures.append(f"m={m} dim Der={space.dim}")
-        for vec in space.basis:
-            dec = decompose_derivation(
-                algebra, grading, cochain_to_matrix(dict(vec), algebra.dim)
-            )
+        operators = [cochain_to_matrix(dict(vec), algebra.dim) for vec in space.basis]
+        for dec in decompose_derivation(algebra, grading, operators):
             if not dec.is_exact:
                 failures.append(f"m={m} decomposition residual")
                 break
@@ -281,7 +279,9 @@ def test_c10_report_determinism(tmp_path, capsys):
 # the block projections and restrictions, or only the totals, which the
 # command reads off the engine's degree blocks whenever the algebra is
 # graded. The 2..12 and 20..20 reports are the benchmark's paper_range
-# and large_m20 workloads, and 30..30 is the next rung of the ladder.
+# and large_m20 workloads, 30..30 is the next rung of the ladder, and
+# 60..60 is large enough that work growing as (dim L)^3, such as the
+# derivation constraints, shows in it.
 PINNED_REPORTS = {
     ("verify-paper", "--m-range", "2..12", "--format", "json"):
         "a306f5a50cdfa49f81c4e3dbe51db33d64b00651f7ca7114aaabf19c5f861de8",
@@ -291,6 +291,8 @@ PINNED_REPORTS = {
         "7c82cf931c5df5f362bfc93cd6d4d2100dbeaf59215d938a3f6a9b9999d51e13",
     ("verify-paper", "--m-range", "30..30", "--format", "json"):
         "739f605be0f1ea95461ee819f9a7761d250173151540d6f27b4dee72fdc1075a",
+    ("verify-paper", "--m-range", "60..60", "--format", "json"):
+        "28e97615eb60083d0eb59bfe0c9170c6b73fd95f3a6c78e4db3f41922f9ad7a2",
     ("derivations", "--m", "2", "--format", "json"):
         "41f70d9ad8f6efa09b2aa324ca6ed0d72bd30f7d033d7308ac8282033deda52b",
     ("cohomology", "--m", "3", "--graded", "--blocks", "--format", "json"):

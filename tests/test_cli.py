@@ -29,6 +29,8 @@ from leibcohom.catalog import (
     sl2,
 )
 from leibcohom.cli import main
+from leibcohom.derivations import derivation_space
+from leibcohom.linalg import SparseRationalMatrix, Subspace
 
 
 def run_err(capsys, argv):
@@ -254,6 +256,23 @@ class TestDerivations:
         payload = json.loads(out)
         assert payload["dim"] == 4
         assert payload["delta_generator"] is None
+
+    def test_non_derivation_in_the_basis_exits_1(self, capsys, monkeypatch):
+        # a basis holding a non-derivation (x0 -> e at m = 2): its own row
+        # keeps a residual, the derivations' rows stay exact
+        def with_bogus(algebra):
+            space = derivation_space(algebra)
+            return Subspace.from_spanning([*space.basis, {3 * algebra.dim: 1}],
+                                          space.ambient_dim)
+
+        monkeypatch.setattr(cli, "derivation_space", with_bogus)
+        code, out = run(capsys, ["derivations", "--m", "2", "--format", "json"])
+        assert code == 1
+        rows = json.loads(out)["basis_decompositions"]
+        assert sorted(row["exact"] for row in rows) == [False] + [True] * 5
+        code, out = run(capsys, ["derivations", "--m", "2"])
+        assert code == 1
+        assert sum("(RESIDUAL LEFT)" in line for line in out.splitlines()) == 1
 
     def test_ungraded_gives_dimension_only(self, capsys, tmp_path):
         path = tmp_path / "plain.alg"
@@ -499,6 +518,62 @@ class TestClaimTable:
                 getattr(member, value)
             assert str(got.value) == str(want.value)
             assert str(got.value).endswith(f" ({len(member.module_defects)} axiom defects)")
+
+    @staticmethod
+    def der_equals_zl1(capsys, monkeypatch, change):
+        """The der_equals_zl1 status at m = 2 and the pretty report's
+        lines for it, with ``change(d1)`` in place of d^1; every other
+        claim must pass."""
+        build = cli.coboundary_matrix
+        monkeypatch.setattr(cli, "coboundary_matrix",
+                            lambda algebra, module, n: change(build(algebra, module, n)))
+        claims, _ = cli._verify_one(2, False)
+        [status] = [c["status"] for c in claims if c["id"] == "der_equals_zl1"]
+        assert all(c["status"] == "pass" for c in claims if c["id"] != "der_equals_zl1")
+        code, out = run(capsys, ["verify-paper", "--m-range", "2..2"])
+        assert code == (status == "fail")
+        return status, [line for line in out.splitlines() if "der_equals_zl1" in line]
+
+    @staticmethod
+    def derivation_support():
+        algebra, _ = simple_leibniz_sl2(2)
+        return set().union(*derivation_space(algebra).basis)
+
+    def test_der_equals_zl1_holds_for_a_scaled_d1(self, capsys, monkeypatch):
+        # 2 d^1 has the kernel of d^1, so the certificate must accept it
+        def doubled(d1):
+            return SparseRationalMatrix(d1.rows, d1.cols,
+                                        {rc: 2 * v for rc, v in d1.entries.items()})
+
+        assert self.der_equals_zl1(capsys, monkeypatch, doubled) == (
+            "pass", ["  ok   der_equals_zl1"])
+
+    def test_der_equals_zl1_fails_when_d1_moves_off_der(self, capsys, monkeypatch):
+        # doubling a column in the support of Der keeps rank d^1 but moves
+        # ker d^1 off Der: d^1 no longer kills a basis derivation
+        col = min(self.derivation_support())
+
+        def scaled(d1):
+            assert any(c == col for _, c in d1.entries)
+            return SparseRationalMatrix(d1.rows, d1.cols, {
+                (r, c): 2 * v if c == col else v for (r, c), v in d1.entries.items()})
+
+        assert self.der_equals_zl1(capsys, monkeypatch, scaled) == ("fail", [
+            "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])
+
+    def test_der_equals_zl1_fails_when_ker_d1_grows(self, capsys, monkeypatch):
+        # zeroing a column outside the support of every derivation keeps
+        # d^1 D = 0 on Der but drops rank d^1 by one: ker d^1 gains e_col
+        algebra, _ = simple_leibniz_sl2(2)
+        col = min(set(range(algebra.dim ** 2)) - self.derivation_support())
+
+        def dropped(d1):
+            assert any(c == col for _, c in d1.entries)
+            return SparseRationalMatrix(d1.rows, d1.cols, {
+                (r, c): v for (r, c), v in d1.entries.items() if c != col})
+
+        assert self.der_equals_zl1(capsys, monkeypatch, dropped) == ("fail", [
+            "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])
 
     @staticmethod
     def count_builders(monkeypatch):

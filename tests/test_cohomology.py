@@ -3,6 +3,7 @@ comparison theorems."""
 
 import bisect
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,7 +20,13 @@ from leibcohom.algebra import (
     leibniz_defects,
     symmetric_bimodule,
 )
-from leibcohom.catalog import direct_sum, irreducible_sl2_module, simple_leibniz_sl2, sl2
+from leibcohom.catalog import (
+    direct_sum,
+    irreducible_sl2_module,
+    save_algebra,
+    simple_leibniz_sl2,
+    sl2,
+)
 from leibcohom.cochain import (
     _integer_builder,
     coboundary_matrix,
@@ -37,7 +44,7 @@ from leibcohom.cohomology import (
     lie_ce_h,
     zl_dim,
 )
-from leibcohom.cli import STANDARD_BLOCKS
+from leibcohom.cli import STANDARD_BLOCKS, main
 from leibcohom.derivations import derivation_space
 from leibcohom.linalg import (
     SparseRationalMatrix,
@@ -1104,6 +1111,50 @@ class TestCocycleBasisRead:
         assert True in closed.values() and False in closed.values()
         for degree in closed:
             assert zl_basis(coh, degree) == reference_zl_basis(algebra, grading, degree)
+
+    @pytest.mark.parametrize("degrees,degree", [((0, 0, 0, 1), -1), ((0, 0, 0, 0), 0)])
+    def test_sl2_plus_line_rebuilds_only_weight_zero_blocks(self, degrees, degree, zl_basis):
+        # the degree does not close; its keys of nonzero weight are
+        # certified, so their d^1 columns span their cocycles, with rank
+        # d^1 as the dimension, and only the weight-0 key reaches the
+        # builder again. Graded all 0, keys (0, +-2) hold ad e and ad f in
+        # ker d^1, so their d^1 columns outnumber their rank
+        algebra, _ = sl2_plus_line()
+        grading = Grading(degrees)
+        coh = AdjointCohomology(algebra, grading)
+        assert not chain_closes(coh, degree)
+        key_of = {c: key for key, cols in coh._blocks(2).items() for c in cols}
+        certified = {key for key in key_of.values() if key[0] == degree and any(key[1:])}
+        assert certified and certified <= coh._certified
+        built = []
+        real = coh._builder.columns
+
+        def record(arity, cols=None):
+            if arity == 2:
+                built.extend(key_of[c] for c in cols)
+            return real(arity, cols)
+
+        coh._builder.columns = record
+        basis = zl_basis(coh, degree)
+        assert built and {key[1:] for key in built} == {(0,)}
+        assert basis == reference_zl_basis(algebra, grading, degree)
+        assert coh._cocycle_span(degree)[1] == basis.dim
+
+    def test_sl2_plus_line_blocks_report_unchanged(self, capsys, tmp_path, monkeypatch):
+        # the --graded --blocks report with the certified spans read off
+        # d^1 is the report with every block of d^2 rebuilt
+        path = tmp_path / "line.alg"
+        save_algebra(*sl2_plus_line(), path)
+        argv = ["cohomology", "--algebra", str(path), "--graded", "--blocks", "--format", "json"]
+        reports = []
+        for patched in (False, True):
+            with monkeypatch.context() as patch:
+                if patched:
+                    no_certificate(patch)
+                assert main(argv) == 0
+                reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert len(json.loads(reports[0])["blocks"]) == len(STANDARD_BLOCKS)
 
     @pytest.mark.parametrize("degrees", [(0, 1), (0, 0)])
     def test_abelian_plane_falls_back_everywhere(self, degrees, zl_basis):

@@ -198,7 +198,7 @@ class TestDeltaGenerator:
 class TestDecomposition:
     def test_right_mult_decomposes_to_itself(self):
         algebra, grading = simple_leibniz_sl2(3)
-        dec = decompose_derivation(algebra, grading, right_mult_operator(algebra, 1))
+        [dec] = decompose_derivation(algebra, grading, [right_mult_operator(algebra, 1)])
         assert dec.coefficients == (F(0), F(1), F(0))
         assert dec.lam == 0
         assert dec.delta.is_zero()
@@ -206,7 +206,7 @@ class TestDecomposition:
 
     def test_ideal_projection_decomposes(self):
         algebra, grading = simple_leibniz_sl2(2)
-        dec = decompose_derivation(algebra, grading, ideal_projection(algebra, grading))
+        [dec] = decompose_derivation(algebra, grading, [ideal_projection(algebra, grading)])
         assert dec.coefficients == (F(0), F(0), F(0))
         assert dec.lam == 1
         assert dec.delta.is_zero()
@@ -217,10 +217,8 @@ class TestDecomposition:
         algebra, grading = simple_leibniz_sl2(m)
         space = derivation_space(algebra)
         deltas = 0
-        for vec in space.basis:
-            dec = decompose_derivation(
-                algebra, grading, cochain_to_matrix(dict(vec), algebra.dim)
-            )
+        operators = [cochain_to_matrix(dict(vec), algebra.dim) for vec in space.basis]
+        for dec in decompose_derivation(algebra, grading, operators):
             assert isinstance(dec, DerivationDecomposition)
             assert dec.is_exact
             if not dec.delta.is_zero():
@@ -233,13 +231,45 @@ class TestDecomposition:
     def test_non_derivation_leaves_residual(self):
         algebra, grading = simple_leibniz_sl2(2)
         bogus = SparseRationalMatrix(6, 6, {(0, 3): F(1)})
-        dec = decompose_derivation(algebra, grading, bogus)
+        [dec] = decompose_derivation(algebra, grading, [bogus])
         assert not dec.is_exact
+
+    @staticmethod
+    def assert_batch_is_per_derivation(algebra, grading, operators):
+        """One call over all the operators, which builds and ranks the
+        family once, equals one call per operator."""
+        batch = decompose_derivation(algebra, grading, operators)
+        assert batch == [decompose_derivation(algebra, grading, [op])[0] for op in operators]
+        return batch
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_batch_equals_one_call_per_derivation(self, m):
+        algebra, grading = simple_leibniz_sl2(m)
+        operators = [cochain_to_matrix(dict(vec), algebra.dim)
+                     for vec in derivation_space(algebra).basis]
+        batch = self.assert_batch_is_per_derivation(algebra, grading, operators)
+        assert len(batch) == (5 if m == 2 else 4) and all(dec.is_exact for dec in batch)
+
+    def test_batch_on_a_graded_conjugate(self, conjugate):
+        algebra, grading = simple_leibniz_sl2(3)
+        twisted = conjugate(algebra, 4, grading)
+        operators = [cochain_to_matrix(dict(vec), twisted.dim)
+                     for vec in derivation_space(twisted).basis]
+        batch = self.assert_batch_is_per_derivation(twisted, grading, operators)
+        assert len(batch) == 4 and all(dec.is_exact for dec in batch)
+
+    def test_batch_keeps_a_residual(self):
+        # a non-derivation between two derivations keeps its own residual
+        algebra, grading = simple_leibniz_sl2(2)
+        bogus = SparseRationalMatrix(6, 6, {(0, 3): F(1)})
+        operators = [right_mult_operator(algebra, 1), bogus, ideal_projection(algebra, grading)]
+        batch = self.assert_batch_is_per_derivation(algebra, grading, operators)
+        assert [dec.is_exact for dec in batch] == [True, False, True]
 
     def test_wrong_shape_rejected(self):
         algebra, grading = simple_leibniz_sl2(2)
         with pytest.raises(ValueError):
-            decompose_derivation(algebra, grading, SparseRationalMatrix(3, 3, {}))
+            decompose_derivation(algebra, grading, [SparseRationalMatrix(3, 3, {})])
 
     def test_link_between_coboundaries_and_derivations(self):
         # rank d^1 = (dim L)^2 - dim Der pairs the two computations

@@ -224,6 +224,16 @@ MUTANTS = (
         ("tests/test_cohomology.py::TestBlockAnalysisReference::test_family",),
     ),
     Mutant(
+        "certified_cocycle_dimension_counts_the_d1_columns",
+        "src/leibcohom/cohomology.py",
+        "dim += self._ranks.get((1, key), 0)",
+        "dim += len(self._kept.get((1, key), {}))",
+        (
+            "tests/test_cohomology.py::TestCocycleBasisRead"
+            "::test_sl2_plus_line_rebuilds_only_weight_zero_blocks",
+        ),
+    ),
+    Mutant(
         "gg_check_drops_the_union_rank",
         "src/leibcohom/cohomology.py",
         "return r_zl == r_lie == r_both",
@@ -232,6 +242,30 @@ MUTANTS = (
             "tests/test_cohomology.py::TestGGBlockReference"
             "::test_equal_dimension_different_span",
         ),
+    ),
+    Mutant(
+        "derivation_term_written_for_one_free_index",
+        "src/leibcohom/derivations.py",
+        "            for i in range(n):\n                _add(entries, ((i * n + b) * n + t,",
+        "            for i in (a,):\n                _add(entries, ((i * n + b) * n + t,",
+        (
+            "tests/test_derivations.py::TestDerivationSpace::test_constraints_are_minus_d1_family",
+            "tests/test_derivations.py::TestDerivationSpace::test_family_dimension",
+        ),
+    ),
+    Mutant(
+        "der_is_ker_d1_skips_the_containment_check",
+        "src/leibcohom/cli.py",
+        "(all(not matrix.apply(vec) for vec in space.basis)\n            and matrix.cols",
+        "(matrix.cols",
+        ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_fails_when_d1_moves_off_der",),
+    ),
+    Mutant(
+        "der_is_ker_d1_drops_the_rank_equality",
+        "src/leibcohom/cli.py",
+        "\n            and matrix.cols - rank(matrix) == space.dim)",
+        ")",
+        ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_fails_when_ker_d1_grows",),
     ),
     Mutant(
         "leibniz_defect_divided_by_the_scale",
