@@ -17,8 +17,8 @@ action and the second the right one. One builder,
 column being d^n of one basis cochain, for all columns or for any chosen
 subset of them. For any bimodule,
 
-* :func:`coboundary_matrix` flattens the columns into a Fraction matrix;
-  it is the ungraded path;
+* :func:`coboundary_matrix` flattens the columns into a rational matrix,
+  exactly d, whose integral entries are ints; it is the ungraded path;
 * :func:`_integer_builder` hands out a builder of integer columns,
   scaled by one common denominator, with no grading. No rank or span
   sees the denominator; the builder keeps it as ``scale`` for the Cartan
@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Mapping, Sequence
 
-from .algebra import AlgebraStructure, Bimodule, Grading, _integral
+from .algebra import AlgebraStructure, Bimodule, Grading, _integral, _integral_as_int
 from .linalg import SparseRationalMatrix
 
 MAX_ARITY = 3
@@ -201,10 +201,17 @@ def _check(algebra: AlgebraStructure, module: Bimodule) -> None:
 def coboundary_matrix(
     algebra: AlgebraStructure, module: Bimodule, n: int
 ) -> SparseRationalMatrix:
-    """Matrix of d: Hom(L^n, M) -> Hom(L^{n+1}, M) in flat coordinates, n in 0..3."""
+    """Matrix of d: Hom(L^n, M) -> Hom(L^{n+1}, M) in flat coordinates, n in 0..3.
+
+    The builder gets each integral constant and action entry as an int, so
+    the entries are exactly d, and integral ones (all, for the sl2 family)
+    are ints: no Fraction is made on the way to the elimination."""
     _check(algebra, module)
     dm = module.module_dim
-    builder = _ColumnBuilder(module.left_action, module.right_action, algebra.tensor, dm)
+    builder = _ColumnBuilder(
+        [_integral_as_int(act) for act in module.left_action],
+        [_integral_as_int(act) for act in module.right_action],
+        {key: _integral_as_int(vec) for key, vec in algebra.tensor.items()}, dm)
     columns = builder.columns(n)
     entries = {(r, c): v for c, col in columns.items() for r, v in col.items()}
     return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm, entries)

@@ -259,15 +259,17 @@ def _annihilates(upper: dict[int, dict[int, int]], cells: set[int],
     """Whether the block ``upper`` of d^{n+1}, the nonzero columns among
     the cochains ``cells``, maps every column of d^n in ``columns`` to
     zero. A row outside ``cells`` would mean that the block keys are no
-    grading."""
+    grading. The sums are accumulated inline, in integers."""
     for col in columns:
         acc: dict[int, int] = {}
         for r, v in col.items():
             if r not in cells:
                 raise AssertionError("a coboundary column leaves its block")
-            if r in upper:
-                _axpy(acc, upper[r], v)
-        if acc:
+            up = upper.get(r)
+            if up:
+                for t, u in up.items():
+                    acc[t] = acc.get(t, 0) + u * v
+        if any(acc.values()):
             return False
     return True
 

@@ -9,8 +9,9 @@ pass over every basis triple. For algebras graded in degrees {0, 1} the
 module also expresses derivations in the canonical spanning family:
 right multiplications by degree-0 basis elements, the projection onto
 the degree-1 part, and the maps sending the degree-0 part into the
-degree-1 part. The family is built and ranked once per call, for every
-derivation given.
+degree-1 part. The family is built and ranked once per call, and one
+:func:`~leibcohom.linalg.solve` eliminates it with every derivation given
+as a right-hand side.
 
 Linear maps D are encoded two ways, and helpers convert between them:
 as n x n matrices with entry (t, z) the coefficient of basis element t
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraStructure, Grading
+from .algebra import AlgebraStructure, Grading, _integral_as_int
 from .linalg import (
     SparseRationalMatrix,
     Subspace,
@@ -46,13 +47,14 @@ def derivation_space(algebra: AlgebraStructure) -> Subspace:
     c_ab^t, each of which enters n entries of every term: +c at row
     (a, b, s), column (t; s) from D([b_a, b_b]); -c at row (i, b, t),
     column (i; a) from [D(b_i), b_b]; and -c at row (a, j, t), column
-    (j; b) from [b_a, D(b_j)], for every s, i and j.
+    (j; b) from [b_a, D(b_j)], for every s, i and j. An integral c is
+    written as an ``int``, so the family's constraints hold only ints.
     """
     n = algebra.dim
     entries: dict[tuple[int, int], Fraction] = {}
     for (a, b), vec in algebra.tensor.items():
         row_base = (a * n + b) * n
-        for t, c in vec.items():
+        for t, c in _integral_as_int(vec).items():
             for s in range(n):
                 _add(entries, (row_base + s, t * n + s), c)
             for i in range(n):
@@ -177,7 +179,9 @@ def decompose_derivation(
     the projection onto the degree-1 part, and the elementary maps from
     the degree-0 part into the degree-1 part. It is built and ranked once
     for all the derivations given, typically a basis of
-    :func:`derivation_space`. Its members must be linearly independent
+    :func:`derivation_space`, and one elimination solves for all of them;
+    each decomposition is the one a single-derivation call gives. Its
+    members must be linearly independent
     for the coordinates to be well defined; if they are not, a ValueError
     reports the dependency.
     """
@@ -207,8 +211,7 @@ def decompose_derivation(
             "canonical spanning family is linearly dependent for this algebra"
         )
     out = []
-    for deriv in derivs:
-        x, residual_vec = solve(family, matrix_to_cochain(deriv))
+    for x, residual_vec in solve(family, [matrix_to_cochain(deriv) for deriv in derivs]):
         coeffs = tuple(x.get(p, Fraction(0)) for p in range(ng))
         lam = x.get(ng, Fraction(0))
         delta_entries = {

@@ -1,14 +1,18 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything in this module works with ``fractions.Fraction`` scalars, so
-ranks, kernels and subspace operations are exact; no floating point is
-accepted anywhere. The two carriers are :class:`SparseRationalMatrix`,
-a mapping from ``(row, col)`` to nonzero entries, and :class:`Subspace`,
-which stores a canonical reduced-echelon basis so that two subspaces are
-equal exactly when their stored bases are equal.
+Every scalar in this module is exact, an ``int`` or a
+``fractions.Fraction``, so ranks, kernels and subspace operations are
+exact; no floating point is accepted anywhere. An integral value may stay
+an ``int`` from the structure constants to the elimination: it equals and
+hashes like its Fraction and is cheaper to multiply and add. The two
+carriers are :class:`SparseRationalMatrix`, a mapping from ``(row, col)``
+to nonzero entries (ints kept as ints), and :class:`Subspace`, which
+stores a canonical reduced-echelon basis so that two subspaces are equal
+exactly when their stored bases are equal.
 
 There is one elimination, :func:`_echelon`. It is fraction free: each
-row is scaled to integers and reduced by cross-multiplication against
+row is scaled to integers (:func:`_integer_row`, which takes a row of
+ints as it is) and reduced by cross-multiplication against
 earlier pivot rows, each step divided through by the gcd of the two
 lead entries; the content (gcd) of a row is stripped once, when it
 survives to become a pivot, so every stored pivot row is content free.
@@ -27,8 +31,9 @@ canonical form depends, and adds one back-substitution,
 * :func:`restrict_to_coords` eliminates a basis with the outside
   coordinates ordered first; the pivot rows that lead at a chosen
   coordinate span the vectors supported on the chosen ones;
-* :func:`solve` reads the solution off the reduced rows of the augmented
-  matrix, in the right-hand-side column;
+* :func:`solve` reads the solution of each right-hand side off the
+  reduced rows of the matrix augmented with all of them, in that
+  right-hand side's column, so one elimination serves them all;
 * :func:`kernel_basis` eliminates with the columns reversed
   (:func:`_reversed_echelon`), so each pivot leads at its largest
   original column. The kernel vector of a free column then has its lowest
@@ -58,11 +63,14 @@ Sparse vectors from outside the module pass through one check,
 :func:`_sparse` (indices in range, exact scalars, zeros dropped), and
 every sparse accumulation in the package goes through :func:`_add` (one
 entry) or :func:`_axpy` (a scaled vector), which drop entries that
-cancel. Three accumulators stay inline, for speed: the integer row
+cancel. Five accumulators stay inline, for speed: the integer row
 update inside :func:`_eliminate`, the modular loop of
-:func:`rank_modular`, and :func:`leibcohom.cochain._merge`, which adds
-each coboundary term into its column. The one sparse matrix product is
-``@``, which only the tests use.
+:func:`rank_modular`, :func:`leibcohom.cochain._merge`, which adds each
+coboundary term into its column, and the integer sums of
+:func:`leibcohom.cohomology._annihilates` (d^{n+1} applied to columns
+of d^n) and of :func:`leibcohom.cli._is_kernel` (a matrix applied to a
+whole basis in one pass over its entries). The one sparse matrix product
+is ``@``, which only the tests use.
 """
 
 from __future__ import annotations
@@ -161,10 +169,13 @@ class _Value:
 
 
 class SparseRationalMatrix(_Value):
-    """Immutable sparse matrix with Fraction entries.
+    """Immutable sparse matrix with exact rational entries.
 
     ``entries`` maps ``(row, col)`` to a nonzero value; zeros are dropped
-    on construction and out-of-range indices are rejected.
+    on construction and out-of-range indices are rejected. An ``int``
+    entry is stored as it is: it is exact, and it equals and hashes like
+    its Fraction. Every other entry goes through :func:`_as_rational`, so
+    a bool becomes a Fraction and a float or a string is rejected.
     """
 
     _fields = ("rows", "cols", "entries")
@@ -176,9 +187,10 @@ class SparseRationalMatrix(_Value):
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r}, {c}) outside a {rows} x {cols} matrix")
-            fv = _as_rational(v)
-            if fv:
-                clean[(r, c)] = fv
+            if v.__class__ is not int:
+                v = _as_rational(v)
+            if v:
+                clean[(r, c)] = v
         self.__dict__.update(rows=rows, cols=cols, entries=clean)
 
     @property
@@ -239,13 +251,18 @@ def _strip_content(row: dict[int, int]) -> None:
 
 
 def _integer_row(row: Mapping[int, Fraction]) -> dict[int, int]:
-    """Scale a rational row to a content-free integer row."""
-    den = 1
+    """Scale a rational row (int or Fraction values) to a content-free
+    integer row. A row of ints skips the denominators."""
+    den, ints = 1, True
     for v in row.values():
-        d = v.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    if den == 1:
+        if v.__class__ is not int:
+            ints = False
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+    if ints:
+        out = {c: v for c, v in row.items() if v}
+    elif den == 1:
         out = {c: v.numerator for c, v in row.items() if v}
     else:
         out = {}
@@ -297,10 +314,11 @@ def _eliminate(row: dict[int, int], pivots: dict[int, dict[int, int]]):
     return None
 
 
-def _echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _echelon(rows: list[dict[int, int]], key=len) -> dict[int, dict[int, int]]:
     """Row echelon pivot table ``{leading column: integer row}``, built
-    from the integer rows sparsest first."""
-    rows.sort(key=len)
+    from the integer rows sparsest first (in increasing ``key``, ties in
+    the given order)."""
+    rows.sort(key=key)
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         res = _eliminate(row, pivots)
@@ -442,27 +460,40 @@ def column_space(matrix: SparseRationalMatrix) -> Subspace:
     return Subspace.from_spanning(vectors, matrix.rows)
 
 
-def solve(matrix: SparseRationalMatrix, rhs: VectorLike):
-    """Pivot solution of ``M x = b`` with all free variables set to zero.
+def solve(matrix: SparseRationalMatrix, rhs: Sequence[VectorLike]):
+    """Pivot solutions of ``M x = b``, all free variables set to zero, for
+    each right-hand side b, from one elimination of the matrix augmented
+    with every b.
 
-    Returns ``(x, residual)`` as sparse mappings; the residual ``M x - b``
-    is empty exactly when the system is consistent.
+    Returns one ``(x, residual)`` pair of sparse mappings per right-hand
+    side, in order; the residual ``M x - b`` is empty exactly when that
+    system is consistent. Right-hand side j sits in column ``cols + j``.
+    The rows are eliminated in an order set by their matrix entries
+    alone, so the pivot rows that lead in the matrix are the same
+    combinations of rows whatever the right-hand sides are, and each x is
+    the one its right-hand side gets when solved on its own.
     """
-    b = _sparse(rhs, matrix.rows, "rhs")
+    bs = [_sparse(b, matrix.rows, "rhs") for b in rhs]
     sentinel = matrix.cols
     aug_rows: dict[int, dict[int, Fraction]] = matrix.row_dicts()
-    for r, v in b.items():
-        aug_rows.setdefault(r, {})[sentinel] = v
-    pivots = _echelon([_integer_row(row) for row in aug_rows.values()])
-    # a pivot in the sentinel column marks an inconsistent system; it is
-    # left out so the other rows keep their right-hand sides
-    pivots.pop(sentinel, None)
-    x = {
-        p: row[sentinel] for p, row in _reduce(pivots).items() if sentinel in row
-    }
-    residual = matrix.apply(x)
-    _axpy(residual, b, Fraction(-1))
-    return x, residual
+    for j, b in enumerate(bs):
+        for r, v in b.items():
+            aug_rows.setdefault(r, {})[sentinel + j] = v
+    pivots = _echelon([_integer_row(row) for row in aug_rows.values()],
+                      key=lambda row: sum(c < sentinel for c in row))
+    # a pivot in a right-hand-side column marks an inconsistent system; it
+    # is left out so the other rows keep their right-hand sides
+    for lead in [p for p in pivots if p >= sentinel]:
+        del pivots[lead]
+    reduced = _reduce(pivots)
+    out = []
+    for j, b in enumerate(bs):
+        col = sentinel + j
+        x = {p: row[col] for p, row in reduced.items() if col in row}
+        residual = matrix.apply(x)
+        _axpy(residual, b, Fraction(-1))
+        out.append((x, residual))
+    return out
 
 
 def _check_coords(coords: Iterable[int], ambient_dim: int) -> tuple[int, ...]:

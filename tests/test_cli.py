@@ -405,6 +405,33 @@ class TestVerifyPaper:
         assert err.startswith("error: ") and str(target) in err
         assert not target.parent.exists()
 
+    def test_out_into_existing_directory_fails_fast(self, capsys, tmp_path, monkeypatch):
+        def never(m, deep):
+            raise AssertionError("computed a parameter value before failing")
+
+        monkeypatch.setattr(cli, "_verify_one", never)
+        code, out, err = run_err(capsys, [
+            "verify-paper", "--m-range", "2..3", "--format", "json", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {tmp_path}: is a directory\n"
+
+    def test_out_open_failure_exits_2(self, capsys, tmp_path, monkeypatch):
+        # the report is computed, then the file cannot be opened
+        def refuse(*args, **kwargs):
+            raise PermissionError("permission denied")
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        target = tmp_path / "r.json"
+        code, out, err = run_err(capsys, [
+            "verify-paper", "--m-range", "2..2", "--format", "json", "--out", str(target),
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: permission denied\n"
+        assert not target.exists()
+
     def test_out_write_failure_exits_2(self, capsys, tmp_path):
         # the target exists but is a directory, so opening it fails
         code, out, err = run_err(capsys, [
@@ -552,6 +579,23 @@ class TestClaimTable:
         # doubling a column in the support of Der keeps rank d^1 but moves
         # ker d^1 off Der: d^1 no longer kills a basis derivation
         col = min(self.derivation_support())
+
+        def scaled(d1):
+            assert any(c == col for _, c in d1.entries)
+            return SparseRationalMatrix(d1.rows, d1.cols, {
+                (r, c): 2 * v if c == col else v for (r, c), v in d1.entries.items()})
+
+        assert self.der_equals_zl1(capsys, monkeypatch, scaled) == ("fail", [
+            "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])
+
+    def test_der_equals_zl1_checks_the_last_derivation(self, capsys, monkeypatch):
+        # doubling the d^1 column at the pivot of the last basis derivation
+        # keeps rank d^1; the other derivations vanish there, so only the
+        # last one leaves ker d^1
+        algebra, _ = simple_leibniz_sl2(2)
+        basis = derivation_space(algebra).basis
+        col = min(basis[-1])
+        assert len(basis) > 1 and all(col not in vec for vec in basis[:-1])
 
         def scaled(d1):
             assert any(c == col for _, c in d1.entries)

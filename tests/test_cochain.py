@@ -214,6 +214,26 @@ class TestCoboundaryMatrices:
         module = adjoint_bimodule(algebra)
         self._cross_check(algebra, module, n, seed=200 + n, samples=40)
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_family_entries_are_ints(self, m):
+        # the family's constants are integers, so every entry of d is an int
+        algebra, _ = simple_leibniz_sl2(m)
+        for n in (0, 1, 2):
+            d = coboundary_matrix(algebra, adjoint_bimodule(algebra), n)
+            assert d.entries and all(type(v) is int for v in d.entries.values())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_reference_evaluator_graded_conjugate(self, n, conjugate):
+        # fractional constants: the integral entries are ints, the others
+        # stay Fractions, and the matrix is still exactly d
+        algebra, grading = simple_leibniz_sl2(3)
+        twisted = conjugate(algebra, 6, grading)
+        module = adjoint_bimodule(twisted)
+        values = coboundary_matrix(twisted, module, n).entries.values()
+        assert any(type(v) is int for v in values)
+        assert any(type(v) is F and v.denominator > 1 for v in values)
+        self._cross_check(twisted, module, n, seed=500 + n, samples=60)
+
     @staticmethod
     def _cross_check(algebra, module, n, seed, samples=None):
         d = coboundary_matrix(algebra, module, n)

@@ -251,7 +251,7 @@ class TestRejectedInput:
     space = Subspace.from_spanning([{0: F(1)}], 2)
     takers = {
         "apply": lambda v: TestRejectedInput.m.apply(v),
-        "solve": lambda v: solve(TestRejectedInput.m, v),
+        "solve": lambda v: solve(TestRejectedInput.m, [v]),
         "from_spanning": lambda v: Subspace.from_spanning([v], 2),
         "contains": lambda v: TestRejectedInput.space.contains(v),
     }
@@ -337,14 +337,84 @@ class TestSolve:
             x0 = {c: F(rng.randint(-4, 4)) for c in range(cols) if rng.random() < 0.6}
             x0 = {c: v for c, v in x0.items() if v}
             b = m.apply(x0)
-            x, residual = solve(m, b)
+            [(x, residual)] = solve(m, [b])
             assert residual == {}
             assert m.apply(x) == b
 
     def test_inconsistent_system(self):
         m = mat(2, 1, {(0, 0): 1, (1, 0): 1})
-        x, residual = solve(m, {0: F(1), 1: F(2)})
+        [(x, residual)] = solve(m, [{0: F(1), 1: F(2)}])
         assert residual != {}
+
+
+class TestBatchedSolve:
+    """One elimination for several right-hand sides gives each the pair
+    it gets on its own."""
+
+    def test_batch_equals_one_at_a_time(self):
+        rng = random.Random(28)
+        for m in fractional_family(28, count=40):
+            bs = [m.apply({c: random_fraction(rng) for c in range(m.cols)})
+                  for _ in range(rng.randint(1, 4))]
+            batch = solve(m, bs)
+            assert batch == [solve(m, [b])[0] for b in bs]
+            assert all(residual == {} for _, residual in batch)
+            for (x, _), b in zip(batch, bs):
+                assert m.apply(x) == b
+
+    def test_inconsistent_right_hand_sides_keep_their_residuals(self):
+        rng = random.Random(29)
+        for m in fractional_family(29, count=40):
+            bs = [{r: v for r in range(m.rows) if (v := random_fraction(rng))}
+                  for _ in range(3)]
+            batch = solve(m, bs)
+            assert batch == [solve(m, [b])[0] for b in bs]
+            for (_, residual), b in zip(batch, bs):
+                assert (residual == {}) == (reference_solve(m, b) is not None)
+
+    def test_inconsistent_one_between_consistent_ones(self):
+        m = mat(2, 1, {(0, 0): 1, (1, 0): 1})
+        [(x1, r1), (_, r2), (x3, r3)] = solve(m, [{0: F(3), 1: F(3)}, {0: F(1), 1: F(2)}, {}])
+        assert (x1, r1, x3, r3) == ({0: F(3)}, {}, {}, {})
+        assert r2 != {}
+
+    def test_no_right_hand_side(self):
+        assert solve(mat(2, 2, {(0, 0): 1}), []) == []
+
+
+class TestIntegerEntries:
+    """An int entry is kept as int; the matrix equals its Fraction twin,
+    its entries hash alike, and rank and kernel agree."""
+
+    def test_int_kept_fraction_kept(self):
+        m = SparseRationalMatrix(2, 2, {(0, 0): 3, (1, 0): F(1, 2), (1, 1): F(4), (0, 1): 0})
+        assert m.entries == {(0, 0): 3, (1, 0): F(1, 2), (1, 1): 4}
+        assert type(m.entries[(0, 0)]) is int
+        assert type(m.entries[(1, 0)]) is F and type(m.entries[(1, 1)]) is F
+
+    def test_twin_of_a_fraction_matrix(self):
+        rng = random.Random(30)
+        for _ in range(30):
+            m = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+            twin = SparseRationalMatrix(m.rows, m.cols,
+                                        {rc: int(v) for rc, v in m.entries.items()})
+            assert all(type(v) is int for v in twin.entries.values())
+            assert all(type(v) is F for v in m.entries.values())
+            assert twin == m
+            assert hash(frozenset(twin.entries.items())) == hash(frozenset(m.entries.items()))
+            assert rank(twin) == rank(m) == reference_rank(m)
+            assert kernel_basis(twin) == kernel_basis(m)
+            for row in m.row_dicts().values():
+                assert _integer_row({c: int(v) for c, v in row.items()}) == _integer_row(row)
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            SparseRationalMatrix(1, 1, {(0, 0): 1.0})
+
+    def test_bool_stored_as_fraction(self):
+        m = SparseRationalMatrix(1, 2, {(0, 0): True, (0, 1): False})
+        assert m.entries == {(0, 0): F(1)}
+        assert type(m.entries[(0, 0)]) is F
 
 
 class TestSubspace:
@@ -507,7 +577,7 @@ class TestAgainstReference:
                 b = {r: random_fraction(rng) for r in range(m.rows)}
             b = {r: v for r, v in b.items() if v}
             expected = reference_solve(m, b)
-            x, residual = solve(m, b)
+            [(x, residual)] = solve(m, [b])
             if expected is None:
                 assert residual != {}
             else:

@@ -1,0 +1,51 @@
+"""Smoke tests of tools/rawrun.py on the smallest range, one pair."""
+
+import json
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RAWRUN = ROOT / "tools" / "rawrun.py"
+
+
+def rawrun(*args):
+    return subprocess.run([sys.executable, str(RAWRUN), *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def test_same_checkout_on_both_sides(tmp_path):
+    out = tmp_path / "runs.json"
+    proc = rawrun(ROOT, ROOT, "--m-range", "2..2", "--pairs", "1", "--json", out)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "verify-paper --m-range 2..2, 1 pair(s)"
+    assert lines[1].startswith("first ") and lines[2].startswith("second ")
+    assert "peak RSS" in lines[1] and "sha256" in lines[1]
+    assert re.fullmatch(r"second side used less CPU in [01] of 1 pair\(s\)", lines[3])
+    record = json.loads(out.read_text())
+    runs = [record["sides"][side]["runs"] for side in ("first", "second")]
+    assert [len(r) for r in runs] == [1, 1]
+    assert runs[0][0]["sha256"] == runs[1][0]["sha256"]
+    assert runs[0][0]["exit"] == 0 and runs[0][0]["peak_rss_mb"] > 0
+
+
+def test_differing_reports_exit_1(tmp_path):
+    # a copy whose report names one claim differently
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "leibcohom" / "cli.py"
+    text = cli.read_text()
+    assert text.count('("squares_dim",') == 1
+    cli.write_text(text.replace('("squares_dim",', '("squares_dimension",'))
+    proc = rawrun(ROOT, tmp_path, "--m-range", "2..2", "--pairs", "1")
+    assert proc.returncode == 1
+    assert "error: the reports differ" in proc.stderr
+
+
+def test_rejects_a_directory_without_the_package(tmp_path):
+    proc = rawrun(ROOT, tmp_path, "--m-range", "2..2", "--pairs", "1")
+    assert proc.returncode == 2
+    assert "holds no src/leibcohom" in proc.stderr

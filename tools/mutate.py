@@ -256,9 +256,16 @@ MUTANTS = (
     Mutant(
         "der_is_ker_d1_skips_the_containment_check",
         "src/leibcohom/cli.py",
-        "(all(not matrix.apply(vec) for vec in space.basis)\n            and matrix.cols",
+        "(not any(any(image.values()) for image in images)\n            and matrix.cols",
         "(matrix.cols",
         ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_fails_when_d1_moves_off_der",),
+    ),
+    Mutant(
+        "der_is_ker_d1_skips_the_last_basis_vector",
+        "src/leibcohom/cli.py",
+        "for j, vec in enumerate(space.basis):",
+        "for j, vec in enumerate(space.basis[:-1]):",
+        ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_checks_the_last_derivation",),
     ),
     Mutant(
         "der_is_ker_d1_drops_the_rank_equality",
@@ -266,6 +273,23 @@ MUTANTS = (
         "\n            and matrix.cols - rank(matrix) == space.dim)",
         ")",
         ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_fails_when_ker_d1_grows",),
+    ),
+    Mutant(
+        "integral_as_int_takes_every_numerator",
+        "src/leibcohom/algebra.py",
+        "v.numerator if v.denominator == 1 else v",
+        "v.numerator",
+        (
+            "tests/test_cochain.py::TestCoboundaryMatrices"
+            "::test_matches_reference_evaluator_graded_conjugate",
+        ),
+    ),
+    Mutant(
+        "annihilates_drops_the_accumulated_sum",
+        "src/leibcohom/cohomology.py",
+        "acc[t] = acc.get(t, 0) + u * v",
+        "acc[t] = u * v",
+        ("tests/test_cohomology.py::TestBlockwiseComplex::test_family_complex",),
     ),
     Mutant(
         "leibniz_defect_divided_by_the_scale",
@@ -333,11 +357,21 @@ MUTANTS = (
     Mutant(
         "solve_keeps_the_sentinel_pivot",
         "src/leibcohom/linalg.py",
-        "    pivots.pop(sentinel, None)\n",
+        "    for lead in [p for p in pivots if p >= sentinel]:\n        del pivots[lead]\n",
         "",
         (
             "tests/test_linalg.py::TestSolve::test_inconsistent_system",
             "tests/test_linalg.py::TestAgainstReference::test_solve",
+        ),
+    ),
+    Mutant(
+        "solve_reads_the_first_right_hand_side_for_each",
+        "src/leibcohom/linalg.py",
+        "col = sentinel + j",
+        "col = sentinel",
+        (
+            "tests/test_linalg.py::TestBatchedSolve::test_batch_equals_one_at_a_time",
+            "tests/test_derivations.py::TestDecomposition::test_batch_equals_one_call_per_derivation",
         ),
     ),
     Mutant(

@@ -1,0 +1,122 @@
+"""Time raw ``verify-paper`` runs of two checkouts against each other.
+
+    python3 tools/rawrun.py PARENT CHANGE --m-range 60..60 --pairs 4
+    python3 tools/rawrun.py PARENT CHANGE --m-range 2..5 --deep --pairs 6 --json out.json
+
+Each side is a checkout holding ``src/leibcohom``. A run is
+``python3 -m leibcohom.cli verify-paper --m-range R --format json`` with
+``PYTHONPATH`` at that side's ``src``, started as a child of this small
+process, which imports nothing of the package: the child's CPU time (user
+plus system) and peak RSS come from ``os.wait4``, its wall time from the
+clock around it. Each pair runs both sides once, the first side first in
+even pairs and second in odd ones.
+
+For each side it prints the quartiles and median of the CPU time, the
+median wall time, the peak RSS over its runs and the sha256 of its
+reports, then the pairs in which the second side used less CPU. The exit
+code is 1 when the two sides' reports differ, a side's reports differ
+between runs, or a run exits nonzero; else 0. Only the standard library
+is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+
+def run_once(checkout: Path, m_range: str, deep: bool) -> dict:
+    """One child run: its CPU and wall seconds, peak RSS in MB, exit code
+    and the sha256 of its report."""
+    cmd = [sys.executable, "-m", "leibcohom.cli", "verify-paper", "--m-range", m_range,
+           "--format", "json", *(["--deep"] if deep else [])]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, cwd=checkout, env=env)
+    report = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
+        "wall_s": round(wall, 4),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "exit": proc.returncode,
+        "sha256": hashlib.sha256(report).hexdigest(),
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, by linear interpolation."""
+    xs = sorted(values)
+
+    def at(q: float) -> float:
+        pos = q * (len(xs) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("first", type=Path, help="checkout of the first side (the parent)")
+    parser.add_argument("second", type=Path, help="checkout of the second side (the change)")
+    parser.add_argument("--m-range", required=True, help="verify-paper range a..b")
+    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--deep", action="store_true", help="pass --deep to verify-paper")
+    parser.add_argument("--json", type=Path, help="also write every run to this file")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    sides = {"first": args.first.resolve(), "second": args.second.resolve()}
+    for checkout in sides.values():
+        if not (checkout / "src" / "leibcohom").is_dir():
+            parser.error(f"{checkout} holds no src/leibcohom")
+
+    runs: dict[str, list[dict]] = {name: [] for name in sides}
+    for pair in range(args.pairs):
+        order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
+        for name in order:
+            runs[name].append(run_once(sides[name], args.m_range, args.deep))
+
+    range_text = args.m_range + (" --deep" if args.deep else "")
+    print(f"verify-paper --m-range {range_text}, {args.pairs} pair(s)")
+    digests = {}
+    for name, checkout in sides.items():
+        side = runs[name]
+        q1, med, q3 = quartiles([r["cpu_s"] for r in side])
+        wall = quartiles([r["wall_s"] for r in side])[1]
+        peak = max(r["peak_rss_mb"] for r in side)
+        digests[name] = {r["sha256"] for r in side}
+        exits = sorted({r["exit"] for r in side})
+        print(f"{name:<7} cpu q1/median/q3 {q1:.3f}/{med:.3f}/{q3:.3f} s"
+              f"  wall median {wall:.3f} s  peak RSS {peak:.1f} MB  exit {exits}"
+              f"  sha256 {', '.join(sorted(d[:8] for d in digests[name]))}  ({checkout})")
+    won = sum(b["cpu_s"] < a["cpu_s"] for a, b in zip(runs["first"], runs["second"]))
+    print(f"second side used less CPU in {won} of {args.pairs} pair(s)")
+
+    failed = [f"{name} exited {r['exit']}" for name, side in runs.items()
+              for r in side if r["exit"]]
+    if len(digests["first"]) != 1 or digests["first"] != digests["second"]:
+        failed.append("the reports differ")
+    if args.json:
+        args.json.write_text(json.dumps(
+            {"m_range": range_text, "pairs": args.pairs, "won": won,
+             "sides": {name: {"checkout": str(sides[name]), "runs": runs[name]}
+                       for name in sides}}, indent=1) + "\n")
+    for problem in failed:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
