@@ -10,9 +10,9 @@ bilinear identity in question.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
 
 from .linalg import Subspace, _Value, _as_rational, _axpy, _sparse
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 from .algebra import AlgebraStructure, Bimodule, Grading, _semidirect_tensor, leibniz_defects
 
@@ -251,8 +250,10 @@ def dumps_algebra(algebra: AlgebraStructure, grading: Grading | None = None) -> 
 
 
 def load_algebra(path) -> tuple[AlgebraStructure, Grading | None]:
-    return loads_algebra(Path(path).read_text())
+    with open(path, encoding="utf-8") as fh:
+        return loads_algebra(fh.read())
 
 
 def save_algebra(algebra: AlgebraStructure, grading: Grading | None, path) -> None:
-    Path(path).write_text(dumps_algebra(algebra, grading))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_algebra(algebra, grading))

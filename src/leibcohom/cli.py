@@ -14,6 +14,14 @@ Subcommands:
   benchmark) that computes its value; the pretty line of a failing claim
   shows its expected value, its computed value and that stage.
 
+Importing this module loads only the ``algebra``, ``catalog`` and
+``linalg`` layers. Each subcommand imports the other layers it runs where
+it runs them (``cmd_cohomology``, ``cmd_derivations`` and, for
+verify-paper, ``_Member``): every command is a process of its own that
+compiles its modules on start, so ``derivations`` compiles neither
+``cochain`` nor ``cohomology``, and an ungraded ``cohomology`` skips
+``derivations``.
+
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 for
 usage or input-file errors. JSON and CSV output is deterministic:
 identical inputs produce identical bytes. Timing information is only
@@ -48,21 +56,6 @@ from .catalog import (
     load_algebra,
     simple_leibniz_sl2,
     sl2,
-)
-from .cochain import coboundary_matrix
-from .cohomology import (
-    AdjointCohomology,
-    bl_dim,
-    leibniz_h_with_coefficients,
-    lie_ce_h,
-    zl_dim,
-)
-from .derivations import (
-    _classes_01,
-    cochain_to_matrix,
-    decompose_derivation,
-    delta_generator,
-    derivation_space,
 )
 from .linalg import SparseRationalMatrix, Subspace, _integer_row, rank, subspace_equal
 
@@ -197,6 +190,8 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         except ValueError:
             return _fail("block analysis needs a grading with degrees in {0, 1}")
 
+    from .cohomology import AdjointCohomology, bl_dim, zl_dim
+
     payload: dict = {"algebra": label, "n": args.n}
     pretty = [f"{label}: cohomology of the algebra acting on itself, n={args.n}"]
     # a graded algebra takes its totals from the engine's degree blocks,
@@ -247,6 +242,14 @@ def cmd_derivations(args: argparse.Namespace) -> int:
         algebra, grading, label = _load_leibniz(args)
     except (AlgebraFileError, OSError, ValueError) as exc:
         return _fail(str(exc))
+    from .derivations import (
+        _classes_01,
+        cochain_to_matrix,
+        decompose_derivation,
+        delta_generator,
+        derivation_space,
+    )
+
     space = derivation_space(algebra)
     payload: dict = {"algebra": label, "dim": space.dim}
     pretty = [f"{label}: derivation space has dimension {space.dim}"]
@@ -312,9 +315,13 @@ def cmd_derivations(args: argparse.Namespace) -> int:
 
 class _Member:
     """The family member sl2 + V_m, with the values that several claims
-    share, each computed on first use."""
+    share, each computed on first use. The claims reach the cochain,
+    cohomology and derivations layers only through it: each method
+    imports what it calls when it runs, so only verify-paper loads them."""
 
     def __init__(self, m: int):
+        from .cohomology import AdjointCohomology
+
         self.m = m
         self.algebra, self.grading = simple_leibniz_sl2(m)
         self.coh = AdjointCohomology(self.algebra, self.grading)
@@ -327,6 +334,8 @@ class _Member:
 
     @cached_property
     def der(self):
+        from .derivations import derivation_space
+
         return derivation_space(self.algebra)
 
     @cached_property
@@ -342,13 +351,45 @@ class _Member:
         is also the bimodule that lie_ce_h checks."""
         return check_bimodule_axioms(self.lie, self.module)
 
+    def der_is_ker_d1(self) -> bool:
+        """Whether Der = ker d^1 on the full d^1, which is built apart
+        from the engine's blocks and holds int entries for the family;
+        certified by d^1 Der = 0 (one pass over d^1 for the whole basis)
+        and one rank (_is_kernel) instead of a second kernel."""
+        from .cochain import coboundary_matrix
+
+        return _is_kernel(coboundary_matrix(self.algebra, self.coh.module, 1), self.der)
+
+    def der_decomposes(self) -> bool:
+        from .derivations import cochain_to_matrix, decompose_derivation
+
+        derivs = [cochain_to_matrix(dict(vec), self.algebra.dim) for vec in self.der.basis]
+        decompositions = decompose_derivation(self.algebra, self.grading, derivs)
+        return all(dec.is_exact for dec in decompositions)
+
+    def has_delta(self) -> bool:
+        from .derivations import delta_generator
+
+        return delta_generator(self.algebra, self.grading, self.der) is not None
+
     # (dim H^1, dim H^2) of CE and of HL with V_m symmetric and zero-left
-    ce = cached_property(
-        lambda self: lie_ce_h(self.lie, self.module, _defects=self.module_defects))
-    hl_symmetric = cached_property(
-        lambda self: leibniz_h_with_coefficients(self.lie, symmetric_bimodule(self.module)))
-    hl_zero_left = cached_property(lambda self: leibniz_h_with_coefficients(
-        self.lie, self.module, _defects=self.module_defects))
+    @cached_property
+    def ce(self):
+        from .cohomology import lie_ce_h
+
+        return lie_ce_h(self.lie, self.module, _defects=self.module_defects)
+
+    @cached_property
+    def hl_symmetric(self):
+        from .cohomology import leibniz_h_with_coefficients
+
+        return leibniz_h_with_coefficients(self.lie, symmetric_bimodule(self.module))
+
+    @cached_property
+    def hl_zero_left(self):
+        from .cohomology import leibniz_h_with_coefficients
+
+        return leibniz_h_with_coefficients(self.lie, self.module, _defects=self.module_defects)
 
 
 def _is_kernel(matrix: SparseRationalMatrix, space: Subspace) -> bool:
@@ -408,23 +449,17 @@ CLAIMS = (
      lambda c: 0, lambda c: c.coh.hl_dim(2)),
     ("der_dim", "derivations.space", "dim Der(L) = 4 for m != 2, and 5 for m = 2",
      lambda c: 5 if c.m == 2 else 4, lambda c: c.der.dim),
-    # the full d^1, independent of the engine's blocks, with int entries
-    # for the family, certified by d^1 Der = 0 (one pass over d^1 for the
-    # whole basis) and one rank (_is_kernel) instead of a second kernel
     ("der_equals_zl1", "linalg.rank", "the derivation space equals the kernel of d^1",
-     lambda c: True, lambda c: _is_kernel(coboundary_matrix(c.algebra, c.coh.module, 1), c.der)),
+     lambda c: True, lambda c: c.der_is_ker_d1()),
     ("bl2_der_link", "cohomology.engine", "dim BL^2(L, L) = (dim L)^2 - dim Der(L)",
      lambda c: c.algebra.dim ** 2 - c.der.dim, lambda c: c.coh.bl_dim(2)),
     ("der_decomposition", "derivations.decompose",
      "every derivation is a combination of right multiplications by the"
      " degree-0 basis, the ideal projection, and a degree-raising map",
-     lambda c: True,
-     lambda c: all(dec.is_exact for dec in decompose_derivation(
-         c.algebra, c.grading,
-         [cochain_to_matrix(dict(vec), c.algebra.dim) for vec in c.der.basis]))),
+     lambda c: True, lambda c: c.der_decomposes()),
     ("delta_presence", "derivations.delta",
      "a degree-raising derivation exists exactly when m = 2",
-     lambda c: c.m == 2, lambda c: delta_generator(c.algebra, c.grading, c.der) is not None),
+     lambda c: c.m == 2, lambda c: c.has_delta()),
     ("zl2_deg_minus2", "cohomology.engine", "dim of the degree -2 cocycle component = 0",
      lambda c: 0, lambda c: c.coh.graded_zl_dim(2, -2)),
     ("zl2_deg_minus1", "cohomology.engine", "dim of the degree -1 cocycle component = 3(m+1)",

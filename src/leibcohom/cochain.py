@@ -40,9 +40,9 @@ checking every entry, as the reference the tests hold the engine to.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Any, Iterable, Mapping, Sequence
 
 from .algebra import AlgebraStructure, Bimodule, Grading, _integral, _integral_as_int
 from .linalg import SparseRationalMatrix
@@ -124,7 +124,8 @@ class _ColumnBuilder:
             self._plans[n] = acts, splits
         return self._plans[n]
 
-    def columns(self, n: int, cols: Iterable[int] | None = None) -> dict[int, dict[int, Any]]:
+    def columns(self, n: int,
+                cols: Iterable[int] | None = None) -> dict[int, dict[int, int | Fraction]]:
         """d^n as ``{column: {row: value}}`` at flat cochain indices, for
         the given increasing columns (all of them by default), nonzero
         columns only, in column order. The row bases of one argument tuple
@@ -136,7 +137,7 @@ class _ColumnBuilder:
         dm = self.dm
         left = self._plan(n)[0][0][1]
         bases = self._bases.setdefault(n, {})
-        out: dict[int, dict[int, Any]] = {}
+        out: dict[int, dict[int, int | Fraction]] = {}
         last = -1
         for c in range(self.dl**n * dm) if cols is None else cols:
             a, k = divmod(c, dm)

@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .algebra import (
     AlgebraStructure,

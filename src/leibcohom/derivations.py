@@ -21,8 +21,8 @@ z * n + t for the same coefficient.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import AlgebraStructure, Grading, _integral_as_int
 from .linalg import (

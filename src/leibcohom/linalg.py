@@ -75,9 +75,9 @@ is ``@``, which only the tests use.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Collection, Iterable, Mapping, Sequence
 
 # Word-size primes for the modular rank cross-check.
 DEFAULT_PRIMES = (2147483647, 1000000007, 998244353)

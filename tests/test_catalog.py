@@ -1,10 +1,15 @@
 """Built-in algebras and the algebra file format."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from leibcohom.algebra import Grading, leibniz_defects
+import leibcohom.catalog as catalog
+from leibcohom.algebra import AlgebraStructure, Grading, leibniz_defects
 from leibcohom.catalog import (
     AlgebraFileError,
     direct_sum,
@@ -165,6 +170,31 @@ class TestFileFormat:
         back, grading_back = load_algebra(path)
         assert back.tensor == algebra.tensor
         assert grading_back == grading
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # a label outside ASCII, written here and read back in a process
+        # whose locale encoding is ASCII, which also writes and reads its
+        # own copy; both files hold the label as UTF-8
+        algebra = sl2()
+        labelled = AlgebraStructure(algebra.dim, ("\u00e9", "f", "h"), algebra.tensor)
+        ours, theirs = tmp_path / "ours.alg", tmp_path / "theirs.alg"
+        save_algebra(labelled, None, ours)
+        src = str(Path(catalog.__file__).resolve().parent.parent)
+        code = (
+            f"import codecs, locale, sys; sys.path.insert(0, {src!r}); "
+            "from leibcohom.catalog import load_algebra, save_algebra; "
+            "print(codecs.lookup(locale.getpreferredencoding(False)).name); "
+            f"algebra, _ = load_algebra({str(ours)!r}); "
+            f"save_algebra(algebra, None, {str(theirs)!r}); "
+            f"print(ascii(load_algebra({str(theirs)!r})[0].basis_labels))"
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["ascii", ascii(labelled.basis_labels)]
+        assert theirs.read_bytes() == ours.read_bytes()
+        assert "basis \u00e9 f h\n".encode("utf-8") in ours.read_bytes()
 
     def test_comments_and_blank_lines(self):
         text = (

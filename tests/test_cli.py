@@ -13,6 +13,7 @@ import pytest
 import leibcohom.cli as cli
 import leibcohom.cochain as cochain
 import leibcohom.cohomology as cohomology
+import leibcohom.derivations as derivations
 from leibcohom.algebra import (
     AlgebraStructure,
     Bimodule,
@@ -265,7 +266,7 @@ class TestDerivations:
             return Subspace.from_spanning([*space.basis, {3 * algebra.dim: 1}],
                                           space.ambient_dim)
 
-        monkeypatch.setattr(cli, "derivation_space", with_bogus)
+        monkeypatch.setattr(derivations, "derivation_space", with_bogus)
         code, out = run(capsys, ["derivations", "--m", "2", "--format", "json"])
         assert code == 1
         rows = json.loads(out)["basis_decompositions"]
@@ -551,8 +552,8 @@ class TestClaimTable:
         """The der_equals_zl1 status at m = 2 and the pretty report's
         lines for it, with ``change(d1)`` in place of d^1; every other
         claim must pass."""
-        build = cli.coboundary_matrix
-        monkeypatch.setattr(cli, "coboundary_matrix",
+        build = cochain.coboundary_matrix
+        monkeypatch.setattr(cochain, "coboundary_matrix",
                             lambda algebra, module, n: change(build(algebra, module, n)))
         claims, _ = cli._verify_one(2, False)
         [status] = [c["status"] for c in claims if c["id"] == "der_equals_zl1"]
@@ -651,15 +652,57 @@ class TestClaimTable:
         assert len(calls) == 5
 
 
-def test_import_skips_modules_no_command_needs():
-    # -S keeps the host's site .pth imports out of the module list
+def loaded_modules(statement):
+    """The modules loaded after ``statement`` runs in a fresh interpreter,
+    written to stderr so that a command's report stays apart; -S keeps
+    the host's site .pth imports out of the list."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import leibcohom.cli; "
-        "print(' '.join(sorted(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); {statement}; "
+        "sys.stderr.write(' '.join(sorted(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, check=True)
-    loaded = set(proc.stdout.split())
-    assert "leibcohom.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "csv", "concurrent.futures"})
+    return set(proc.stderr.split())
+
+
+def layers(loaded):
+    return {name for name in loaded if name.split(".")[0] == "leibcohom"}
+
+
+def test_import_skips_modules_no_command_needs():
+    assert layers(loaded_modules("import leibcohom")) == {"leibcohom"}
+    loaded = loaded_modules("import leibcohom.cli")
+    assert layers(loaded) == {"leibcohom", "leibcohom.cli", "leibcohom.algebra",
+                              "leibcohom.catalog", "leibcohom.linalg"}
+    assert loaded.isdisjoint({"dataclasses", "inspect", "csv", "concurrent.futures",
+                              "pathlib", "typing"})
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["derivations", "--algebra", "GRADED", "--format", "json"], {"cochain", "cohomology"}),
+    (["cohomology", "--algebra", "PLAIN", "--format", "json"], {"derivations"}),
+    (["verify-paper", "--m-range", "2..2"], set()),
+], ids=["derivations", "cohomology-ungraded", "verify-paper"])
+def test_each_command_imports_the_layers_it_runs(tmp_path, argv, skipped):
+    files = {"GRADED": tmp_path / "graded.alg", "PLAIN": tmp_path / "plain.alg"}
+    save_algebra(*simple_leibniz_sl2(2), files["GRADED"])
+    save_algebra(sl2(), None, files["PLAIN"])
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    loaded = loaded_modules(f"from leibcohom.cli import main; assert main({argv!r}) == 0")
+    every = {"algebra", "catalog", "cochain", "cohomology", "derivations", "linalg"}
+    assert layers(loaded) == {"leibcohom", "leibcohom.cli",
+                              *(f"leibcohom.{name}" for name in every - skipped)}
+
+
+def test_package_names_resolve_to_their_modules():
+    # each name of __all__ is the object its defining module holds
+    import leibcohom
+
+    for name in leibcohom.__all__:
+        value = getattr(leibcohom, name)
+        assert value.__module__.startswith("leibcohom."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+    assert set(leibcohom.__all__) <= set(dir(leibcohom))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        leibcohom.no_such_name

@@ -1,4 +1,4 @@
-"""Smoke tests of tools/rawrun.py on the smallest range, one pair."""
+"""Smoke tests of tools/rawrun.py on small commands, one pair."""
 
 import json
 import re
@@ -18,14 +18,16 @@ def rawrun(*args):
 
 def test_same_checkout_on_both_sides(tmp_path):
     out = tmp_path / "runs.json"
-    proc = rawrun(ROOT, ROOT, "--m-range", "2..2", "--pairs", "1", "--json", out)
+    proc = rawrun(ROOT, ROOT, "--pairs", "1", "--json", out,
+                  "--", "verify-paper", "--m-range", "2..2", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "verify-paper --m-range 2..2, 1 pair(s)"
+    assert lines[0] == "verify-paper --m-range 2..2 --format json, 1 pair(s)"
     assert lines[1].startswith("first ") and lines[2].startswith("second ")
     assert "peak RSS" in lines[1] and "sha256" in lines[1]
     assert re.fullmatch(r"second side used less CPU in [01] of 1 pair\(s\)", lines[3])
     record = json.loads(out.read_text())
+    assert record["command"] == ["verify-paper", "--m-range", "2..2", "--format", "json"]
     runs = [record["sides"][side]["runs"] for side in ("first", "second")]
     assert [len(r) for r in runs] == [1, 1]
     assert runs[0][0]["sha256"] == runs[1][0]["sha256"]
@@ -40,12 +42,30 @@ def test_differing_reports_exit_1(tmp_path):
     text = cli.read_text()
     assert text.count('("squares_dim",') == 1
     cli.write_text(text.replace('("squares_dim",', '("squares_dimension",'))
-    proc = rawrun(ROOT, tmp_path, "--m-range", "2..2", "--pairs", "1")
+    proc = rawrun(ROOT, tmp_path, "--pairs", "1", "--", "verify-paper", "--m-range", "2..2")
     assert proc.returncode == 1
     assert "error: the reports differ" in proc.stderr
 
 
 def test_rejects_a_directory_without_the_package(tmp_path):
-    proc = rawrun(ROOT, tmp_path, "--m-range", "2..2", "--pairs", "1")
+    proc = rawrun(ROOT, tmp_path, "--pairs", "1", "--", "verify-paper", "--m-range", "2..2")
     assert proc.returncode == 2
     assert "holds no src/leibcohom" in proc.stderr
+
+
+def test_times_a_per_file_command(tmp_path):
+    # a relative path after -- names the same file for both sides
+    (tmp_path / "plain.alg").write_text("algebra-file 1\ndim 1\nbasis a\n")
+    proc = subprocess.run([sys.executable, str(RAWRUN), ROOT, ROOT, "--pairs", "1", "--",
+                           "derivations", "--algebra", "plain.alg", "--format", "json"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == (
+        "derivations --algebra plain.alg --format json, 1 pair(s)")
+
+
+def test_needs_a_command_after_the_separator():
+    for args in ([], ["--"]):
+        proc = rawrun(ROOT, ROOT, "--pairs", "1", *args)
+        assert proc.returncode == 2
+        assert "give the leibcohom arguments after --" in proc.stderr

@@ -1,15 +1,18 @@
-"""Time raw ``verify-paper`` runs of two checkouts against each other.
+"""Time raw ``leibcohom`` runs of two checkouts against each other.
 
-    python3 tools/rawrun.py PARENT CHANGE --m-range 60..60 --pairs 4
-    python3 tools/rawrun.py PARENT CHANGE --m-range 2..5 --deep --pairs 6 --json out.json
+    python3 tools/rawrun.py PARENT CHANGE --pairs 4 -- verify-paper --m-range 60..60 --format json
+    python3 tools/rawrun.py PARENT CHANGE --pairs 10 --json out.json -- derivations --algebra F
 
 Each side is a checkout holding ``src/leibcohom``. A run is
-``python3 -m leibcohom.cli verify-paper --m-range R --format json`` with
-``PYTHONPATH`` at that side's ``src``, started as a child of this small
-process, which imports nothing of the package: the child's CPU time (user
-plus system) and peak RSS come from ``os.wait4``, its wall time from the
-clock around it. Each pair runs both sides once, the first side first in
-even pairs and second in odd ones.
+``python3 -m leibcohom.cli ARGS``, ARGS being every argument after
+``--``, with ``PYTHONPATH`` at that side's ``src``, started in the
+current directory (so a relative path in ARGS names the same file for
+both sides) as a child of this small process, which imports nothing of
+the package: the child's CPU time (user plus system) and peak RSS come
+from ``os.wait4``, its wall time from the clock around it. So a run
+includes the interpreter's start and the package's imports. Each pair
+runs both sides once, the first side first in even pairs and second in
+odd ones.
 
 For each side it prints the quartiles and median of the CPU time, the
 median wall time, the peak RSS over its runs and the sha256 of its
@@ -31,14 +34,13 @@ import time
 from pathlib import Path
 
 
-def run_once(checkout: Path, m_range: str, deep: bool) -> dict:
+def run_once(checkout: Path, command: list[str]) -> dict:
     """One child run: its CPU and wall seconds, peak RSS in MB, exit code
     and the sha256 of its report."""
-    cmd = [sys.executable, "-m", "leibcohom.cli", "verify-paper", "--m-range", m_range,
-           "--format", "json", *(["--deep"] if deep else [])]
+    cmd = [sys.executable, "-m", "leibcohom.cli", *command]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     start = time.perf_counter()
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, cwd=checkout, env=env)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, env=env)
     report = proc.stdout.read()
     proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
@@ -67,14 +69,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n")[0],
+        usage="%(prog)s FIRST SECOND [--pairs N] [--json FILE] -- LEIBCOHOM_ARGS...")
     parser.add_argument("first", type=Path, help="checkout of the first side (the parent)")
     parser.add_argument("second", type=Path, help="checkout of the second side (the change)")
-    parser.add_argument("--m-range", required=True, help="verify-paper range a..b")
     parser.add_argument("--pairs", type=int, default=4)
-    parser.add_argument("--deep", action="store_true", help="pass --deep to verify-paper")
     parser.add_argument("--json", type=Path, help="also write every run to this file")
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    split = argv.index("--") if "--" in argv else len(argv)
+    args, command = parser.parse_args(argv[:split]), argv[split + 1:]
+    if not command:
+        parser.error("give the leibcohom arguments after --")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     sides = {"first": args.first.resolve(), "second": args.second.resolve()}
@@ -86,10 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     for pair in range(args.pairs):
         order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
         for name in order:
-            runs[name].append(run_once(sides[name], args.m_range, args.deep))
+            runs[name].append(run_once(sides[name], command))
 
-    range_text = args.m_range + (" --deep" if args.deep else "")
-    print(f"verify-paper --m-range {range_text}, {args.pairs} pair(s)")
+    print(f"{' '.join(command)}, {args.pairs} pair(s)")
     digests = {}
     for name, checkout in sides.items():
         side = runs[name]
@@ -110,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         failed.append("the reports differ")
     if args.json:
         args.json.write_text(json.dumps(
-            {"m_range": range_text, "pairs": args.pairs, "won": won,
+            {"command": command, "pairs": args.pairs, "won": won,
              "sides": {name: {"checkout": str(sides[name]), "runs": runs[name]}
                        for name in sides}}, indent=1) + "\n")
     for problem in failed:
