@@ -24,14 +24,12 @@ so only the weight-0 blocks of d^2 are built whole and eliminated.
 Columns, cocycle bases and G/I coordinates all use the flat cochain
 index, so a row of d^n is also a column of d^{n+1}: d^{n+1} d^n = 0 is
 checked by applying each block of d^{n+1} to the columns of d^n with the
-same key. The 2-cocycles of degree i are read in one place, as integer
-vectors spanning them: the d^1 columns when d^2 d^1 = 0 and
-rank d^1_i + rank d^2_i = cols(d^2_i), since im d^1_i then fills
-ker d^2_i; only a degree where that chain does not close (HL^2 nonzero
-there, or a broken complex) reads each block on its own: the d^1 columns
-of a block the Cartan certificate ranked, whose kernel they fill, and
-the kernel of every other block, rebuilt. The block analyses and the
-G*G check both read that span.
+same key. The 2-cocycles of degree i are read in one place, key by key,
+as integer vectors spanning them: a key whose chain closes gives its d^1
+columns, since d^2 d^1 = 0 puts im d^1 in ker d^2 and rank d^1 +
+rank d^2 = cols(d^2) on the key makes them equal; every other key's d^2
+block is rebuilt and its kernel read. The block analyses and the G*G
+check both read that span.
 
 Blocks are named by G/I tags, where G is the degree-0 part of the algebra
 and I the degree-1 part, as :meth:`~leibcohom.algebra.Grading.parts`
@@ -283,9 +281,10 @@ class AdjointCohomology:
     each d^n are built one at a time from one integer column builder;
     each block's rank is the pivot count of an echelon of its columns,
     computed once, and only the blocks of d^0 and d^1 are kept. The
-    2-cocycles of a degree are read in one place, :meth:`_cocycle_span`:
-    off the columns of d^1 where the rank chain closes; elsewhere off the
-    d^1 columns of each certified block and the kernel of each other d^2
+    2-cocycles of a degree are read in one place, :meth:`_cocycle_span`,
+    one d^2 key at a time: off the key's d^1 columns where its chain
+    closes, since d^2 d^1 = 0 puts im d^1 in ker d^2 and rank d^1 +
+    rank d^2 = cols makes them equal; elsewhere off the kernel of its d^2
     block, rebuilt. The block analyses and the G*G check both use that
     span.
 
@@ -361,8 +360,6 @@ class AdjointCohomology:
         self._cells: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
         self._kept: dict[tuple[int, tuple[int, ...]], dict[int, dict[int, int]]] = {}
         self._ranks: dict[tuple[int, tuple[int, ...]], int] = {}
-        # the d^2 keys ranked by the Cartan certificate, twins included
-        self._certified: set[tuple[int, ...]] = set()
         self._squares: dict[int, bool] = {}
         self._streamed: set[int] = set()
         self._flip: bool | None = None
@@ -443,8 +440,6 @@ class AdjointCohomology:
                     r = len(_echelon([dict(col) for col in block.values()]))
                 elif n == 2:
                     r = len(_echelon(list(block.values())))
-            else:
-                self._certified.update((key, twin))
             if n <= 2:
                 self._ranks[(n, key)] = self._ranks[(n, twin)] = r
         if n:
@@ -565,53 +560,43 @@ class AdjointCohomology:
     def graded_bl_dim(self, n: int, degree: int) -> int:
         return self._rank(n - 1, degree)
 
-    def _closes(self, degree: int) -> bool:
-        """Whether the d^1 columns of a degree span its 2-cocycles:
-        d^2 d^1 = 0 puts im d^1 inside ker d^2, and rank d^1 + rank d^2 =
-        cols(d^2) in the degree makes the two equal."""
-        return self.squares_to_zero(1) and (
-            self._rank(1, degree) + self._rank(2, degree) == self._count(2, degree)
-        )
-
     def _cocycle_span(self, degree: int) -> tuple[list[dict[int, int]], int]:
         """``(vectors, dim)``: integer vectors spanning the 2-cocycles of a
         degree, and the dimension of their span. The only reader of the
         2-cocycles.
 
-        Where the rank chain closes (:meth:`_closes`) these are the kept
-        d^1 columns of the degree, of dimension rank d^1 there, so no
-        basis is reduced. Otherwise each block of the degree is read on
-        its own; the blocks use disjoint coordinates, so the spans add up.
-        A block the Cartan certificate ranked (or its flip twin) has
-        ker d^2 = im d^1, so its kept d^1 columns span it, with dimension
-        rank d^1 of the key. Every other d^2 block is rebuilt, and its
-        kernel is read off a reversed echelon of the block's rows, with
-        its columns numbered by position and mapped back by
+        One rule reads each d^2 key of the degree; the keys use disjoint
+        coordinates, so the spans add up. Where d^2 d^1 = 0 and the key's
+        ranks r1 + r2 equal its cols, its kept d^1 columns span its
+        cocycles with dimension r1: d^2 d^1 = 0 puts im d^1 in ker d^2,
+        and r1 + r2 = cols makes them equal. A key the Cartan certificate
+        ranked and its flip twin pass by construction, and so does every
+        key of a degree where HL^2 is 0, since r1 + r2 <= cols on each
+        key. Every other key's d^2 block is rebuilt, and its kernel is
+        read off a reversed echelon of the block's rows, with its columns
+        numbered by position and mapped back by
         :func:`~leibcohom.linalg.embed`.
         """
         if degree not in self._spans:
-            if self._closes(degree):
-                span = [col for (n, key), block in self._kept.items()
-                        if n == 1 and key[0] == degree for col in block.values()]
-                dim = self._rank(1, degree)
-            else:
-                span, dim = [], 0
-                for key, cols in self._blocks(2).items():
-                    if key[0] != degree:
-                        continue
-                    if key in self._certified:
-                        span += self._kept.get((1, key), {}).values()
-                        dim += self._ranks.get((1, key), 0)
-                        continue
-                    d2 = self._builder.columns(2, cols)
-                    rows: dict[int, dict[int, int]] = {}
-                    for p, c in enumerate(cols):
-                        for r, v in d2.get(c, {}).items():
-                            rows.setdefault(r, {})[p] = v
-                    pivots = _reversed_echelon(rows.values(), len(cols))
-                    kernel = embed(_reversed_kernel(pivots, len(cols)), cols, self.algebra.dim**3)
-                    span += [_integer_row(vec) for vec in kernel.basis]
-                    dim += kernel.dim
+            exact = self.squares_to_zero(1)
+            span, dim = [], 0
+            for key, cols in self._blocks(2).items():
+                if key[0] != degree:
+                    continue
+                r1 = self._ranks.get((1, key), 0)
+                if exact and r1 + self._ranks[(2, key)] == len(cols):
+                    span += self._kept.get((1, key), {}).values()
+                    dim += r1
+                    continue
+                d2 = self._builder.columns(2, cols)
+                rows: dict[int, dict[int, int]] = {}
+                for p, c in enumerate(cols):
+                    for r, v in d2.get(c, {}).items():
+                        rows.setdefault(r, {})[p] = v
+                pivots = _reversed_echelon(rows.values(), len(cols))
+                kernel = embed(_reversed_kernel(pivots, len(cols)), cols, self.algebra.dim**3)
+                span += [_integer_row(vec) for vec in kernel.basis]
+                dim += kernel.dim
             self._spans[degree] = span, dim
         return self._spans[degree]
 

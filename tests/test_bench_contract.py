@@ -180,46 +180,78 @@ UNCALLED_PINS = {
 }
 
 
-def package_reads():
-    """What the modules of the package but ``__init__`` read: the names
+def package_reads(directory):
+    """What the modules in ``directory`` but ``__init__`` read: the names
     each module reads, by module; the attributes read anywhere; whether
-    ``@`` appears; and the names each module imports from its sibling
-    modules by ``from .module import name``."""
-    names, attrs, matmul, imports = {}, set(), False, {}
-    for path in sorted((ROOT / "src" / "leibcohom").glob("*.py")):
+    ``@`` appears; and, by module, the sibling names it reads as pairs
+    (module, name): a name bound by ``from .module import name`` and read
+    as a name, or an attribute read off a name bound by ``from . import
+    module``."""
+    names, attrs, matmul, siblings = {}, set(), False, {}
+    for path in sorted(directory.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        module = path.stem
-        names[module], imports[module] = set(), set()
+        read, dotted, members, modules = set(), set(), {}, {}
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names[module].add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    dotted.add((node.value.id, node.attr))
             elif isinstance(node, (ast.BinOp, ast.AugAssign)):
                 matmul |= isinstance(node.op, ast.MatMult)
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
-                imports[module] |= {(node.module, alias.name) for alias in node.names}
-    return names, attrs, matmul, imports
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module:
+                        members[local] = (node.module, alias.name)
+                    else:
+                        modules[local] = alias.name
+        names[path.stem] = read
+        siblings[path.stem] = ({members[name] for name in read if name in members}
+                               | {(modules[obj], attr) for obj, attr in dotted if obj in modules})
+    return names, attrs, matmul, siblings
+
+
+def called(target, reads):
+    """Whether the package read by :func:`package_reads` calls a LAYERS
+    target. A module-level function is called when its name is read in
+    its own module, or a sibling module reads it by either import; a
+    method, when its attribute is read anywhere; __matmul__, when @
+    appears."""
+    names, attrs, matmul, siblings = reads
+    module, _, attr = target.partition(".")
+    if "." in attr:
+        method = attr.partition(".")[2]
+        return matmul if method == "__matmul__" else method in attrs
+    return attr in names[module] or any((module, attr) in pairs for pairs in siblings.values())
+
+
+def test_package_reads_see_both_import_styles(tmp_path):
+    # b reads f by name and g off the module a; h is read only as an
+    # attribute of something else, k only by __init__, and c imports
+    # unused without reading it
+    (tmp_path / "__init__.py").write_text("from .a import k\nk()\n")
+    (tmp_path / "a.py").write_text(
+        "def f(): pass\ndef g(): pass\ndef h(): pass\ndef k(): pass\n"
+        "def unused(): pass\ndef own(): pass\ndef caller(obj): return own()\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import f\n\ndef use(obj):\n    from . import a as alias\n"
+        "    return f(), alias.g(), obj.h()\n"
+    )
+    (tmp_path / "c.py").write_text("from .a import unused\nfrom . import a\n")
+    reads = package_reads(tmp_path)
+    targets = ["a.f", "a.g", "a.h", "a.k", "a.unused", "a.own"]
+    assert [t for t in targets if called(t, reads)] == ["a.f", "a.g", "a.own"]
 
 
 def test_pinned_names_without_a_package_caller():
     # the tracer pins these names, so they cannot be deleted before a
     # benchmark change; a change that gives one a caller, or leaves
-    # another target without one, edits UNCALLED_PINS. A module-level
-    # function is called when its name is read in its own module or in a
-    # module that imports it; a method, when its attribute is read
-    # anywhere; __matmul__, when @ appears.
-    names, attrs, matmul, imports = package_reads()
-
-    def called(target):
-        module, _, attr = target.partition(".")
-        if "." in attr:
-            method = attr.partition(".")[2]
-            return matmul if method == "__matmul__" else method in attrs
-        return any(attr in names[m] for m in names
-                   if m == module or (module, attr) in imports[m])
-
+    # another target without one, edits UNCALLED_PINS
+    reads = package_reads(ROOT / "src" / "leibcohom")
     targets = [t for targets in load_tracer().LAYERS.values() for t in targets
                if not t.endswith(".*")]
-    assert {t for t in targets if not called(t)} == UNCALLED_PINS
+    assert {t for t in targets if not called(t, reads)} == UNCALLED_PINS

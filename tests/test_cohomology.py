@@ -1096,10 +1096,35 @@ def chain_closes(coh, degree):
     return coh.graded_bl_dim(2, degree) == coh.graded_zl_dim(2, degree)
 
 
+def open_keys(coh, degree):
+    """The d^2 keys of a degree whose own chain does not close: rank d^1 +
+    rank d^2 falls short of the key's columns."""
+    coh.squares_to_zero(1)
+    return {key for key, cols in coh._blocks(2).items() if key[0] == degree
+            and coh._ranks.get((1, key), 0) + coh._ranks[(2, key)] != len(cols)}
+
+
+def rebuilt_keys(coh):
+    """Record the key of every d^2 column the engine's builder makes from
+    now on, in order."""
+    key_of = {c: key for key, cols in coh._blocks(2).items() for c in cols}
+    built = []
+    real = coh._builder.columns
+
+    def record(arity, cols=None):
+        if arity == 2:
+            built.extend(key_of[c] for c in cols)
+        return real(arity, cols)
+
+    coh._builder.columns = record
+    return built
+
+
 class TestCocycleBasisRead:
-    """_cocycle_span reads ZL^2 off the d^1 columns where the rank chain
-    closes and falls back to a kernel of d^2 elsewhere; both must give the
-    kernel of the graded_submatrix block."""
+    """_cocycle_span reads the ZL^2 of each d^2 key off its d^1 columns
+    where the key's rank chain closes and falls back to a kernel of its
+    d^2 block elsewhere; both must give the kernel of the graded_submatrix
+    block."""
 
     def test_sl2_plus_line_mixes_both_reads(self, zl_basis):
         # the h-weight of sl2 refines the grading
@@ -1114,31 +1139,38 @@ class TestCocycleBasisRead:
 
     @pytest.mark.parametrize("degrees,degree", [((0, 0, 0, 1), -1), ((0, 0, 0, 0), 0)])
     def test_sl2_plus_line_rebuilds_only_weight_zero_blocks(self, degrees, degree, zl_basis):
-        # the degree does not close; its keys of nonzero weight are
-        # certified, so their d^1 columns span their cocycles, with rank
-        # d^1 as the dimension, and only the weight-0 key reaches the
-        # builder again. Graded all 0, keys (0, +-2) hold ad e and ad f in
-        # ker d^1, so their d^1 columns outnumber their rank
+        # the degree does not close, but every key of nonzero weight does:
+        # the certificate ranked it, so its d^1 columns span its cocycles,
+        # with rank d^1 as the dimension, and only the keys whose own
+        # chain does not close, here the weight-0 key, reach the builder
+        # again. Graded all 0, keys (0, +-2) hold ad e and ad f in ker
+        # d^1, so their d^1 columns outnumber their rank
         algebra, _ = sl2_plus_line()
         grading = Grading(degrees)
         coh = AdjointCohomology(algebra, grading)
         assert not chain_closes(coh, degree)
-        key_of = {c: key for key, cols in coh._blocks(2).items() for c in cols}
-        certified = {key for key in key_of.values() if key[0] == degree and any(key[1:])}
-        assert certified and certified <= coh._certified
-        built = []
-        real = coh._builder.columns
-
-        def record(arity, cols=None):
-            if arity == 2:
-                built.extend(key_of[c] for c in cols)
-            return real(arity, cols)
-
-        coh._builder.columns = record
+        expected = open_keys(coh, degree)
+        built = rebuilt_keys(coh)
         basis = zl_basis(coh, degree)
-        assert built and {key[1:] for key in built} == {(0,)}
+        assert built and set(built) == expected
+        assert {key[1:] for key in built} == {(0,)}
         assert basis == reference_zl_basis(algebra, grading, degree)
         assert coh._cocycle_span(degree)[1] == basis.dim
+
+    def test_uncertified_closing_keys_are_not_rebuilt(self, monkeypatch, zl_basis):
+        # with the certificate off every key of degree -1 is eliminated;
+        # the degree does not close, but each key of nonzero weight closes
+        # on its own, so only (-1, 0) is rebuilt
+        algebra, grading = sl2_plus_line()
+        no_certificate(monkeypatch)
+        coh = AdjointCohomology(algebra, grading)
+        assert not chain_closes(coh, -1)
+        assert open_keys(coh, -1) == {(-1, 0)}
+        built = rebuilt_keys(coh)
+        basis = zl_basis(coh, -1)
+        assert set(built) == {(-1, 0)}
+        assert basis == reference_zl_basis(algebra, grading, -1)
+        assert coh._cocycle_span(-1)[1] == basis.dim
 
     def test_sl2_plus_line_blocks_report_unchanged(self, capsys, tmp_path, monkeypatch):
         # the --graded --blocks report with the certified spans read off

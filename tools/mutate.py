@@ -219,18 +219,28 @@ MUTANTS = (
     Mutant(
         "cocycle_dimension_counts_the_spanning_vectors",
         "src/leibcohom/cohomology.py",
-        "dim = self._rank(1, degree)",
-        "dim = len(span)",
+        "self._spans[degree] = span, dim",
+        "self._spans[degree] = span, len(span)",
         ("tests/test_cohomology.py::TestBlockAnalysisReference::test_family",),
     ),
     Mutant(
         "certified_cocycle_dimension_counts_the_d1_columns",
         "src/leibcohom/cohomology.py",
-        "dim += self._ranks.get((1, key), 0)",
+        "dim += r1",
         "dim += len(self._kept.get((1, key), {}))",
         (
             "tests/test_cohomology.py::TestCocycleBasisRead"
             "::test_sl2_plus_line_rebuilds_only_weight_zero_blocks",
+        ),
+    ),
+    Mutant(
+        "cocycle_read_skips_the_complex_check",
+        "src/leibcohom/cohomology.py",
+        "if exact and r1 + self._ranks[(2, key)] == len(cols):",
+        "if r1 + self._ranks[(2, key)] == len(cols):",
+        (
+            "tests/test_cohomology.py::TestCocycleBasisRead"
+            "::test_changed_d1_entry_forces_the_fallback",
         ),
     ),
     Mutant(
