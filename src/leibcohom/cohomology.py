@@ -77,10 +77,7 @@ from .linalg import (
     _add,
     _axpy,
     _echelon,
-    _integer_row,
-    _reversed_echelon,
-    _reversed_kernel,
-    embed,
+    _kernel_vectors,
     rank,
 )
 
@@ -573,9 +570,9 @@ class AdjointCohomology:
         ranked and its flip twin pass by construction, and so does every
         key of a degree where HL^2 is 0, since r1 + r2 <= cols on each
         key. Every other key's d^2 block is rebuilt, and its kernel is
-        read off a reversed echelon of the block's rows, with its columns
-        numbered by position and mapped back by
-        :func:`~leibcohom.linalg.embed`.
+        read straight off the builder's integer columns by
+        :func:`~leibcohom.linalg._kernel_vectors`, tagged at dim^4 + c, so
+        the vectors come out in flat coordinates.
         """
         if degree not in self._spans:
             exact = self.squares_to_zero(1)
@@ -588,15 +585,10 @@ class AdjointCohomology:
                     span += self._kept.get((1, key), {}).values()
                     dim += r1
                     continue
-                d2 = self._builder.columns(2, cols)
-                rows: dict[int, dict[int, int]] = {}
-                for p, c in enumerate(cols):
-                    for r, v in d2.get(c, {}).items():
-                        rows.setdefault(r, {})[p] = v
-                pivots = _reversed_echelon(rows.values(), len(cols))
-                kernel = embed(_reversed_kernel(pivots, len(cols)), cols, self.algebra.dim**3)
-                span += [_integer_row(vec) for vec in kernel.basis]
-                dim += kernel.dim
+                kernel = _kernel_vectors(self._builder.columns(2, cols), cols,
+                                         self.algebra.dim**4)
+                span += kernel
+                dim += len(kernel)
             self._spans[degree] = span, dim
         return self._spans[degree]
 

@@ -34,11 +34,12 @@ canonical form depends, and adds one back-substitution,
 * :func:`solve` reads the solution of each right-hand side off the
   reduced rows of the matrix augmented with all of them, in that
   right-hand side's column, so one elimination serves them all;
-* :func:`kernel_basis` eliminates with the columns reversed
-  (:func:`_reversed_echelon`), so each pivot leads at its largest
-  original column. The kernel vector of a free column then has its lowest
-  coordinate, 1, at that column and vanishes at every other free column,
-  which is already the canonical basis (:func:`_reversed_kernel`).
+* :func:`kernel_basis` eliminates the columns, the short side of the
+  tall matrices this package feeds it, each tagged with 1 at its own
+  coordinate past the rows (:func:`_kernel_vectors`). A pivot row that
+  leads in the tags has no matrix part, so its tags are an integer
+  kernel vector, and :meth:`Subspace.from_spanning` makes these
+  canonical.
 
 The Lie layer of :mod:`leibcohom.cohomology` ranks each coboundary by
 one :func:`_echelon` of its integer columns. The graded engine there
@@ -46,13 +47,14 @@ holds them keyed by the flat cochain index and splits them by degree
 itself: it counts the pivots of :func:`_echelon` on copies of one
 degree's columns for each rank; for each block analysis, on integer
 vectors spanning the cocycles (the d^1 columns where the rank chain
-closes, the rows of a fallback kernel elsewhere) restricted to a block's
-coordinates and to the other coordinates; and for the G*G check, on two
-spans and their union, which are equal when the three ranks are. It
-calls :func:`_reversed_echelon` and :func:`_reversed_kernel` on the
-rows only for a kernel it cannot read off the image of the previous
-coboundary. That kernel numbers the degree's columns of d^2 by position,
-and :func:`embed` maps it back to flat coordinates.
+closes, the vectors of a fallback kernel elsewhere) restricted to a
+block's coordinates and to the other coordinates; and for the G*G
+check, on two spans and their union, which are equal when the three
+ranks are. A kernel it cannot read off the image of the previous
+coboundary it reads by the same rule as :func:`kernel_basis`,
+:func:`_kernel_vectors` on the integer columns of a d^2 block, tagged
+past the last 3-cochain, so the vectors come out in flat coordinates
+and as integers, and their count is the kernel's dimension.
 
 :func:`rank_modular` runs its own elimination mod a few word-size primes.
 It is an independent cross-check of :func:`rank` for the tests, never the
@@ -417,40 +419,33 @@ def rank_modular(
     return best
 
 
-def _reversed_echelon(
-    rows: Iterable[Mapping[int, int]], cols: int
-) -> dict[int, dict[int, int]]:
-    """Echelon of integer rows with the columns reversed, c -> cols - 1 - c,
-    so each pivot leads at its largest original column. Its pivot count is
-    the rank; :func:`_reversed_kernel` reads the kernel off it."""
-    last = cols - 1
-    return _echelon([{last - c: v for c, v in row.items()} for row in rows])
+def _kernel_vectors(
+    columns: Mapping[int, Mapping[int, Fraction]], cols: Iterable[int], tag: int
+) -> list[dict[int, int]]:
+    """Integer vectors spanning the null space of the matrix whose column
+    c is ``columns.get(c)`` (absent for a zero column), for each c in
+    ``cols``, with every row index below ``tag``; the vectors are indexed
+    by c.
 
-
-def _reversed_kernel(pivots: Mapping[int, dict[int, int]], cols: int) -> Subspace:
-    """Canonical kernel basis from a :func:`_reversed_echelon` table.
-
-    The reduced row of pivot column p has its other entries at free
-    columns c < p only. The kernel vector of free column c is 1 at c and
-    -row[c] at each such p: its lowest coordinate is c and it vanishes at
-    every other free column.
+    Each column becomes one line, tagged with 1 at coordinate tag + c, so
+    the lines are the rows of [M^T | I], of full rank, and :func:`_echelon`
+    reduces them. A pivot row leading at or past ``tag`` has no matrix
+    part, so its tag part t, an integer combination of the tags, has
+    M t = 0. There are as many such rows as columns minus rank M, and
+    they are independent, so they span the null space.
     """
-    last = cols - 1
-    reduced = _reduce(pivots)
-    vectors = {f: {f: Fraction(1)} for f in range(cols) if last - f not in reduced}
-    for p, row in reduced.items():
-        for c, v in row.items():
-            if c != p:
-                vectors[last - c][last - p] = -v
-    return Subspace(cols, tuple(vectors.values()))
+    # the tag first, so the content scan of _integer_row stops at its 1
+    lines = [_integer_row({tag + c: 1, **columns.get(c, {})}) for c in cols]
+    return [{c - tag: v for c, v in row.items()}
+            for p, row in _echelon(lines).items() if p >= tag]
 
 
 def kernel_basis(matrix: SparseRationalMatrix) -> Subspace:
-    """Canonical basis of the exact null space ``{v : Mv = 0}``."""
-    pivots = _reversed_echelon(
-        (_integer_row(row) for row in matrix.row_dicts().values()), matrix.cols
-    )
-    return _reversed_kernel(pivots, matrix.cols)
+    """Canonical basis of the exact null space ``{v : Mv = 0}``: the
+    reduced rows of the vectors :func:`_kernel_vectors` reads off an
+    echelon of the columns."""
+    vectors = _kernel_vectors(matrix.column_dicts(), range(matrix.cols), matrix.rows)
+    return Subspace.from_spanning(vectors, matrix.cols)
 
 
 def column_space(matrix: SparseRationalMatrix) -> Subspace:

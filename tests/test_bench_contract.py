@@ -174,6 +174,7 @@ UNCALLED_PINS = {
     "cohomology.hl_dim",
     "linalg.SparseRationalMatrix.__matmul__",
     "linalg.column_space",
+    "linalg.embed",
     "linalg.project",
     "linalg.rank_modular",
     "linalg.subspace_sum_dim",

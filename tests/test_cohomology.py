@@ -56,6 +56,7 @@ from leibcohom.linalg import (
     restrict_to_coords,
     subspace_equal,
 )
+from test_linalg import reference_kernel
 
 F = Fraction
 
@@ -1118,6 +1119,48 @@ def rebuilt_keys(coh):
 
     coh._builder.columns = record
     return built
+
+
+def reference_block_kernel(algebra, grading, degree):
+    """The kernel of a degree's whole d^2 block by the Fraction
+    Gauss-Jordan reference of the linalg tests, re-expanded to the flat
+    coordinates of Hom(L^2, L): no elimination of the package's."""
+    d2 = coboundary_matrix(algebra, adjoint_bimodule(algebra), 2)
+    cols = graded_columns(algebra, grading, 2, degree)
+    basis = reference_kernel(graded_submatrix(d2, algebra, grading, 2, degree))
+    return tuple({cols[p]: v for p, v in vec.items()} for vec in basis)
+
+
+class TestFallbackKernel:
+    """A key whose chain does not close has its d^2 block rebuilt and its
+    kernel read off the builder's integer columns, tagged past the last
+    3-cochain. In every degree the span's dimension and canonical basis
+    equal the reference kernel of the degree's whole d^2 block."""
+
+    CASES = {
+        "sl2+C graded 0001": lambda: (sl2_plus_line()[0], Grading((0, 0, 0, 1))),
+        "sl2+C graded 0000": lambda: (sl2_plus_line()[0], Grading((0, 0, 0, 0))),
+        # [x, y] = z in degrees 0, 1, 1: no h, so each degree is one key
+        "heisenberg graded 011": lambda: (H3, Grading((0, 1, 1))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_span_equals_the_reference_kernel(self, case, zl_basis):
+        algebra, grading = self.CASES[case]()
+        coh = AdjointCohomology(algebra, grading)
+        fallback_keys = []
+        for degree in coh.degrees(2):
+            fallback_keys += open_keys(coh, degree)
+            expected = reference_block_kernel(algebra, grading, degree)
+            assert coh._cocycle_span(degree)[1] == len(expected)
+            assert zl_basis(coh, degree).basis == expected
+        assert fallback_keys
+
+    def test_keys_of_the_graded_heisenberg_do_not_close(self):
+        coh = AdjointCohomology(H3, Grading((0, 1, 1)))
+        assert coh._gradings == ((0, 1, 1),)
+        for degree in coh.degrees(2):
+            assert open_keys(coh, degree) == {(degree,)}
 
 
 class TestCocycleBasisRead:

@@ -585,6 +585,69 @@ class TestAgainstReference:
                 assert x == expected
 
 
+class TestKernelShapes:
+    """kernel_basis, which eliminates the columns, on every shape it can
+    meet: tall (the derivation constraints), square and wide, with zero
+    columns, the zero matrix and no columns at all, against the reference
+    kernel."""
+
+    @staticmethod
+    def check(m):
+        ker = kernel_basis(m)
+        assert ker.ambient_dim == m.cols
+        assert ker.basis == reference_kernel(m)
+        assert ker.dim + reference_rank(m) == m.cols
+        for vec in ker.basis:
+            assert m.apply(dict(vec)) == {}
+
+    @pytest.mark.parametrize("rows,cols", [(7, 3), (4, 4), (2, 6)],
+                             ids=["tall", "square", "wide"])
+    def test_shapes(self, rows, cols):
+        rng = random.Random(100 * rows + cols)
+        for _ in range(20):
+            self.check(random_matrix(rng, rows, cols, density=0.5))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_tall_coboundary(self, m):
+        algebra, _ = simple_leibniz_sl2(m)
+        d1 = coboundary_matrix(algebra, adjoint_bimodule(algebra), 1)
+        assert d1.rows > d1.cols
+        self.check(d1)
+
+    def test_proportional_columns(self):
+        m = mat(4, 2, {(0, 0): 1, (0, 1): 2, (1, 0): -3, (1, 1): -6, (3, 0): 5, (3, 1): 10})
+        assert kernel_basis(m).basis == ({0: 1, 1: F(-1, 2)},)
+        self.check(m)
+
+    def test_zero_columns(self):
+        # columns 1 and 3 are zero, the others independent
+        m = mat(3, 4, {(0, 0): 1, (1, 2): 2, (2, 0): 3, (2, 2): 1})
+        assert kernel_basis(m).basis == ({1: 1}, {3: 1})
+        self.check(m)
+
+    def test_zero_matrix_and_no_columns(self):
+        assert kernel_basis(SparseRationalMatrix(3, 4, {})).basis == tuple(
+            {c: 1} for c in range(4))
+        assert kernel_basis(SparseRationalMatrix(0, 2, {})).basis == ({0: 1}, {1: 1})
+        for rows in (0, 3):
+            assert kernel_basis(SparseRationalMatrix(rows, 0, {})) == Subspace(0, ())
+
+    def test_fraction_entries(self):
+        # the second row is 3/2 times the first
+        m = SparseRationalMatrix(3, 3, {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 0): F(3, 4),
+                                        (1, 1): F(1, 2), (2, 2): F(2, 5)})
+        assert kernel_basis(m).basis == ({0: 1, 1: F(-3, 2)},)
+        self.check(m)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_integer_and_fractional(self, seed):
+        rng = random.Random(4100 + seed)
+        for _ in range(15):
+            rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+            self.check(random_matrix(rng, rows, cols))
+            self.check(random_fractional_matrix(rng, rows, cols))
+
+
 class TestDeferredStrip:
     """Stripping the content once per surviving row stores the same pivot
     rows as a strip after every step."""

@@ -216,19 +216,15 @@ MUTANTS = (
             "::test_one_builder_across_arities_and_blocks",
         ),
     ),
+    # one fault, which the d^1 columns of a closing key show: they can
+    # outnumber its rank, so counting them over-counts the cocycles
     Mutant(
         "cocycle_dimension_counts_the_spanning_vectors",
         "src/leibcohom/cohomology.py",
         "self._spans[degree] = span, dim",
         "self._spans[degree] = span, len(span)",
-        ("tests/test_cohomology.py::TestBlockAnalysisReference::test_family",),
-    ),
-    Mutant(
-        "certified_cocycle_dimension_counts_the_d1_columns",
-        "src/leibcohom/cohomology.py",
-        "dim += r1",
-        "dim += len(self._kept.get((1, key), {}))",
         (
+            "tests/test_cohomology.py::TestBlockAnalysisReference::test_family",
             "tests/test_cohomology.py::TestCocycleBasisRead"
             "::test_sl2_plus_line_rebuilds_only_weight_zero_blocks",
         ),
@@ -355,13 +351,23 @@ MUTANTS = (
         ("tests/test_cohomology.py::TestGradedReport::test_invalid_grading_rejected",),
     ),
     Mutant(
-        "kernel_vector_sign_dropped",
+        "zero_column_gets_no_tag_line",
         "src/leibcohom/linalg.py",
-        "vectors[last - c][last - p] = -v",
-        "vectors[last - c][last - p] = v",
+        "**columns.get(c, {})}) for c in cols]",
+        "**columns.get(c, {})}) for c in columns]",
         (
-            "tests/test_linalg.py::TestRankAndKernel::test_kernel_annihilates",
-            "tests/test_linalg.py::TestAgainstReference::test_kernel_basis",
+            "tests/test_linalg.py::TestKernelShapes::test_zero_columns",
+            "tests/test_linalg.py::TestKernelShapes::test_zero_matrix_and_no_columns",
+        ),
+    ),
+    Mutant(
+        "kernel_vector_read_from_a_matrix_pivot",
+        "src/leibcohom/linalg.py",
+        "for p, row in _echelon(lines).items() if p >= tag]",
+        "for p, row in _echelon(lines).items() if max(row) >= tag]",
+        (
+            "tests/test_linalg.py::TestKernelShapes::test_shapes",
+            "tests/test_cohomology.py::TestFallbackKernel::test_span_equals_the_reference_kernel",
         ),
     ),
     Mutant(
