@@ -273,14 +273,11 @@ def cmd_derivations(args: argparse.Namespace) -> int:
             payload["delta_generator"] = None
             pretty.append("  no derivation maps the degree-0 part into the ideal")
         else:
-            payload["delta_generator"] = {
-                f"{r},{c}": str(v) for (r, c), v in sorted(delta.entries.items())
-            }
+            cells = sorted((r, c, v) for c, col in delta.columns.items() for r, v in col.items())
+            payload["delta_generator"] = {f"{r},{c}": str(v) for r, c, v in cells}
             pretty.append(
                 "  degree-raising generator (ideal row, degree-0 column): "
-                + ", ".join(
-                    f"({r},{c})={v}" for (r, c), v in sorted(delta.entries.items())
-                )
+                + ", ".join(f"({r},{c})={v}" for r, c, v in cells)
             )
         rows = []
         pretty.append("  canonical decomposition of a derivation basis:")
@@ -290,8 +287,9 @@ def cmd_derivations(args: argparse.Namespace) -> int:
                     "right_mult": [str(c) for c in dec.coefficients],
                     "ideal_projection": str(dec.lam),
                     "delta": {
-                        f"{r},{c}": str(v)
-                        for (r, c), v in sorted(dec.delta.entries.items())
+                        f"{r},{c}": str(v) for r, c, v in sorted(
+                            (r, c, v) for c, col in dec.delta.columns.items()
+                            for r, v in col.items())
                     },
                     "exact": dec.is_exact,
                 }
@@ -397,16 +395,18 @@ def _is_kernel(matrix: SparseRationalMatrix, space: Subspace) -> bool:
     basis vector, so the space lies in the kernel, and cols - rank equals
     its dimension, so the two are equal. The images of all the basis
     vectors, each scaled to integers, come from one pass over the
-    matrix's entries, with the vectors grouped by coordinate."""
+    matrix's columns, with the vectors grouped by coordinate: column c
+    is added into the image of each vector that holds c."""
     by_coord: dict[int, list[tuple[int, int]]] = {}
     for j, vec in enumerate(space.basis):
         for c, v in _integer_row(vec).items():
             by_coord.setdefault(c, []).append((j, v))
     images: list[dict[int, int]] = [{} for _ in space.basis]
-    for (r, c), v in matrix.entries.items():
+    for c, col in matrix.columns.items():
         for j, x in by_coord.get(c, ()):
             image = images[j]
-            image[r] = image.get(r, 0) + v * x
+            for r, v in col.items():
+                image[r] = image.get(r, 0) + v * x
     return (not any(any(image.values()) for image in images)
             and matrix.cols - rank(matrix) == space.dim)
 

@@ -17,8 +17,9 @@ action and the second the right one. One builder,
 column being d^n of one basis cochain, for all columns or for any chosen
 subset of them. For any bimodule,
 
-* :func:`coboundary_matrix` flattens the columns into a rational matrix,
-  exactly d, whose integral entries are ints; it is the ungraded path;
+* :func:`coboundary_matrix` hands the columns as they are to a rational
+  matrix, exactly d, whose integral entries are ints; it is the ungraded
+  path;
 * :func:`_integer_builder` hands out a builder of integer columns,
   scaled by one common denominator, with no grading. No rank or span
   sees the denominator; the builder keeps it as ``scale`` for the Cartan
@@ -213,9 +214,8 @@ def coboundary_matrix(
         [_integral_as_int(act) for act in module.left_action],
         [_integral_as_int(act) for act in module.right_action],
         {key: _integral_as_int(vec) for key, vec in algebra.tensor.items()}, dm)
-    columns = builder.columns(n)
-    entries = {(r, c): v for c, col in columns.items() for r, v in col.items()}
-    return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm, entries)
+    return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm,
+                                builder.columns(n))
 
 
 def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> _ColumnBuilder:
@@ -295,17 +295,19 @@ def graded_submatrix(
     rows = graded_columns(algebra, grading, n + 1, degree)
     col_pos = {c: i for i, c in enumerate(cols)}
     row_pos = {r: i for i, r in enumerate(rows)}
-    sub: dict[tuple[int, int], Fraction] = {}
-    for (r, c), v in d.entries.items():
+    sub: dict[int, dict[int, Fraction]] = {}
+    for c, col in d.columns.items():
         pc = col_pos.get(c)
         if pc is None:
             continue
-        pr = row_pos.get(r)
-        if pr is None:
-            raise ValueError(
-                "coboundary does not preserve the grading: entry "
-                f"({r}, {c}) leaves degree {degree}"
-            )
-        sub[(pr, pc)] = v
+        out = sub[pc] = {}
+        for r, v in col.items():
+            pr = row_pos.get(r)
+            if pr is None:
+                raise ValueError(
+                    "coboundary does not preserve the grading: entry "
+                    f"({r}, {c}) leaves degree {degree}"
+                )
+            out[pr] = v
     return SparseRationalMatrix(len(rows), len(cols), sub)
 

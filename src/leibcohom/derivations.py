@@ -14,9 +14,11 @@ degree-1 part. The family is built and ranked once per call, and one
 as a right-hand side.
 
 Linear maps D are encoded two ways, and helpers convert between them:
-as n x n matrices with entry (t, z) the coefficient of basis element t
-in D(basis element z), and as flat 1-cochain vectors with coordinate
-z * n + t for the same coefficient.
+as n x n matrices whose column z is D(basis element z), so entry (t, z)
+is the coefficient of basis element t in it, and as flat 1-cochain
+vectors with coordinate z * n + t for the same coefficient. Every matrix
+here is written column by column, the constraints and the spanning
+family included.
 """
 
 from __future__ import annotations
@@ -43,43 +45,42 @@ def derivation_space(algebra: AlgebraStructure) -> Subspace:
 
     Row (i, j, t) of the constraint matrix states that the coefficient
     of basis element t in D([b_i, b_j]) - [D(b_i), b_j] - [b_i, D(b_j)]
-    vanishes. The rows are written from the nonzero structure constants
-    c_ab^t, each of which enters n entries of every term: +c at row
-    (a, b, s), column (t; s) from D([b_a, b_b]); -c at row (i, b, t),
-    column (i; a) from [D(b_i), b_b]; and -c at row (a, j, t), column
-    (j; b) from [b_a, D(b_j)], for every s, i and j. An integral c is
-    written as an ``int``, so the family's constraints hold only ints.
+    vanishes. The entries are written into their columns from the nonzero
+    structure constants c_ab^t, each of which enters n entries of every
+    term: +c at row (a, b, s), column (t; s) from D([b_a, b_b]); -c at
+    row (i, b, t), column (i; a) from [D(b_i), b_b]; and -c at row
+    (a, j, t), column (j; b) from [b_a, D(b_j)], for every s, i and j. An
+    integral c is written as an ``int``, so the family's constraints hold
+    only ints.
     """
     n = algebra.dim
-    entries: dict[tuple[int, int], Fraction] = {}
+    columns: dict[int, dict[int, Fraction]] = {col: {} for col in range(n * n)}
     for (a, b), vec in algebra.tensor.items():
         row_base = (a * n + b) * n
         for t, c in _integral_as_int(vec).items():
             for s in range(n):
-                _add(entries, (row_base + s, t * n + s), c)
+                _add(columns[t * n + s], row_base + s, c)
             for i in range(n):
-                _add(entries, ((i * n + b) * n + t, i * n + a), -c)
+                _add(columns[i * n + a], (i * n + b) * n + t, -c)
             for j in range(n):
-                _add(entries, ((a * n + j) * n + t, j * n + b), -c)
-    constraints = SparseRationalMatrix(n * n * n, n * n, entries)
-    return kernel_basis(constraints)
+                _add(columns[j * n + b], (a * n + j) * n + t, -c)
+    return kernel_basis(SparseRationalMatrix(n * n * n, n * n, columns))
 
 
 def right_mult_operator(
     algebra: AlgebraStructure, element: int | dict[int, Fraction]
 ) -> SparseRationalMatrix:
-    """The operator z -> [z, element] as an n x n matrix."""
+    """The operator z -> [z, element] as an n x n matrix: column z is
+    [b_z, element]."""
     n = algebra.dim
     if isinstance(element, int):
         element = {element: Fraction(1)}
-    entries: dict[tuple[int, int], Fraction] = {}
+    columns: dict[int, dict[int, Fraction]] = {}
     for z in range(n):
-        acc: dict[int, Fraction] = {}
+        col = columns[z] = {}
         for s, xs in element.items():
-            _axpy(acc, algebra.product(z, s), xs)
-        for t, v in acc.items():
-            entries[(t, z)] = v
-    return SparseRationalMatrix(n, n, entries)
+            _axpy(col, algebra.product(z, s), xs)
+    return SparseRationalMatrix(n, n, columns)
 
 
 def _classes_01(grading: Grading) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -93,8 +94,7 @@ def _classes_01(grading: Grading) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def ideal_projection(algebra: AlgebraStructure, grading: Grading) -> SparseRationalMatrix:
     """The projection onto the degree-1 part along the degree-0 part."""
     _, ideal = _classes_01(grading)
-    entries = {(z, z): Fraction(1) for z in ideal}
-    return SparseRationalMatrix(algebra.dim, algebra.dim, entries)
+    return SparseRationalMatrix(algebra.dim, algebra.dim, {z: {z: Fraction(1)} for z in ideal})
 
 
 def matrix_to_cochain(mat: SparseRationalMatrix) -> dict[int, Fraction]:
@@ -102,15 +102,16 @@ def matrix_to_cochain(mat: SparseRationalMatrix) -> dict[int, Fraction]:
     if mat.rows != mat.cols:
         raise ValueError("operator matrix must be square")
     n = mat.rows
-    return {z * n + t: v for (t, z), v in mat.entries.items()}
+    return {z * n + t: v for z, col in mat.columns.items() for t, v in col.items()}
+
 
 def cochain_to_matrix(vec: dict[int, Fraction], n: int) -> SparseRationalMatrix:
     """Inverse of :func:`matrix_to_cochain` for ambient dimension n*n."""
-    entries: dict[tuple[int, int], Fraction] = {}
+    columns: dict[int, dict[int, Fraction]] = {}
     for flat, v in vec.items():
         z, t = divmod(flat, n)
-        entries[(t, z)] = v
-    return SparseRationalMatrix(n, n, entries)
+        columns.setdefault(z, {})[t] = v
+    return SparseRationalMatrix(n, n, columns)
 
 
 def delta_generator(
@@ -122,9 +123,12 @@ def delta_generator(
     unique (up to scale) derivation in it supported entirely on the
     degree-0 -> degree-1 coordinates, as a matrix over the local
     bases (rows indexed by the degree-1 part, columns by the degree-0
-    part), scaled so that the image of the first degree-0 basis element
-    has leading coordinate 1. Returns None when no such derivation
-    exists, and raises if there are several independent ones.
+    part). It comes out normalized: the image of the first degree-0
+    basis element it does not kill has leading coordinate 1, since the
+    canonical basis vector of :func:`~leibcohom.linalg.restrict_to_coords`
+    is 1 at its least flat coordinate z * n + t, and both parts keep
+    the basis order. Returns None when no such derivation exists, and
+    raises if there are several independent ones.
     """
     g_idx, i_idx = _classes_01(grading)
     n = algebra.dim
@@ -134,17 +138,12 @@ def delta_generator(
         return None
     if pure.dim > 1:
         raise ValueError("several independent degree-raising derivations")
-    full = cochain_to_matrix(dict(pure.basis[0]), n)
     g_pos = {g: p for p, g in enumerate(g_idx)}
     i_pos = {k: p for p, k in enumerate(i_idx)}
-    local = {
-        (i_pos[t], g_pos[z]): v for (t, z), v in full.entries.items()
-    }
-    cells = sorted(local)
-    lead_col = min(c for _, c in cells)
-    lead = min(r for r, c in cells if c == lead_col)
-    scale = 1 / local[(lead, lead_col)]
-    local = {rc: v * scale for rc, v in local.items()}
+    local: dict[int, dict[int, Fraction]] = {}
+    for flat, v in pure.basis[0].items():
+        z, t = divmod(flat, n)
+        local.setdefault(g_pos[z], {})[i_pos[t]] = v
     return SparseRationalMatrix(len(i_idx), len(g_idx), local)
 
 
@@ -192,19 +191,13 @@ def decompose_derivation(
     ng, ni = len(g_idx), len(i_idx)
     cols = ng + 1 + ng * ni
 
-    entries: dict[tuple[int, int], Fraction] = {}
-
-    def put(op: SparseRationalMatrix, col: int) -> None:
-        for flat, v in matrix_to_cochain(op).items():
-            entries[(flat, col)] = v
-
-    for pos, s in enumerate(g_idx):
-        put(right_mult_operator(algebra, s), pos)
-    put(ideal_projection(algebra, grading), ng)
+    columns = {pos: matrix_to_cochain(right_mult_operator(algebra, s))
+               for pos, s in enumerate(g_idx)}
+    columns[ng] = matrix_to_cochain(ideal_projection(algebra, grading))
     for gp, z in enumerate(g_idx):
         for ip, t in enumerate(i_idx):
-            entries[(z * n + t, ng + 1 + gp * ni + ip)] = Fraction(1)
-    family = SparseRationalMatrix(n * n, cols, entries)
+            columns[ng + 1 + gp * ni + ip] = {z * n + t: Fraction(1)}
+    family = SparseRationalMatrix(n * n, cols, columns)
 
     if rank(family) != cols:
         raise ValueError(
@@ -214,17 +207,15 @@ def decompose_derivation(
     for x, residual_vec in solve(family, [matrix_to_cochain(deriv) for deriv in derivs]):
         coeffs = tuple(x.get(p, Fraction(0)) for p in range(ng))
         lam = x.get(ng, Fraction(0))
-        delta_entries = {
-            (ip, gp): x[ng + 1 + gp * ni + ip]
-            for gp in range(ng)
-            for ip in range(ni)
-            if ng + 1 + gp * ni + ip in x
-        }
-        residual = cochain_to_matrix(residual_vec, n)
+        delta: dict[int, dict[int, Fraction]] = {}
+        for p, v in x.items():
+            if p > ng:
+                gp, ip = divmod(p - ng - 1, ni)
+                delta.setdefault(gp, {})[ip] = v
         out.append(DerivationDecomposition(
             coefficients=coeffs,
             lam=lam,
-            delta=SparseRationalMatrix(ni, ng, delta_entries),
-            residual=residual,
+            delta=SparseRationalMatrix(ni, ng, delta),
+            residual=cochain_to_matrix(residual_vec, n),
         ))
     return out

@@ -5,10 +5,11 @@ Every scalar in this module is exact, an ``int`` or a
 exact; no floating point is accepted anywhere. An integral value may stay
 an ``int`` from the structure constants to the elimination: it equals and
 hashes like its Fraction and is cheaper to multiply and add. The two
-carriers are :class:`SparseRationalMatrix`, a mapping from ``(row, col)``
-to nonzero entries (ints kept as ints), and :class:`Subspace`, which
-stores a canonical reduced-echelon basis so that two subspaces are equal
-exactly when their stored bases are equal.
+carriers are :class:`SparseRationalMatrix`, which stores its nonzero
+columns as ``{col: {row: value}}`` (ints kept as ints), the layout the
+coboundary builder writes and the eliminations of columns read, and
+:class:`Subspace`, which stores a canonical reduced-echelon basis so that
+two subspaces are equal exactly when their stored bases are equal.
 
 There is one elimination, :func:`_echelon`. It is fraction free: each
 row is scaled to integers (:func:`_integer_row`, which takes a row of
@@ -71,8 +72,10 @@ update inside :func:`_eliminate`, the modular loop of
 coboundary term into its column, and the integer sums of
 :func:`leibcohom.cohomology._annihilates` (d^{n+1} applied to columns
 of d^n) and of :func:`leibcohom.cli._is_kernel` (a matrix applied to a
-whole basis in one pass over its entries). The one sparse matrix product
-is ``@``, which only the tests use.
+whole basis in one pass over its columns). A matrix applied to a vector
+is one :func:`_axpy` of a column per nonzero coordinate, and the one
+sparse matrix product, ``@``, which only the tests use, applies the left
+factor to each column of the right one.
 """
 
 from __future__ import annotations
@@ -173,56 +176,60 @@ class _Value:
 class SparseRationalMatrix(_Value):
     """Immutable sparse matrix with exact rational entries.
 
-    ``entries`` maps ``(row, col)`` to a nonzero value; zeros are dropped
-    on construction and out-of-range indices are rejected. An ``int``
-    entry is stored as it is: it is exact, and it equals and hashes like
-    its Fraction. Every other entry goes through :func:`_as_rational`, so
-    a bool becomes a Fraction and a float or a string is rejected.
+    ``columns`` maps each nonzero column to its nonzero entries,
+    ``{col: {row: value}}``, the layout the coboundary builder writes and
+    the elimination reads. The constructor copies every column, drops
+    zeros and emptied columns, and rejects an index out of range, of an
+    empty column too. An ``int`` entry is stored as it is: it is exact,
+    and it equals and hashes like its Fraction. Every other entry goes
+    through :func:`_as_rational`, so a bool becomes a Fraction and a
+    float or a string is rejected.
     """
 
-    _fields = ("rows", "cols", "entries")
+    _fields = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> None:
+    def __init__(self, rows: int, cols: int,
+                 columns: Mapping[int, Mapping[int, Fraction]]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r}, {c}) outside a {rows} x {cols} matrix")
-            if v.__class__ is not int:
-                v = _as_rational(v)
-            if v:
-                clean[(r, c)] = v
-        self.__dict__.update(rows=rows, cols=cols, entries=clean)
+        clean: dict[int, dict[int, Fraction]] = {}
+        for c, col in columns.items():
+            inside = 0 <= c < cols
+            out = {}
+            for r, v in col.items():
+                if not (inside and 0 <= r < rows):
+                    raise ValueError(f"entry ({r}, {c}) outside a {rows} x {cols} matrix")
+                if v.__class__ is not int:
+                    v = _as_rational(v)
+                if v:
+                    out[r] = v
+            if out:
+                clean[c] = out
+            elif not inside:
+                raise ValueError(f"column {c} outside a {rows} x {cols} matrix")
+        self.__dict__.update(rows=rows, cols=cols, columns=clean)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns.values()))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.columns
 
     def row_dicts(self) -> dict[int, dict[int, Fraction]]:
-        """Nonzero rows as ``{row: {col: value}}``."""
+        """Nonzero rows as ``{row: {col: value}}``: the transpose layout."""
         out: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(r, {})[c] = v
-        return out
-
-    def column_dicts(self) -> dict[int, dict[int, Fraction]]:
-        out: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(c, {})[r] = v
+        for c, col in self.columns.items():
+            for r, v in col.items():
+                out.setdefault(r, {})[c] = v
         return out
 
     def apply(self, vec: VectorLike) -> dict[int, Fraction]:
-        """Matrix-vector product, returned as a sparse mapping."""
-        x = _sparse(vec, self.cols, "vector")
+        """Matrix-vector product, returned as a sparse mapping: the sum of
+        the columns scaled by the coordinates of the vector."""
         out: dict[int, Fraction] = {}
-        for (r, c), v in self.entries.items():
-            xv = x.get(c)
-            if xv:
-                _add(out, r, v * xv)
+        for c, xv in _sparse(vec, self.cols, "vector").items():
+            _axpy(out, self.columns.get(c, {}), xv)
         return out
 
     def __matmul__(self, other: SparseRationalMatrix) -> SparseRationalMatrix:
@@ -230,14 +237,8 @@ class SparseRationalMatrix(_Value):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        out: dict[tuple[int, int], Fraction] = {}
-        for (t, c), yv in other.entries.items():
-            for r, xv in by_col.get(t, ()):
-                _add(out, (r, c), xv * yv)
-        return SparseRationalMatrix(self.rows, other.cols, out)
+        columns = {c: self.apply(col) for c, col in other.columns.items()}
+        return SparseRationalMatrix(self.rows, other.cols, columns)
 
 
 def _strip_content(row: dict[int, int]) -> None:
@@ -369,9 +370,9 @@ def rank(matrix: SparseRationalMatrix) -> int:
     coordinate that few lines share leads few eliminations, which keeps
     fill-in low on the tall, dense coboundaries of an ungraded basis.
     """
-    side = matrix.column_dicts if matrix.rows > matrix.cols else matrix.row_dicts
-    # the Fraction lines are a temporary, freed before the elimination runs
-    return len(_echelon(_count_ordered(side().values())))
+    # a wide matrix's rows are a temporary, freed before the elimination runs
+    lines = matrix.columns if matrix.rows > matrix.cols else matrix.row_dicts()
+    return len(_echelon(_count_ordered(lines.values())))
 
 
 def rank_modular(
@@ -444,13 +445,13 @@ def kernel_basis(matrix: SparseRationalMatrix) -> Subspace:
     """Canonical basis of the exact null space ``{v : Mv = 0}``: the
     reduced rows of the vectors :func:`_kernel_vectors` reads off an
     echelon of the columns."""
-    vectors = _kernel_vectors(matrix.column_dicts(), range(matrix.cols), matrix.rows)
+    vectors = _kernel_vectors(matrix.columns, range(matrix.cols), matrix.rows)
     return Subspace.from_spanning(vectors, matrix.cols)
 
 
 def column_space(matrix: SparseRationalMatrix) -> Subspace:
     """Span of the columns, as a subspace of the row-index space."""
-    cols = matrix.column_dicts()
+    cols = matrix.columns
     vectors = [cols[c] for c in sorted(cols)]
     return Subspace.from_spanning(vectors, matrix.rows)
 

@@ -1,4 +1,5 @@
-"""Shared test helpers, handed to the test modules as fixtures."""
+"""Shared test helpers: the (row, col) view of a matrix, which the test
+modules import, and the helpers handed to them as fixtures."""
 
 import random
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from leibcohom.algebra import AlgebraStructure
-from leibcohom.linalg import Subspace
+from leibcohom.linalg import SparseRationalMatrix, Subspace
 
 
 def inverse_and_det(p):
@@ -92,3 +93,18 @@ def zl_graded_basis(coh, degree):
 def zl_basis():
     """``zl_graded_basis``, for the tests that compare cocycle bases."""
     return zl_graded_basis
+
+
+
+def cells(matrix):
+    """The nonzero entries of a matrix as ``{(row, col): value}``."""
+    return {(r, c): v for c, col in matrix.columns.items() for r, v in col.items()}
+
+
+def matrix(rows, cols, cells):
+    """The rows x cols matrix whose entries are ``{(row, col): value}``,
+    written into the constructor's columns."""
+    columns = {}
+    for (r, c), v in cells.items():
+        columns.setdefault(c, {})[r] = v
+    return SparseRationalMatrix(rows, cols, columns)

@@ -18,7 +18,9 @@ from leibcohom.algebra import (
     symmetric_bimodule,
 )
 from leibcohom.catalog import irreducible_sl2_module, simple_leibniz_sl2, sl2
-from leibcohom.linalg import SparseRationalMatrix, Subspace, _axpy, subspace_equal
+from leibcohom.linalg import Subspace, _axpy, subspace_equal
+
+from conftest import cells, matrix
 
 F = Fraction
 
@@ -226,8 +228,8 @@ def reference_bimodule_axioms(algebra, module):
 
     each reported per nonzero column mu, in the order (i, j, axiom, mu)."""
     d = module.module_dim
-    left = [SparseRationalMatrix(d, d, act) for act in module.left_action]
-    right = [SparseRationalMatrix(d, d, act) for act in module.right_action]
+    left = [matrix(d, d, act) for act in module.left_action]
+    right = [matrix(d, d, act) for act in module.right_action]
     violations = []
     for i in range(algebra.dim):
         for j in range(algebra.dim):
@@ -243,7 +245,7 @@ def reference_bimodule_axioms(algebra, module):
             for axiom, terms in enumerate(composites, start=1):
                 defect = {}
                 for scale, mat in terms:
-                    _axpy(defect, mat.entries, F(scale))
+                    _axpy(defect, cells(mat), F(scale))
                 by_col = {}
                 for (out, inp), v in defect.items():
                     by_col.setdefault(inp, {})[out] = v

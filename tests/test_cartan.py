@@ -35,10 +35,7 @@ F = Fraction
 
 def columns(algebra, module, n):
     """d^n as ``{column: {row: value}}``, flat indices, nonzero columns."""
-    out = {}
-    for (r, c), v in coboundary_matrix(algebra, module, n).entries.items():
-        out.setdefault(c, {})[r] = v
-    return out
+    return coboundary_matrix(algebra, module, n).columns
 
 
 def add(acc, key, value):

@@ -31,7 +31,9 @@ from leibcohom.catalog import (
 )
 from leibcohom.cli import main
 from leibcohom.derivations import derivation_space
-from leibcohom.linalg import SparseRationalMatrix, Subspace
+from leibcohom.linalg import Subspace
+
+from conftest import cells, matrix
 
 
 def run_err(capsys, argv):
@@ -570,8 +572,7 @@ class TestClaimTable:
     def test_der_equals_zl1_holds_for_a_scaled_d1(self, capsys, monkeypatch):
         # 2 d^1 has the kernel of d^1, so the certificate must accept it
         def doubled(d1):
-            return SparseRationalMatrix(d1.rows, d1.cols,
-                                        {rc: 2 * v for rc, v in d1.entries.items()})
+            return matrix(d1.rows, d1.cols, {rc: 2 * v for rc, v in cells(d1).items()})
 
         assert self.der_equals_zl1(capsys, monkeypatch, doubled) == (
             "pass", ["  ok   der_equals_zl1"])
@@ -582,9 +583,9 @@ class TestClaimTable:
         col = min(self.derivation_support())
 
         def scaled(d1):
-            assert any(c == col for _, c in d1.entries)
-            return SparseRationalMatrix(d1.rows, d1.cols, {
-                (r, c): 2 * v if c == col else v for (r, c), v in d1.entries.items()})
+            assert any(c == col for _, c in cells(d1))
+            return matrix(d1.rows, d1.cols, {
+                (r, c): 2 * v if c == col else v for (r, c), v in cells(d1).items()})
 
         assert self.der_equals_zl1(capsys, monkeypatch, scaled) == ("fail", [
             "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])
@@ -599,9 +600,9 @@ class TestClaimTable:
         assert len(basis) > 1 and all(col not in vec for vec in basis[:-1])
 
         def scaled(d1):
-            assert any(c == col for _, c in d1.entries)
-            return SparseRationalMatrix(d1.rows, d1.cols, {
-                (r, c): 2 * v if c == col else v for (r, c), v in d1.entries.items()})
+            assert any(c == col for _, c in cells(d1))
+            return matrix(d1.rows, d1.cols, {
+                (r, c): 2 * v if c == col else v for (r, c), v in cells(d1).items()})
 
         assert self.der_equals_zl1(capsys, monkeypatch, scaled) == ("fail", [
             "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])
@@ -613,9 +614,9 @@ class TestClaimTable:
         col = min(set(range(algebra.dim ** 2)) - self.derivation_support())
 
         def dropped(d1):
-            assert any(c == col for _, c in d1.entries)
-            return SparseRationalMatrix(d1.rows, d1.cols, {
-                (r, c): v for (r, c), v in d1.entries.items() if c != col})
+            assert any(c == col for _, c in cells(d1))
+            return matrix(d1.rows, d1.cols, {
+                (r, c): v for (r, c), v in cells(d1).items() if c != col})
 
         assert self.der_equals_zl1(capsys, monkeypatch, dropped) == ("fail", [
             "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])

@@ -27,6 +27,8 @@ from leibcohom.cochain import (
 from leibcohom.cohomology import AdjointCohomology
 from leibcohom.linalg import kernel_basis, rank
 
+from conftest import cells
+
 F = Fraction
 
 
@@ -175,32 +177,32 @@ class TestCoboundaryMatrices:
         d1 = coboundary_matrix(algebra, module, 1)
         d2 = coboundary_matrix(algebra, module, 2)
         # (d0 e)(f) = [f, e] = -h: row (1; 2) = 8, column e = 0
-        assert d0.entries[(8, 0)] == F(-1)
+        assert cells(d0)[(8, 0)] == F(-1)
         # f = unit cochain f -> h (column 1*6+2 = 8):
         # (d1 f)(e, f) = [e, f(f)] + [f(e), f] - f([e,f]) = [e,h] = 2e
-        assert d1.entries[(6, 8)] == F(2)
+        assert cells(d1)[(6, 8)] == F(2)
         # f = unit cochain e -> e (column 0):
         # (d1 f)(e, f) picks up [f(e), f] = [e,f] = h at row (0,1; 2) = 8
-        assert d1.entries[(8, 0)] == F(1)
+        assert cells(d1)[(8, 0)] == F(1)
         # f = unit cochain h -> b_t (column 12 + t): the term -f([e,f])
         # hits row (0,1; t) = 6 + t with -1
         for t in range(6):
-            assert d1.entries[(6 + t, 12 + t)] == F(-1)
+            assert cells(d1)[(6 + t, 12 + t)] == F(-1)
         # f = unit cochain x0 -> x0 (column 3*6+3 = 21):
         # (d1 f)(x0, f) includes [f(x0), f] = [x0, f] = x1,
         # row (3,1; 4) = 118
-        assert d1.entries[(118, 21)] == F(1)
+        assert cells(d1)[(118, 21)] == F(1)
         # phi = unit 2-cochain (e,h) -> e (column (0*6+2)*6+0 = 12):
         # (d2 phi)(e,f,h) includes +[phi(e,h), f] = [e,f] = h,
         # row ((0*6+1)*6+2)*6 + 2 = 50
-        assert d2.entries[(50, 12)] == F(1)
+        assert cells(d2)[(50, 12)] == F(1)
         # phi = unit 2-cochain (e,f) -> x2 (column 11):
         # (d2 phi)(e,f,h) = -[phi(e,f), h] - phi([e,f], h-slot...) nets 2
         # at row 53
-        assert d2.entries[(53, 11)] == F(2)
+        assert cells(d2)[(53, 11)] == F(2)
         # phi = unit 2-cochain (x0,e) -> x0 (column 111): value 2 at
         # row ((3*6+0)*6+2)*6+3 = 663, args (x0, e, h)
-        assert d2.entries[(663, 111)] == F(2)
+        assert cells(d2)[(663, 111)] == F(2)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_matches_reference_evaluator_sl2(self, n):
@@ -220,7 +222,7 @@ class TestCoboundaryMatrices:
         algebra, _ = simple_leibniz_sl2(m)
         for n in (0, 1, 2):
             d = coboundary_matrix(algebra, adjoint_bimodule(algebra), n)
-            assert d.entries and all(type(v) is int for v in d.entries.values())
+            assert cells(d) and all(type(v) is int for v in cells(d).values())
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_reference_evaluator_graded_conjugate(self, n, conjugate):
@@ -229,7 +231,7 @@ class TestCoboundaryMatrices:
         algebra, grading = simple_leibniz_sl2(3)
         twisted = conjugate(algebra, 6, grading)
         module = adjoint_bimodule(twisted)
-        values = coboundary_matrix(twisted, module, n).entries.values()
+        values = cells(coboundary_matrix(twisted, module, n)).values()
         assert any(type(v) is int for v in values)
         assert any(type(v) is F and v.denominator > 1 for v in values)
         self._cross_check(twisted, module, n, seed=500 + n, samples=60)
@@ -427,13 +429,13 @@ def assert_blocks_match_reference(algebra, grading, n, module=None):
     assert all(columns.values())
     got = {(r, c): v for c, col in columns.items() for r, v in col.items()}
     assert all(type(v) is int for v in got.values())
-    assert got == {key: v * scale for key, v in d.entries.items()}
+    assert got == {key: v * scale for key, v in cells(d).items()}
     for degree in cochain_degrees(algebra, grading, n) if grading else ():
         ref = graded_submatrix(d, algebra, grading, n, degree)
         rows = graded_columns(algebra, grading, n + 1, degree)
         cols = graded_columns(algebra, grading, n, degree)
         block = {(r, c): v for c in cols for r, v in columns.get(c, {}).items()}
-        assert block == {(rows[r], cols[c]): v * scale for (r, c), v in ref.entries.items()}
+        assert block == {(rows[r], cols[c]): v * scale for (r, c), v in cells(ref).items()}
     return scale
 
 

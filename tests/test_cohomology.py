@@ -56,6 +56,7 @@ from leibcohom.linalg import (
     restrict_to_coords,
     subspace_equal,
 )
+from conftest import matrix
 from test_linalg import reference_kernel
 
 F = Fraction
@@ -108,7 +109,7 @@ def reference_ce_coboundary(algebra, module, n):
                 coeff = c if (i + j + pos) % 2 == 0 else -c
                 for k in range(dm):
                     _add(entries, (row_base + k, col_base + k), coeff)
-    return SparseRationalMatrix(len(rows) * dm, len(cols) * dm, entries)
+    return matrix(len(rows) * dm, len(cols) * dm, entries)
 
 
 def _ce_pairs():

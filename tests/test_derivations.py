@@ -23,8 +23,11 @@ from leibcohom.derivations import (
 from leibcohom.linalg import (
     SparseRationalMatrix,
     kernel_basis,
+    restrict_to_coords,
     subspace_equal,
 )
+
+from conftest import cells, matrix
 
 F = Fraction
 
@@ -33,7 +36,7 @@ def is_derivation(algebra, op):
     """Direct check of D([a,b]) = [D(a),b] + [a,D(b)] on all basis pairs."""
     n = algebra.dim
     cols = [
-        {t: v for (t, z), v in op.entries.items() if z == j} for j in range(n)
+        {t: v for (t, z), v in cells(op).items() if z == j} for j in range(n)
     ]
     for i in range(n):
         for j in range(n):
@@ -79,7 +82,7 @@ def constraint_matrix(algebra, monkeypatch):
 
 def minus_d1(algebra):
     d1 = coboundary_matrix(algebra, adjoint_bimodule(algebra), 1)
-    return SparseRationalMatrix(d1.rows, d1.cols, {key: -v for key, v in d1.entries.items()})
+    return matrix(d1.rows, d1.cols, {key: -v for key, v in cells(d1).items()})
 
 
 class TestDerivationSpace:
@@ -129,10 +132,10 @@ class TestOperators:
     def test_right_mult_entries(self):
         algebra, _ = simple_leibniz_sl2(2)
         r_e = right_mult_operator(algebra, 0)
-        assert r_e.entries[(3, 4)] == F(-2)   # [x1, e] = -2 x0
-        assert r_e.entries[(0, 2)] == F(-2)   # [h, e] = -2e
+        assert cells(r_e)[(3, 4)] == F(-2)   # [x1, e] = -2 x0
+        assert cells(r_e)[(0, 2)] == F(-2)   # [h, e] = -2e
         r_h = right_mult_operator(algebra, 2)
-        assert r_h.entries[(0, 0)] == F(2)    # [e, h] = 2e
+        assert cells(r_h)[(0, 0)] == F(2)    # [e, h] = 2e
 
     def test_right_mult_by_vector(self):
         algebra, _ = simple_leibniz_sl2(2)
@@ -140,11 +143,11 @@ class TestOperators:
         single = right_mult_operator(algebra, 0)
         triple_h = right_mult_operator(algebra, 2)
         expected = {
-            key: single.entries.get(key, F(0)) + 3 * triple_h.entries.get(key, F(0))
-            for key in set(single.entries) | set(triple_h.entries)
+            key: cells(single).get(key, F(0)) + 3 * cells(triple_h).get(key, F(0))
+            for key in set(cells(single)) | set(cells(triple_h))
         }
         expected = {k: v for k, v in expected.items() if v}
-        assert combo.entries == expected
+        assert cells(combo) == expected
 
     def test_right_mult_is_derivation(self):
         # right multiplications are derivations in any Leibniz algebra
@@ -155,12 +158,12 @@ class TestOperators:
     def test_ideal_projection(self):
         algebra, grading = simple_leibniz_sl2(2)
         proj = ideal_projection(algebra, grading)
-        assert proj.entries == {(z, z): F(1) for z in (3, 4, 5)}
+        assert cells(proj) == {(z, z): F(1) for z in (3, 4, 5)}
         assert is_derivation(algebra, proj)
 
     def test_encoding_round_trip(self):
-        mat = SparseRationalMatrix(3, 3, {(0, 1): F(5), (2, 2): F(-1)})
-        assert cochain_to_matrix(matrix_to_cochain(mat), 3).entries == mat.entries
+        mat = matrix(3, 3, {(0, 1): F(5), (2, 2): F(-1)})
+        assert cells(cochain_to_matrix(matrix_to_cochain(mat), 3)) == cells(mat)
 
 
 class TestDeltaGenerator:
@@ -169,7 +172,7 @@ class TestDeltaGenerator:
         delta = delta_generator(algebra, grading, derivation_space(algebra))
         # rows are ideal positions (x0,x1,x2), columns are (e,f,h):
         # e -> x0, f -> x2/2, h -> x1 after normalization
-        assert delta.entries == {
+        assert cells(delta) == {
             (0, 0): F(1),
             (2, 1): F(1, 2),
             (1, 2): F(1),
@@ -181,9 +184,47 @@ class TestDeltaGenerator:
         full = {}
         g_idx = (0, 1, 2)
         i_idx = (3, 4, 5)
-        for (r, c), v in delta.entries.items():
+        for (r, c), v in cells(delta).items():
             full[(i_idx[r], g_idx[c])] = v
-        assert is_derivation(algebra, SparseRationalMatrix(6, 6, full))
+        assert is_derivation(algebra, matrix(6, 6, full))
+
+    @staticmethod
+    def rescaled_reference(algebra, grading, space):
+        """The generator with an explicit rescale: the one vector of Der
+        supported on degree 0 -> degree 1, on the local bases, divided by
+        its entry at the first nonzero row of its first nonzero column;
+        returned with that cell, or None when there is no such vector."""
+        g_idx, i_idx = grading.parts()
+        n = algebra.dim
+        pure = restrict_to_coords(space, [p * n + k for p in g_idx for k in i_idx])
+        if pure.dim != 1:
+            return None
+        local = {}
+        for flat, v in pure.basis[0].items():
+            z, t = divmod(flat, n)
+            local[(i_idx.index(t), g_idx.index(z))] = v
+        lead_col = min(c for _, c in local)
+        lead = min(r for r, c in local if c == lead_col)
+        return {rc: v / local[(lead, lead_col)] for rc, v in local.items()}, (lead, lead_col)
+
+    # every algebra of this file with a {0, 1} grading: the family and the
+    # graded conjugates of the constraint and batch tests
+    @pytest.mark.parametrize("m,seed", [(m, None) for m in range(2, 9)]
+                             + [(2, 1), (3, 2), (4, 3), (3, 4)])
+    def test_comes_out_normalized(self, m, seed, conjugate):
+        # the canonical vector is already 1 at its least flat coordinate,
+        # which is the lead cell, so no rescale is needed
+        algebra, grading = simple_leibniz_sl2(m)
+        if seed is not None:
+            algebra = conjugate(algebra, seed, grading)
+        space = derivation_space(algebra)
+        delta = delta_generator(algebra, grading, space)
+        reference = self.rescaled_reference(algebra, grading, space)
+        assert (delta is None) == (reference is None) == (m != 2)
+        if delta is not None:
+            expected, cell = reference
+            assert cells(delta)[cell] == 1
+            assert cells(delta) == expected
 
     @pytest.mark.parametrize("m", [3, 4, 6])
     def test_absent_for_other_m(self, m):
@@ -230,7 +271,7 @@ class TestDecomposition:
 
     def test_non_derivation_leaves_residual(self):
         algebra, grading = simple_leibniz_sl2(2)
-        bogus = SparseRationalMatrix(6, 6, {(0, 3): F(1)})
+        bogus = matrix(6, 6, {(0, 3): F(1)})
         [dec] = decompose_derivation(algebra, grading, [bogus])
         assert not dec.is_exact
 
@@ -261,7 +302,7 @@ class TestDecomposition:
     def test_batch_keeps_a_residual(self):
         # a non-derivation between two derivations keeps its own residual
         algebra, grading = simple_leibniz_sl2(2)
-        bogus = SparseRationalMatrix(6, 6, {(0, 3): F(1)})
+        bogus = matrix(6, 6, {(0, 3): F(1)})
         operators = [right_mult_operator(algebra, 1), bogus, ideal_projection(algebra, grading)]
         batch = self.assert_batch_is_per_derivation(algebra, grading, operators)
         assert [dec.is_exact for dec in batch] == [True, False, True]

@@ -30,15 +30,17 @@ from leibcohom.linalg import (
     subspace_sum_dim,
 )
 
+from conftest import cells, matrix
+
 F = Fraction
 
 
 def mat(rows, cols, entries):
-    return SparseRationalMatrix(rows, cols, {k: F(v) for k, v in entries.items()})
+    return matrix(rows, cols, {k: F(v) for k, v in entries.items()})
 
 
 def transpose(m):
-    return SparseRationalMatrix(m.cols, m.rows, {(c, r): v for (r, c), v in m.entries.items()})
+    return matrix(m.cols, m.rows, {(c, r): v for (r, c), v in cells(m).items()})
 
 
 def random_matrix(rng, rows, cols, density=0.4, span=9):
@@ -49,7 +51,7 @@ def random_matrix(rng, rows, cols, density=0.4, span=9):
                 v = rng.randint(-span, span)
                 if v:
                     entries[(r, c)] = F(v)
-    return SparseRationalMatrix(rows, cols, entries)
+    return matrix(rows, cols, entries)
 
 
 def reference_span(vectors, ambient_dim):
@@ -133,8 +135,8 @@ def random_fractional_matrix(rng, rows, cols, kind=None):
         k = rng.randint(0, min(rows, cols) - 1)
         left = {(r, i): random_fraction(rng) for r in range(rows) for i in range(k)}
         right = {(i, c): random_fraction(rng) for i in range(k) for c in range(cols)}
-        m = SparseRationalMatrix(rows, k, left) @ SparseRationalMatrix(k, cols, right)
-        entries = dict(m.entries)
+        m = matrix(rows, k, left) @ matrix(k, cols, right)
+        entries = cells(m)
     else:
         density = 0.9 if kind == "dense" else 0.25
         entries = {
@@ -150,7 +152,7 @@ def random_fractional_matrix(rng, rows, cols, kind=None):
         for (r, c), v in entries.items()
         if r not in dead_rows and c not in dead_cols
     }
-    return SparseRationalMatrix(rows, cols, entries)
+    return matrix(rows, cols, entries)
 
 
 def fractional_family(seed, count=60):
@@ -221,7 +223,7 @@ def conjugate_coboundaries(conjugate):
 class TestMatrixBasics:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            SparseRationalMatrix(1, 1, {(0, 0): 0.5})
+            SparseRationalMatrix(1, 1, {0: {0: 0.5}})
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -234,13 +236,85 @@ class TestMatrixBasics:
     def test_identity_and_matmul(self):
         ident = mat(3, 3, {(i, i): 1 for i in range(3)})
         m = mat(3, 3, {(0, 1): 2, (2, 0): -3})
-        assert (ident @ m).entries == m.entries
-        assert (m @ ident).entries == m.entries
+        assert cells(ident @ m) == cells(m)
+        assert cells(m @ ident) == cells(m)
 
     def test_apply(self):
         m = mat(2, 3, {(0, 0): 1, (0, 2): 2, (1, 1): -1})
         out = m.apply({0: F(3), 2: F(1)})
         assert out == {0: F(5)}
+
+
+def dense(m):
+    """The matrix as a list of rows of Fractions."""
+    out = [[F(0)] * m.cols for _ in range(m.rows)]
+    for (r, c), v in cells(m).items():
+        out[r][c] = F(v)
+    return out
+
+
+class TestColumnLayout:
+    """The matrix stores its nonzero columns, ``{col: {row: value}}``, as
+    its own copies, and reads everything else off them."""
+
+    def test_emptied_column_is_dropped(self):
+        m = SparseRationalMatrix(2, 3, {0: {0: F(1), 1: F(0)}, 1: {1: 0}, 2: {}})
+        assert m.columns == {0: {0: 1}}
+        assert m == SparseRationalMatrix(2, 3, {0: {0: F(1)}})
+        assert m.nnz == 1 and not m.is_zero()
+        assert SparseRationalMatrix(2, 3, {1: {0: 0}, 2: {}}).is_zero()
+
+    def test_nnz_counts_entries(self):
+        m = SparseRationalMatrix(3, 2, {0: {0: 1, 2: F(1, 2)}, 1: {1: -1}})
+        assert m.nnz == len(cells(m)) == 3
+
+    @pytest.mark.parametrize("col", [2, -1])
+    def test_out_of_range_empty_column_is_rejected(self, col):
+        with pytest.raises(ValueError, match=rf"column {col} outside a 2 x 2 matrix"):
+            SparseRationalMatrix(2, 2, {col: {}})
+        # a zero entry is range-checked before it is dropped
+        with pytest.raises(ValueError, match=rf"entry \(0, {col}\) outside a 2 x 2 matrix"):
+            SparseRationalMatrix(2, 2, {col: {0: 0}})
+        with pytest.raises(ValueError, match=r"entry \(2, 0\) outside a 2 x 2 matrix"):
+            SparseRationalMatrix(2, 2, {0: {2: 0}})
+
+    def test_callers_dicts_are_copied(self):
+        col = {0: F(1)}
+        columns = {0: col}
+        m = SparseRationalMatrix(2, 2, columns)
+        col[0], col[1] = F(7), F(3)
+        columns[1] = {0: F(2)}
+        assert m.columns == {0: {0: 1}}
+        assert m == SparseRationalMatrix(2, 2, {0: {0: F(1)}})
+
+    def test_apply_and_matmul_match_a_dense_reference(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            rows, inner, cols = (rng.randint(0, 6) for _ in range(3))
+            a = random_fractional_matrix(rng, rows, inner)
+            b = random_fractional_matrix(rng, inner, cols)
+            da, db = dense(a), dense(b)
+            x = {c: random_fraction(rng) for c in range(inner) if rng.random() < 0.6}
+            expected = {}
+            for r in range(rows):
+                s = sum((da[r][c] * x.get(c, 0) for c in range(inner)), F(0))
+                if s:
+                    expected[r] = s
+            assert a.apply(x) == expected
+            product = a @ b
+            assert (product.rows, product.cols) == (rows, cols)
+            assert dense(product) == [
+                [sum((da[r][t] * db[t][c] for t in range(inner)), F(0)) for c in range(cols)]
+                for r in range(rows)
+            ]
+            assert all(product.columns.values())
+
+    def test_row_dicts_is_the_transpose(self):
+        for m in fractional_family(33, count=30):
+            rows = m.row_dicts()
+            assert {(r, c): v for r, row in rows.items() for c, v in row.items()} == cells(m)
+            assert all(rows.values())
+            assert SparseRationalMatrix(m.cols, m.rows, rows) == transpose(m)
 
 
 class TestRejectedInput:
@@ -258,7 +332,7 @@ class TestRejectedInput:
 
     def test_string_scalar_in_matrix(self):
         with pytest.raises(TypeError):
-            SparseRationalMatrix(1, 1, {(0, 0): "1/2"})
+            SparseRationalMatrix(1, 1, {0: {0: "1/2"}})
 
     @pytest.mark.parametrize("name", sorted(takers))
     def test_string_scalar_in_vector(self, name):
@@ -387,21 +461,20 @@ class TestIntegerEntries:
     its entries hash alike, and rank and kernel agree."""
 
     def test_int_kept_fraction_kept(self):
-        m = SparseRationalMatrix(2, 2, {(0, 0): 3, (1, 0): F(1, 2), (1, 1): F(4), (0, 1): 0})
-        assert m.entries == {(0, 0): 3, (1, 0): F(1, 2), (1, 1): 4}
-        assert type(m.entries[(0, 0)]) is int
-        assert type(m.entries[(1, 0)]) is F and type(m.entries[(1, 1)]) is F
+        m = SparseRationalMatrix(2, 2, {0: {0: 3, 1: F(1, 2)}, 1: {1: F(4), 0: 0}})
+        assert cells(m) == {(0, 0): 3, (1, 0): F(1, 2), (1, 1): 4}
+        assert type(cells(m)[(0, 0)]) is int
+        assert type(cells(m)[(1, 0)]) is F and type(cells(m)[(1, 1)]) is F
 
     def test_twin_of_a_fraction_matrix(self):
         rng = random.Random(30)
         for _ in range(30):
             m = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
-            twin = SparseRationalMatrix(m.rows, m.cols,
-                                        {rc: int(v) for rc, v in m.entries.items()})
-            assert all(type(v) is int for v in twin.entries.values())
-            assert all(type(v) is F for v in m.entries.values())
+            twin = matrix(m.rows, m.cols, {rc: int(v) for rc, v in cells(m).items()})
+            assert all(type(v) is int for v in cells(twin).values())
+            assert all(type(v) is F for v in cells(m).values())
             assert twin == m
-            assert hash(frozenset(twin.entries.items())) == hash(frozenset(m.entries.items()))
+            assert hash(frozenset(cells(twin).items())) == hash(frozenset(cells(m).items()))
             assert rank(twin) == rank(m) == reference_rank(m)
             assert kernel_basis(twin) == kernel_basis(m)
             for row in m.row_dicts().values():
@@ -409,12 +482,12 @@ class TestIntegerEntries:
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
-            SparseRationalMatrix(1, 1, {(0, 0): 1.0})
+            SparseRationalMatrix(1, 1, {0: {0: 1.0}})
 
     def test_bool_stored_as_fraction(self):
-        m = SparseRationalMatrix(1, 2, {(0, 0): True, (0, 1): False})
-        assert m.entries == {(0, 0): F(1)}
-        assert type(m.entries[(0, 0)]) is F
+        m = SparseRationalMatrix(1, 2, {0: {0: True}, 1: {0: False}})
+        assert cells(m) == {(0, 0): F(1)}
+        assert type(cells(m)[(0, 0)]) is F
 
 
 class TestSubspace:
@@ -521,7 +594,7 @@ class TestAgainstReference:
         for m in fractional_family(12):
             rows = list(m.row_dicts().values())
             assert Subspace.from_spanning(rows, m.cols).basis == reference_span(rows, m.cols)
-            cols = [col for _, col in sorted(m.column_dicts().items())]
+            cols = [col for _, col in sorted(m.columns.items())]
             assert column_space(m).basis == reference_span(cols, m.rows)
 
     def test_project_and_restrict(self):
@@ -537,7 +610,7 @@ class TestAgainstReference:
             # vectors supported on coords: combinations y of the basis whose
             # entries outside coords cancel, i.e. the kernel of that block
             outside = [c for c in range(m.cols) if c not in pos]
-            block = SparseRationalMatrix(len(outside), space.dim, {
+            block = matrix(len(outside), space.dim, {
                 (r, i): b[c]
                 for i, b in enumerate(space.basis)
                 for r, c in enumerate(outside)
@@ -634,8 +707,8 @@ class TestKernelShapes:
 
     def test_fraction_entries(self):
         # the second row is 3/2 times the first
-        m = SparseRationalMatrix(3, 3, {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 0): F(3, 4),
-                                        (1, 1): F(1, 2), (2, 2): F(2, 5)})
+        m = matrix(3, 3, {(0, 0): F(1, 2), (0, 1): F(1, 3), (1, 0): F(3, 4),
+                          (1, 1): F(1, 2), (2, 2): F(2, 5)})
         assert kernel_basis(m).basis == ({0: 1, 1: F(-3, 2)},)
         self.check(m)
 
@@ -656,7 +729,7 @@ class TestDeferredStrip:
     def assert_same_pivots(m):
         """On the integer rows of the matrix's rows and of its columns, in
         natural order and in the count order that rank eliminates them in."""
-        for lines in (m.row_dicts().values(), m.column_dicts().values()):
+        for lines in (m.row_dicts().values(), m.columns.values()):
             for rows in ([_integer_row(line) for line in lines], _count_ordered(lines)):
                 assert _echelon([dict(r) for r in rows]) == reference_echelon(rows)
 

@@ -1,6 +1,7 @@
 """Smoke tests of tools/rawrun.py on small commands, one pair."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -69,3 +70,35 @@ def test_needs_a_command_after_the_separator():
         proc = rawrun(ROOT, ROOT, "--pairs", "1", *args)
         assert proc.returncode == 2
         assert "give the leibcohom arguments after --" in proc.stderr
+
+
+def test_runs_compile_from_source(tmp_path):
+    # a fake side whose cli records, in the current directory, what the
+    # child sees of the bytecode cache
+    package = tmp_path / "fake" / "src" / "leibcohom"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import importlib.util, os, sys\n"
+        "prefix = sys.pycache_prefix\n"
+        "with open('seen.txt', 'a') as out:\n"
+        "    print(bool(sys.flags.dont_write_bytecode), prefix, os.listdir(prefix),\n"
+        "          importlib.util.cache_from_source(__file__).startswith(prefix + os.sep),\n"
+        "          file=out)\n")
+    fake = tmp_path / "fake"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    proc = subprocess.run([sys.executable, str(RAWRUN), fake, fake, "--pairs", "1", "--", "x"],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "seen.txt").read_text().splitlines()
+    assert len(lines) == 2
+    prefixes = set()
+    for line in lines:
+        flag, prefix, listing, under = line.split(" ")
+        assert (flag, listing, under) == ("True", "[]", "True")
+        assert not prefix.startswith(str(fake)) and not Path(prefix).exists()
+        prefixes.add(prefix)
+    # a fresh directory for each run, and no cache in the tree
+    assert len(prefixes) == 2
+    assert not list(fake.rglob("__pycache__"))

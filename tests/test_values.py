@@ -13,7 +13,7 @@ from leibcohom.cohomology import BlockAnalysis, CohomologyReport
 from leibcohom.derivations import DerivationDecomposition
 from leibcohom.linalg import SparseRationalMatrix, Subspace
 
-ONE = SparseRationalMatrix(1, 1, {(0, 0): F(1)})
+ONE = SparseRationalMatrix(1, 1, {0: {0: F(1)}})
 ZERO = SparseRationalMatrix(1, 1, {})
 
 # class -> (field names in order, constructor arguments, argument tuples
@@ -45,9 +45,9 @@ CASES = {
         ],
     ),
     SparseRationalMatrix: (
-        ("rows", "cols", "entries"),
-        (2, 3, {(0, 2): F(1, 2)}),
-        [(3, 3, {(0, 2): F(1, 2)}), (2, 4, {(0, 2): F(1, 2)}), (2, 3, {(1, 2): F(1, 2)})],
+        ("rows", "cols", "columns"),
+        (2, 3, {2: {0: F(1, 2)}}),
+        [(3, 3, {2: {0: F(1, 2)}}), (2, 4, {2: {0: F(1, 2)}}), (2, 3, {2: {1: F(1, 2)}})],
     ),
     Subspace: (
         ("ambient_dim", "basis"),
@@ -180,8 +180,8 @@ BAD = [
     (Bimodule, (1, 2, ({(0, 1): 1.0},), ({},)), TypeError),
     (SparseRationalMatrix, (-1, 2, {}), ValueError),
     (SparseRationalMatrix, (2, -1, {}), ValueError),
-    (SparseRationalMatrix, (2, 2, {(2, 0): F(1)}), ValueError),
-    (SparseRationalMatrix, (2, 2, {(0, 0): "1"}), TypeError),
+    (SparseRationalMatrix, (2, 2, {0: {2: F(1)}}), ValueError),
+    (SparseRationalMatrix, (2, 2, {0: {0: "1"}}), TypeError),
     (Subspace, (-1, ()), ValueError),
     (Subspace, (3, ({},)), ValueError),
     (Subspace, (3, ({1: F(1)}, {0: F(1)})), ValueError),

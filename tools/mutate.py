@@ -252,11 +252,28 @@ MUTANTS = (
     Mutant(
         "derivation_term_written_for_one_free_index",
         "src/leibcohom/derivations.py",
-        "            for i in range(n):\n                _add(entries, ((i * n + b) * n + t,",
-        "            for i in (a,):\n                _add(entries, ((i * n + b) * n + t,",
+        "            for i in range(n):\n                _add(columns[i * n + a],",
+        "            for i in (a,):\n                _add(columns[i * n + a],",
         (
             "tests/test_derivations.py::TestDerivationSpace::test_constraints_are_minus_d1_family",
             "tests/test_derivations.py::TestDerivationSpace::test_family_dimension",
+        ),
+    ),
+    Mutant(
+        "matrix_keeps_an_emptied_column",
+        "src/leibcohom/linalg.py",
+        "            if out:\n                clean[c] = out\n            elif not inside:",
+        "            clean[c] = out\n            if not (out or inside):",
+        ("tests/test_linalg.py::TestColumnLayout::test_emptied_column_is_dropped",),
+    ),
+    Mutant(
+        "nnz_counts_columns",
+        "src/leibcohom/linalg.py",
+        "return sum(map(len, self.columns.values()))",
+        "return len(self.columns)",
+        (
+            "tests/test_linalg.py::TestColumnLayout::test_nnz_counts_entries",
+            "tests/test_bench_contract.py::test_counted_results_keep_their_fields",
         ),
     ),
     Mutant(

@@ -10,7 +10,11 @@ current directory (so a relative path in ARGS names the same file for
 both sides) as a child of this small process, which imports nothing of
 the package: the child's CPU time (user plus system) and peak RSS come
 from ``os.wait4``, its wall time from the clock around it. So a run
-includes the interpreter's start and the package's imports. Each pair
+includes the interpreter's start and the package's imports. Every run
+compiles the package from source, as the benchmark does: the child gets
+``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to a fresh
+empty temporary directory, so it neither reads nor writes a bytecode
+cache, an in-tree ``__pycache__`` left by a test run included. Each pair
 runs both sides once, the first side first in even pairs and second in
 odd ones.
 
@@ -30,6 +34,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -38,13 +43,15 @@ def run_once(checkout: Path, command: list[str]) -> dict:
     """One child run: its CPU and wall seconds, peak RSS in MB, exit code
     and the sha256 of its report."""
     cmd = [sys.executable, "-m", "leibcohom.cli", *command]
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    start = time.perf_counter()
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, env=env)
-    report = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
+    with tempfile.TemporaryDirectory(prefix="rawrun-pycache-") as cache:
+        env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, env=env)
+        report = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
