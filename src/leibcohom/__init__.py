@@ -27,10 +27,13 @@ _EXPORTS = {
         "lie_as_leibniz", "load_algebra", "loads_algebra", "save_algebra",
         "simple_leibniz_sl2", "sl2",
     ),
-    "cochain": ("coboundary_matrix", "cochain_degrees", "graded_columns", "graded_submatrix"),
+    "cochain": (
+        "bl_dim", "coboundary_matrix", "cochain_degrees", "graded_columns", "graded_submatrix",
+        "hl_dim", "zl_dim",
+    ),
     "cohomology": (
-        "AdjointCohomology", "BlockAnalysis", "CohomologyReport", "bl_dim", "hl_dim",
-        "leibniz_h_with_coefficients", "lie_ce_h", "zl_dim",
+        "AdjointCohomology", "BlockAnalysis", "CohomologyReport", "leibniz_h_with_coefficients",
+        "lie_ce_h",
     ),
     "derivations": (
         "DerivationDecomposition", "cochain_to_matrix", "decompose_derivation",

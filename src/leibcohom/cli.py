@@ -10,17 +10,19 @@ Subcommands:
   decompositions of a basis of it.
 * ``verify-paper``: check the paper's claims about the simple graded
   family over a range of the parameter m. Each claim is one row of the
-  table :data:`CLAIMS`, which names the stage (a per-layer metric of the
-  benchmark) that computes its value; the pretty line of a failing claim
-  shows its expected value, its computed value and that stage.
+  table :data:`leibcohom.claims.CLAIMS`, which names the stage (a
+  per-layer metric of the benchmark) that computes its value; the pretty
+  line of a failing claim shows its expected value, its computed value
+  and that stage.
 
 Importing this module loads only the ``algebra``, ``catalog`` and
 ``linalg`` layers. Each subcommand imports the other layers it runs where
-it runs them (``cmd_cohomology``, ``cmd_derivations`` and, for
-verify-paper, ``_Member``): every command is a process of its own that
-compiles its modules on start, so ``derivations`` compiles neither
-``cochain`` nor ``cohomology``, and an ungraded ``cohomology`` skips
-``derivations``.
+it runs them: every command is a process of its own that compiles its
+modules on start. ``derivations`` adds ``derivations``; an ungraded
+``cohomology`` adds ``cochain``, whose full-matrix totals it ranks, and
+a graded one also ``cohomology``, for the graded engine; only
+verify-paper imports :mod:`leibcohom.claims`, the claim table, which
+loads every layer.
 
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 for
 usage or input-file errors. JSON and CSV output is deterministic:
@@ -36,28 +38,15 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
-from functools import cached_property
 
 from .algebra import (
     AlgebraStructure,
     Grading,
     adjoint_bimodule,
-    check_bimodule_axioms,
     check_grading,
     leibniz_defects,
-    squares_ideal,
-    symmetric_bimodule,
 )
-from .catalog import (
-    AlgebraFileError,
-    _ints,
-    irreducible_sl2_module,
-    load_algebra,
-    simple_leibniz_sl2,
-    sl2,
-)
-from .linalg import SparseRationalMatrix, Subspace, _integer_row, rank, subspace_equal
+from .catalog import AlgebraFileError, _ints, load_algebra, simple_leibniz_sl2
 
 STANDARD_BLOCKS: tuple[tuple[int, tuple[tuple[str, str], ...]], ...] = (
     (1, (("G", "G"),)),
@@ -190,17 +179,19 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         except ValueError:
             return _fail("block analysis needs a grading with degrees in {0, 1}")
 
-    from .cohomology import AdjointCohomology, bl_dim, zl_dim
-
     payload: dict = {"algebra": label, "n": args.n}
     pretty = [f"{label}: cohomology of the algebra acting on itself, n={args.n}"]
     # a graded algebra takes its totals from the engine's degree blocks,
     # which are cheaper to eliminate than the full matrix; an ungraded one
     # ranks the full Fraction matrix
     if grading is not None:
+        from .cohomology import AdjointCohomology
+
         coh = AdjointCohomology(algebra, grading)
         z, b = coh.zl_dim(args.n), coh.bl_dim(args.n)
     else:
+        from .cochain import bl_dim, zl_dim
+
         module = adjoint_bimodule(algebra)
         z, b = zl_dim(algebra, module, args.n), bl_dim(algebra, module, args.n)
     h = z - b
@@ -311,213 +302,10 @@ def cmd_derivations(args: argparse.Namespace) -> int:
 # verify-paper
 
 
-class _Member:
-    """The family member sl2 + V_m, with the values that several claims
-    share, each computed on first use. The claims reach the cochain,
-    cohomology and derivations layers only through it: each method
-    imports what it calls when it runs, so only verify-paper loads them."""
-
-    def __init__(self, m: int):
-        from .cohomology import AdjointCohomology
-
-        self.m = m
-        self.algebra, self.grading = simple_leibniz_sl2(m)
-        self.coh = AdjointCohomology(self.algebra, self.grading)
-        self.lie = sl2()
-        self.module = irreducible_sl2_module(m)
-
-    @cached_property
-    def squares(self):
-        return squares_ideal(self.algebra)
-
-    @cached_property
-    def der(self):
-        from .derivations import derivation_space
-
-        return derivation_space(self.algebra)
-
-    @cached_property
-    def gi_minus1(self):
-        return self.coh.block_analysis(-1, ("G", "I"))
-
-    @cached_property
-    def module_defects(self):
-        """The bimodule axiom defects of (sl2, V_m), found once per m: the
-        module_axioms claim counts them, and the CE and zero-left HL values
-        below refuse a failing V_m on them, with the ValueError the Lie
-        functions raise, before any rank. V_m has zero left action, so it
-        is also the bimodule that lie_ce_h checks."""
-        return check_bimodule_axioms(self.lie, self.module)
-
-    def der_is_ker_d1(self) -> bool:
-        """Whether Der = ker d^1 on the full d^1, which is built apart
-        from the engine's blocks and holds int entries for the family;
-        certified by d^1 Der = 0 (one pass over d^1 for the whole basis)
-        and one rank (_is_kernel) instead of a second kernel."""
-        from .cochain import coboundary_matrix
-
-        return _is_kernel(coboundary_matrix(self.algebra, self.coh.module, 1), self.der)
-
-    def der_decomposes(self) -> bool:
-        from .derivations import cochain_to_matrix, decompose_derivation
-
-        derivs = [cochain_to_matrix(dict(vec), self.algebra.dim) for vec in self.der.basis]
-        decompositions = decompose_derivation(self.algebra, self.grading, derivs)
-        return all(dec.is_exact for dec in decompositions)
-
-    def has_delta(self) -> bool:
-        from .derivations import delta_generator
-
-        return delta_generator(self.algebra, self.grading, self.der) is not None
-
-    # (dim H^1, dim H^2) of CE and of HL with V_m symmetric and zero-left
-    @cached_property
-    def ce(self):
-        from .cohomology import lie_ce_h
-
-        return lie_ce_h(self.lie, self.module, _defects=self.module_defects)
-
-    @cached_property
-    def hl_symmetric(self):
-        from .cohomology import leibniz_h_with_coefficients
-
-        return leibniz_h_with_coefficients(self.lie, symmetric_bimodule(self.module))
-
-    @cached_property
-    def hl_zero_left(self):
-        from .cohomology import leibniz_h_with_coefficients
-
-        return leibniz_h_with_coefficients(self.lie, self.module, _defects=self.module_defects)
-
-
-def _is_kernel(matrix: SparseRationalMatrix, space: Subspace) -> bool:
-    """Whether ``space`` is the kernel of ``matrix``: the matrix kills each
-    basis vector, so the space lies in the kernel, and cols - rank equals
-    its dimension, so the two are equal. The images of all the basis
-    vectors, each scaled to integers, come from one pass over the
-    matrix's columns, with the vectors grouped by coordinate: column c
-    is added into the image of each vector that holds c."""
-    by_coord: dict[int, list[tuple[int, int]]] = {}
-    for j, vec in enumerate(space.basis):
-        for c, v in _integer_row(vec).items():
-            by_coord.setdefault(c, []).append((j, v))
-    images: list[dict[int, int]] = [{} for _ in space.basis]
-    for c, col in matrix.columns.items():
-        for j, x in by_coord.get(c, ()):
-            image = images[j]
-            for r, v in col.items():
-                image[r] = image.get(r, 0) + v * x
-    return (not any(any(image.values()) for image in images)
-            and matrix.cols - rank(matrix) == space.dim)
-
-
-# a computed value that marks its claim as skipped
-_SKIPPED = object()
-# the claim evaluated only under --deep
-_DEEP_ONLY = "d3d2_zero"
-
-# (id, stage, anchor, expected(member), computed(member)), in report order.
-# The stage names the layer of BENCHMARK.json's per-layer metrics that
-# produces the computed value. Every row looks its functions up when it
-# runs, never at import, so a traced run sees each call.
-CLAIMS = (
-    ("leibniz_identity", "algebra.check",
-     "the right Leibniz identity holds for every basis triple",
-     lambda c: 0, lambda c: len(leibniz_defects(c.algebra))),
-    ("grading_respected", "algebra.check", "deg [a, b] = deg a + deg b whenever [a, b] is nonzero",
-     lambda c: True, lambda c: check_grading(c.algebra, c.grading)),
-    ("squares_dim", "algebra.check", "dim span{[u, u] : u in L} = m + 1",
-     lambda c: c.m + 1, lambda c: c.squares.dim),
-    ("squares_span", "linalg.subspace", "span{[u, u]} equals the span of the degree-1 basis",
-     lambda c: True,
-     lambda c: subspace_equal(c.squares, Subspace.from_spanning(
-         [{k: Fraction(1)} for k in c.grading.parts()[1]], c.algebra.dim))),
-    ("module_axioms", "algebra.check",
-     "the (m+1)-dimensional module satisfies the Leibniz bimodule axioms",
-     lambda c: 0, lambda c: len(c.module_defects)),
-    ("d1d0_zero", "cohomology.engine", "d^1 after d^0 is the zero map",
-     lambda c: True, lambda c: c.coh.squares_to_zero(0)),
-    ("d2d1_zero", "cohomology.engine", "d^2 after d^1 is the zero map",
-     lambda c: True, lambda c: c.coh.squares_to_zero(1)),
-    ("d3d2_zero", "cohomology.engine", "d^3 after d^2 is the zero map",
-     lambda c: True, lambda c: c.coh.squares_to_zero(2) if c.m <= 4 else _SKIPPED),
-    ("zl2_total", "cohomology.engine", "dim ZL^2(L, L) = (m+4)^2 - 4 for m != 2, and 31 for m = 2",
-     lambda c: 31 if c.m == 2 else (c.m + 4) ** 2 - 4, lambda c: c.coh.zl_dim(2)),
-    ("bl2_total", "cohomology.engine", "dim BL^2(L, L) = dim ZL^2(L, L)",
-     lambda c: 31 if c.m == 2 else (c.m + 4) ** 2 - 4, lambda c: c.coh.bl_dim(2)),
-    ("hl2_zero", "cohomology.engine", "dim HL^2(L, L) = 0",
-     lambda c: 0, lambda c: c.coh.hl_dim(2)),
-    ("der_dim", "derivations.space", "dim Der(L) = 4 for m != 2, and 5 for m = 2",
-     lambda c: 5 if c.m == 2 else 4, lambda c: c.der.dim),
-    ("der_equals_zl1", "linalg.rank", "the derivation space equals the kernel of d^1",
-     lambda c: True, lambda c: c.der_is_ker_d1()),
-    ("bl2_der_link", "cohomology.engine", "dim BL^2(L, L) = (dim L)^2 - dim Der(L)",
-     lambda c: c.algebra.dim ** 2 - c.der.dim, lambda c: c.coh.bl_dim(2)),
-    ("der_decomposition", "derivations.decompose",
-     "every derivation is a combination of right multiplications by the"
-     " degree-0 basis, the ideal projection, and a degree-raising map",
-     lambda c: True, lambda c: c.der_decomposes()),
-    ("delta_presence", "derivations.delta",
-     "a degree-raising derivation exists exactly when m = 2",
-     lambda c: c.m == 2, lambda c: c.has_delta()),
-    ("zl2_deg_minus2", "cohomology.engine", "dim of the degree -2 cocycle component = 0",
-     lambda c: 0, lambda c: c.coh.graded_zl_dim(2, -2)),
-    ("zl2_deg_minus1", "cohomology.engine", "dim of the degree -1 cocycle component = 3(m+1)",
-     lambda c: 3 * (c.m + 1), lambda c: c.coh.graded_zl_dim(2, -1)),
-    ("zl2_deg_zero", "cohomology.engine", "dim of the degree 0 cocycle component = m^2 + 2m + 6",
-     lambda c: c.m * c.m + 2 * c.m + 6, lambda c: c.coh.graded_zl_dim(2, 0)),
-    ("zl2_deg_plus1", "cohomology.engine",
-     "dim of the degree 1 cocycle component = 3(m+1) for m != 2, 8 for m = 2",
-     lambda c: 8 if c.m == 2 else 3 * (c.m + 1), lambda c: c.coh.graded_zl_dim(2, 1)),
-    ("graded_hl2_zero", "cohomology.engine", "cocycles equal coboundaries in every degree",
-     lambda c: True,
-     lambda c: all(h == 0 for _, _, h in c.coh.report(2).per_degree.values())),
-    ("phi0_GI_projection", "cohomology.engine",
-     "degree-0 cocycles vanish identically on the G*I block",
-     lambda c: 0, lambda c: c.coh.block_analysis(0, ("G", "I")).projection_dim),
-    ("phi0_GG_projection", "cohomology.engine",
-     "the G*G projection of the degree-0 cocycles has dimension 6",
-     lambda c: 6, lambda c: c.coh.block_analysis(0, ("G", "G")).projection_dim),
-    ("phi0_GG_lie_coboundaries", "cohomology.engine",
-     "the G*G projection is skew and equals the Lie 2-coboundaries of"
-     " the degree-0 subalgebra",
-     lambda c: True, lambda c: c.coh.gg_block_is_lie_coboundary()),
-    ("phi0_IG_supported", "cohomology.engine",
-     "degree-0 cocycles supported on the I*G block form a space of"
-     " dimension m^2 + 2m",
-     lambda c: c.m * c.m + 2 * c.m,
-     lambda c: c.coh.block_analysis(0, ("I", "G")).supported_dim),
-    ("zl2_m1_GI_projection", "cohomology.engine",
-     "the G*I projection of the degree -1 cocycles has dimension 3(m+1)",
-     lambda c: 3 * (c.m + 1), lambda c: c.gi_minus1.projection_dim),
-    ("zl2_m1_GI_injective", "cohomology.engine",
-     "the degree -1 cocycles project injectively onto the G*I block",
-     lambda c: True, lambda c: c.gi_minus1.projection_injective),
-    ("zl2_m1_outer_injective", "cohomology.engine",
-     "the degree -1 cocycles embed into the G*I and I*G blocks together",
-     lambda c: True,
-     lambda c: c.coh.block_analysis(-1, (("G", "I"), ("I", "G"))).projection_injective),
-    ("whitehead_h1", "cohomology.lie", "dim H^1(sl2, V_m) = 0 in Chevalley-Eilenberg cohomology",
-     lambda c: 0, lambda c: c.ce[0]),
-    ("whitehead_h2", "cohomology.lie", "dim H^2(sl2, V_m) = 0 in Chevalley-Eilenberg cohomology",
-     lambda c: 0, lambda c: c.ce[1]),
-    ("pirashvili_hl1", "cohomology.lie",
-     "dim HL^1(sl2, V_m) = 0 with the symmetric bimodule structure",
-     lambda c: 0, lambda c: c.hl_symmetric[0]),
-    ("pirashvili_hl2", "cohomology.lie",
-     "dim HL^2(sl2, V_m) = 0 with the symmetric bimodule structure",
-     lambda c: 0, lambda c: c.hl_symmetric[1]),
-    ("leibniz_hl1_zero_left", "cohomology.lie",
-     "dim HL^1(sl2, V_m) with zero left action counts degree-raising"
-     " derivations: 1 for m = 2, else 0",
-     lambda c: 1 if c.m == 2 else 0, lambda c: c.hl_zero_left[0]),
-    ("leibniz_hl2_zero_left", "cohomology.lie", "dim HL^2(sl2, V_m) = 0 with zero left action",
-     lambda c: 0, lambda c: c.hl_zero_left[1]),
-)
-
-
 def _verify_one(m: int, deep: bool) -> tuple[list[dict], float]:
     """Every claim of the table for one parameter value, in table order."""
+    from .claims import _DEEP_ONLY, _SKIPPED, CLAIMS, _Member
+
     start = time.perf_counter()
     member = _Member(m)
     claims: list[dict] = []
@@ -555,6 +343,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         return _fail(f"cannot write {args.out}: no such directory")
     if args.out and os.path.isdir(args.out):
         return _fail(f"cannot write {args.out}: is a directory")
+    from .claims import CLAIMS
+
     results = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     stages = {cid: stage for cid, stage, *_ in CLAIMS}

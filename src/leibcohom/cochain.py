@@ -19,7 +19,8 @@ subset of them. For any bimodule,
 
 * :func:`coboundary_matrix` hands the columns as they are to a rational
   matrix, exactly d, whose integral entries are ints; it is the ungraded
-  path;
+  path, which :func:`zl_dim`, :func:`bl_dim` and :func:`hl_dim` rank for
+  the totals dim ZL^n, dim BL^n and dim HL^n;
 * :func:`_integer_builder` hands out a builder of integer columns,
   scaled by one common denominator, with no grading. No rank or span
   sees the denominator; the builder keeps it as ``scale`` for the Cartan
@@ -46,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import AlgebraStructure, Bimodule, Grading, _integral, _integral_as_int
-from .linalg import SparseRationalMatrix
+from .linalg import SparseRationalMatrix, rank
 
 MAX_ARITY = 3
 
@@ -216,6 +217,26 @@ def coboundary_matrix(
         {key: _integral_as_int(vec) for key, vec in algebra.tensor.items()}, dm)
     return SparseRationalMatrix(algebra.dim ** (n + 1) * dm, algebra.dim**n * dm,
                                 builder.columns(n))
+
+
+def zl_dim(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
+    """dim ZL^n(L, M) = dim ker d^n, supported for n in 0..3."""
+    d = coboundary_matrix(algebra, module, n)
+    return d.cols - rank(d)
+
+
+def bl_dim(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
+    """dim BL^n(L, M) = rank d^{n-1}, supported for n in 1..2."""
+    if n not in (1, 2):
+        raise ValueError("coboundary dimensions are supported for n in {1, 2}")
+    return rank(coboundary_matrix(algebra, module, n - 1))
+
+
+def hl_dim(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
+    """dim HL^n(L, M), supported for n in 1..2."""
+    if n not in (1, 2):
+        raise ValueError("cohomology dimensions are supported for n in {1, 2}")
+    return zl_dim(algebra, module, n) - bl_dim(algebra, module, n)
 
 
 def _integer_builder(algebra: AlgebraStructure, module: Bimodule) -> _ColumnBuilder:

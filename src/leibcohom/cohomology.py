@@ -1,7 +1,10 @@
 """Cocycle, coboundary and cohomology dimensions, graded and by block.
 
-The totals ZL^n = ker d^n, BL^n = im d^{n-1} and HL^n = ZL^n / BL^n are
-computed from the coboundary matrices by exact elimination. For a graded
+The ungraded totals ZL^n = ker d^n, BL^n = im d^{n-1} and HL^n =
+ZL^n / BL^n (:func:`zl_dim`, :func:`bl_dim`, :func:`hl_dim`) rank the
+full coboundary matrices; they live in :mod:`leibcohom.cochain`, next to
+the matrix they rank, so an ungraded run compiles none of this module,
+and are re-exported here by name. For a graded
 algebra acting on itself, :class:`AdjointCohomology` splits everything by
 cochain degree and by argument-signature block and never holds a whole
 d^2. It is the only code that maps cochains to blocks. The constructor
@@ -67,43 +70,14 @@ from .algebra import (
     symmetric_bimodule,
 )
 from .catalog import lie_as_leibniz
-from .cochain import (
-    _integer_builder,
-    coboundary_matrix,
-    cochain_degrees,
-)
-from .linalg import (
-    _Value,
-    _add,
-    _axpy,
-    _echelon,
-    _kernel_vectors,
-    rank,
-)
+from .cochain import _integer_builder, cochain_degrees
+# the ungraded totals, kept by name for the callers of this module
+from .cochain import bl_dim, hl_dim, zl_dim  # noqa: F401
+from .linalg import _Value, _add, _axpy, _echelon, _kernel_vectors
 
 _TAG_DEGREE = {"G": 0, "I": 1}
 
 BlockSpec = Sequence[str] | Iterable[Sequence[str]]
-
-
-def zl_dim(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
-    """dim ZL^n(L, M) = dim ker d^n, supported for n in 0..3."""
-    d = coboundary_matrix(algebra, module, n)
-    return d.cols - rank(d)
-
-
-def bl_dim(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
-    """dim BL^n(L, M) = rank d^{n-1}, supported for n in 1..2."""
-    if n not in (1, 2):
-        raise ValueError("coboundary dimensions are supported for n in {1, 2}")
-    return rank(coboundary_matrix(algebra, module, n - 1))
-
-
-def hl_dim(algebra: AlgebraStructure, module: Bimodule, n: int) -> int:
-    """dim HL^n(L, M), supported for n in 1..2."""
-    if n not in (1, 2):
-        raise ValueError("cohomology dimensions are supported for n in {1, 2}")
-    return zl_dim(algebra, module, n) - bl_dim(algebra, module, n)
 
 
 class CohomologyReport(_Value):

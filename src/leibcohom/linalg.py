@@ -71,7 +71,7 @@ update inside :func:`_eliminate`, the modular loop of
 :func:`rank_modular`, :func:`leibcohom.cochain._merge`, which adds each
 coboundary term into its column, and the integer sums of
 :func:`leibcohom.cohomology._annihilates` (d^{n+1} applied to columns
-of d^n) and of :func:`leibcohom.cli._is_kernel` (a matrix applied to a
+of d^n) and of :func:`leibcohom.claims._is_kernel` (a matrix applied to a
 whole basis in one pass over its columns). A matrix applied to a vector
 is one :func:`_axpy` of a column per nonzero coordinate, and the one
 sparse matrix product, ``@``, which only the tests use, applies the left

@@ -36,7 +36,8 @@ import pytest
 
 from leibcohom.algebra import adjoint_bimodule
 from leibcohom.catalog import simple_leibniz_sl2
-from leibcohom.cli import CLAIMS, main
+from leibcohom.claims import CLAIMS
+from leibcohom.cli import main
 from leibcohom.cochain import coboundary_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,16 +185,23 @@ UNCALLED_PINS = {
 def package_reads(directory):
     """What the modules in ``directory`` but ``__init__`` read: the names
     each module reads, by module; the attributes read anywhere; whether
-    ``@`` appears; and, by module, the sibling names it reads as pairs
+    ``@`` appears; by module, the sibling names it reads as pairs
     (module, name): a name bound by ``from .module import name`` and read
     as a name, or an attribute read off a name bound by ``from . import
-    module``."""
-    names, attrs, matmul, siblings = {}, set(), False, {}
+    module``; and, by module, the names it re-exports, each bound at its
+    top level by ``from .module import name`` and mapped to that pair."""
+    names, attrs, matmul, siblings, reexports = {}, set(), False, {}, {}
     for path in sorted(directory.glob("*.py")):
         if path.name == "__init__.py":
             continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reexports[path.stem] = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names}
         read, dotted, members, modules = set(), set(), {}, {}
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -212,27 +220,33 @@ def package_reads(directory):
         names[path.stem] = read
         siblings[path.stem] = ({members[name] for name in read if name in members}
                                | {(modules[obj], attr) for obj, attr in dotted if obj in modules})
-    return names, attrs, matmul, siblings
+    return names, attrs, matmul, siblings, reexports
 
 
 def called(target, reads):
     """Whether the package read by :func:`package_reads` calls a LAYERS
     target. A module-level function is called when its name is read in
-    its own module, or a sibling module reads it by either import; a
+    its own module, or a sibling module reads it by either import, or
+    its module re-exports it from a module that calls it, since
+    ``Tracer.install`` rewraps every module that holds the function; a
     method, when its attribute is read anywhere; __matmul__, when @
     appears."""
-    names, attrs, matmul, siblings = reads
+    names, attrs, matmul, siblings, reexports = reads
     module, _, attr = target.partition(".")
     if "." in attr:
         method = attr.partition(".")[2]
         return matmul if method == "__matmul__" else method in attrs
-    return attr in names[module] or any((module, attr) in pairs for pairs in siblings.values())
+    if attr in names[module] or any((module, attr) in pairs for pairs in siblings.values()):
+        return True
+    source = reexports[module].get(attr)
+    return source is not None and called(".".join(source), reads)
 
 
 def test_package_reads_see_both_import_styles(tmp_path):
     # b reads f by name and g off the module a; h is read only as an
     # attribute of something else, k only by __init__, and c imports
-    # unused without reading it
+    # unused without reading it; r re-exports f and h at its top level,
+    # but binds g only inside a function, so it holds no r.g
     (tmp_path / "__init__.py").write_text("from .a import k\nk()\n")
     (tmp_path / "a.py").write_text(
         "def f(): pass\ndef g(): pass\ndef h(): pass\ndef k(): pass\n"
@@ -243,9 +257,11 @@ def test_package_reads_see_both_import_styles(tmp_path):
         "    return f(), alias.g(), obj.h()\n"
     )
     (tmp_path / "c.py").write_text("from .a import unused\nfrom . import a\n")
+    (tmp_path / "r.py").write_text(
+        "from .a import f, h\n\ndef later():\n    from .a import g\n")
     reads = package_reads(tmp_path)
-    targets = ["a.f", "a.g", "a.h", "a.k", "a.unused", "a.own"]
-    assert [t for t in targets if called(t, reads)] == ["a.f", "a.g", "a.own"]
+    targets = ["a.f", "a.g", "a.h", "a.k", "a.unused", "a.own", "r.f", "r.g", "r.h"]
+    assert [t for t in targets if called(t, reads)] == ["a.f", "a.g", "a.own", "r.f"]
 
 
 def test_pinned_names_without_a_package_caller():

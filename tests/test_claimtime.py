@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from leibcohom.cli import _DEEP_ONLY, CLAIMS
+from leibcohom.claims import _DEEP_ONLY, CLAIMS
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIMTIME = ROOT / "tools" / "claimtime.py"

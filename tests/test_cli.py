@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import leibcohom.claims as claim_table
 import leibcohom.cli as cli
 import leibcohom.cochain as cochain
 import leibcohom.cohomology as cohomology
@@ -154,8 +155,8 @@ class TestCohomology:
         def never(*args):
             raise AssertionError("full-matrix path for a graded algebra")
 
-        monkeypatch.setattr(cohomology, "rank", never)
-        monkeypatch.setattr(cohomology, "coboundary_matrix", never)
+        monkeypatch.setattr(cochain, "rank", never)
+        monkeypatch.setattr(cochain, "coboundary_matrix", never)
         code, out = run(capsys, ["cohomology", "--m", "3", "--format", "json"])
         assert code == 0
         assert json.loads(out)["dim_z"] == 45
@@ -169,13 +170,13 @@ class TestCohomology:
     def test_ungraded_totals_work(self, capsys, tmp_path, monkeypatch):
         # an ungraded algebra ranks the full matrices d^2 and d^1
         ranked = []
-        real = cohomology.rank
+        real = cochain.rank
 
         def counted(matrix):
             ranked.append(matrix.cols)
             return real(matrix)
 
-        monkeypatch.setattr(cohomology, "rank", counted)
+        monkeypatch.setattr(cochain, "rank", counted)
         path = tmp_path / "plain.alg"
         save_algebra(sl2(), None, path)
         code, out = run(
@@ -455,16 +456,15 @@ class TestVerifyPaper:
 
 
 class TestClaimTable:
-    """verify-paper runs the rows of cli.CLAIMS; a failing row shows its
+    """verify-paper runs the rows of leibcohom.claims.CLAIMS; a failing row shows its
     expected and computed values, and its stage in the pretty output."""
 
     def test_failing_claim_names_its_stage(self, capsys, monkeypatch):
-        row = next(r for r in cli.CLAIMS if r[0] == "hl2_zero")
+        row = next(r for r in claim_table.CLAIMS if r[0] == "hl2_zero")
         cid, stage, anchor, _, computed = row
         patched = (cid, stage, anchor, lambda member: 1, computed)
-        monkeypatch.setattr(
-            cli, "CLAIMS", tuple(patched if r is row else r for r in cli.CLAIMS)
-        )
+        monkeypatch.setattr(claim_table, "CLAIMS",
+                            tuple(patched if r is row else r for r in claim_table.CLAIMS))
         code, out = run(capsys, ["verify-paper", "--m-range", "2..2", "--format", "json"])
         assert code == 1
         payload = json.loads(out)
@@ -481,7 +481,7 @@ class TestClaimTable:
         )
 
     def test_report_ids_follow_the_table(self, capsys):
-        table = [r[0] for r in cli.CLAIMS]
+        table = [r[0] for r in claim_table.CLAIMS]
         assert len(table) == len(set(table)) == 34
         for extra, expected in (([], [c for c in table if c != "d3d2_zero"]), (["--deep"], table)):
             code, out = run(
@@ -517,7 +517,7 @@ class TestClaimTable:
             calls.append(module)
             return check(lie, module)
 
-        for module in (cli, cohomology):
+        for module in (claim_table, cohomology):
             monkeypatch.setattr(module, "check_bimodule_axioms", counted)
         claims, _ = cli._verify_one(m, False)
         assert all(c["status"] == "pass" for c in claims)
@@ -532,8 +532,8 @@ class TestClaimTable:
         right = [dict(act) for act in module.right_action]
         right[0][(0, 0)] = Fraction(1)
         broken = Bimodule(3, 3, module.left_action, tuple(right))
-        monkeypatch.setattr(cli, "irreducible_sl2_module", lambda m: broken)
-        member = cli._Member(2)
+        monkeypatch.setattr(claim_table, "irreducible_sl2_module", lambda m: broken)
+        member = claim_table._Member(2)
         assert member.module_defects == check_bimodule_axioms(sl2(), broken) != []
 
         def no_ranks(*args):
@@ -554,8 +554,8 @@ class TestClaimTable:
         """The der_equals_zl1 status at m = 2 and the pretty report's
         lines for it, with ``change(d1)`` in place of d^1; every other
         claim must pass."""
-        build = cochain.coboundary_matrix
-        monkeypatch.setattr(cochain, "coboundary_matrix",
+        build = claim_table.coboundary_matrix
+        monkeypatch.setattr(claim_table, "coboundary_matrix",
                             lambda algebra, module, n: change(build(algebra, module, n)))
         claims, _ = cli._verify_one(2, False)
         [status] = [c["status"] for c in claims if c["id"] == "der_equals_zl1"]
@@ -678,20 +678,27 @@ def test_import_skips_modules_no_command_needs():
                               "leibcohom.catalog", "leibcohom.linalg"}
     assert loaded.isdisjoint({"dataclasses", "inspect", "csv", "concurrent.futures",
                               "pathlib", "typing"})
+    # the claim table loads every layer, and never the command line
+    assert "leibcohom.cli" not in loaded_modules("import leibcohom.claims")
 
 
 @pytest.mark.parametrize("argv, skipped", [
-    (["derivations", "--algebra", "GRADED", "--format", "json"], {"cochain", "cohomology"}),
-    (["cohomology", "--algebra", "PLAIN", "--format", "json"], {"derivations"}),
+    (["derivations", "--algebra", "GRADED", "--format", "json"],
+     {"cochain", "cohomology", "claims"}),
+    (["cohomology", "--algebra", "PLAIN", "--format", "json"],
+     {"cohomology", "derivations", "claims"}),
+    (["cohomology", "--m", "2", "--format", "json"], {"derivations", "claims"}),
     (["verify-paper", "--m-range", "2..2"], set()),
-], ids=["derivations", "cohomology-ungraded", "verify-paper"])
+], ids=["derivations", "cohomology-ungraded", "cohomology-graded", "verify-paper"])
 def test_each_command_imports_the_layers_it_runs(tmp_path, argv, skipped):
+    # the ungraded totals live in cochain, the graded engine in cohomology,
+    # and only verify-paper reads the claim table
     files = {"GRADED": tmp_path / "graded.alg", "PLAIN": tmp_path / "plain.alg"}
     save_algebra(*simple_leibniz_sl2(2), files["GRADED"])
     save_algebra(sl2(), None, files["PLAIN"])
     argv = [str(files.get(arg, arg)) for arg in argv]
     loaded = loaded_modules(f"from leibcohom.cli import main; assert main({argv!r}) == 0")
-    every = {"algebra", "catalog", "cochain", "cohomology", "derivations", "linalg"}
+    every = {"algebra", "catalog", "claims", "cochain", "cohomology", "derivations", "linalg"}
     assert layers(loaded) == {"leibcohom", "leibcohom.cli",
                               *(f"leibcohom.{name}" for name in every - skipped)}
 

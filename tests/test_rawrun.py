@@ -39,10 +39,10 @@ def test_differing_reports_exit_1(tmp_path):
     # a copy whose report names one claim differently
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = tmp_path / "src" / "leibcohom" / "cli.py"
-    text = cli.read_text()
+    table = tmp_path / "src" / "leibcohom" / "claims.py"
+    text = table.read_text()
     assert text.count('("squares_dim",') == 1
-    cli.write_text(text.replace('("squares_dim",', '("squares_dimension",'))
+    table.write_text(text.replace('("squares_dim",', '("squares_dimension",'))
     proc = rawrun(ROOT, tmp_path, "--pairs", "1", "--", "verify-paper", "--m-range", "2..2")
     assert proc.returncode == 1
     assert "error: the reports differ" in proc.stderr
@@ -72,25 +72,53 @@ def test_needs_a_command_after_the_separator():
         assert "give the leibcohom arguments after --" in proc.stderr
 
 
-def test_runs_compile_from_source(tmp_path):
-    # a fake side whose cli records, in the current directory, what the
-    # child sees of the bytecode cache
+def run_fake_side(tmp_path, cli_source, *command):
+    """rawrun with a fake checkout, whose ``leibcohom/cli.py`` is
+    ``cli_source``, on both sides, one pair, in ``tmp_path``."""
     package = tmp_path / "fake" / "src" / "leibcohom"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(
+    (package / "cli.py").write_text(cli_source)
+    fake = tmp_path / "fake"
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    proc = subprocess.run(
+        [sys.executable, str(RAWRUN), fake, fake, "--pairs", "1", "--", *command],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return fake
+
+
+def test_runs_start_as_the_benchmark_does(tmp_path):
+    # the child imports cli as a module and calls its main on the
+    # arguments after --, with the -c program as argv[0]
+    run_fake_side(
+        tmp_path,
+        "import json, sys\n"
+        "def main(argv):\n"
+        "    with open('argv.txt', 'a') as out:\n"
+        "        print(json.dumps([__name__, sys.argv, argv]), file=out)\n"
+        "    return 0\n",
+        "cohomology", "--n", "1")
+    lines = (tmp_path / "argv.txt").read_text().splitlines()
+    expected = ["leibcohom.cli", ["-c", "cohomology", "--n", "1"], ["cohomology", "--n", "1"]]
+    assert [json.loads(line) for line in lines] == [expected, expected]
+
+
+def test_runs_compile_from_source(tmp_path):
+    # a fake side whose cli records, in the current directory, what the
+    # child sees of the bytecode cache
+    fake = run_fake_side(
+        tmp_path,
         "import importlib.util, os, sys\n"
         "prefix = sys.pycache_prefix\n"
         "with open('seen.txt', 'a') as out:\n"
         "    print(bool(sys.flags.dont_write_bytecode), prefix, os.listdir(prefix),\n"
         "          importlib.util.cache_from_source(__file__).startswith(prefix + os.sep),\n"
-        "          file=out)\n")
-    fake = tmp_path / "fake"
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
-    proc = subprocess.run([sys.executable, str(RAWRUN), fake, fake, "--pairs", "1", "--", "x"],
-                          capture_output=True, text=True, cwd=tmp_path, env=env)
-    assert proc.returncode == 0, proc.stderr
+        "          file=out)\n"
+        "def main(argv):\n"
+        "    return 0\n",
+        "x")
     lines = (tmp_path / "seen.txt").read_text().splitlines()
     assert len(lines) == 2
     prefixes = set()

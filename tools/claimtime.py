@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from leibcohom.cli import _DEEP_ONLY, _SKIPPED, CLAIMS, _Member  # noqa: E402
+from leibcohom.claims import _DEEP_ONLY, _SKIPPED, CLAIMS, _Member  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -278,24 +278,35 @@ MUTANTS = (
     ),
     Mutant(
         "der_is_ker_d1_skips_the_containment_check",
-        "src/leibcohom/cli.py",
+        "src/leibcohom/claims.py",
         "(not any(any(image.values()) for image in images)\n            and matrix.cols",
         "(matrix.cols",
         ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_fails_when_d1_moves_off_der",),
     ),
     Mutant(
         "der_is_ker_d1_skips_the_last_basis_vector",
-        "src/leibcohom/cli.py",
+        "src/leibcohom/claims.py",
         "for j, vec in enumerate(space.basis):",
         "for j, vec in enumerate(space.basis[:-1]):",
         ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_checks_the_last_derivation",),
     ),
     Mutant(
         "der_is_ker_d1_drops_the_rank_equality",
-        "src/leibcohom/cli.py",
+        "src/leibcohom/claims.py",
         "\n            and matrix.cols - rank(matrix) == space.dim)",
         ")",
         ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_fails_when_ker_d1_grows",),
+    ),
+    Mutant(
+        "cli_imports_the_claim_table_at_module_level",
+        "src/leibcohom/cli.py",
+        "from .catalog import AlgebraFileError, _ints, load_algebra, simple_leibniz_sl2\n",
+        "from .catalog import AlgebraFileError, _ints, load_algebra, simple_leibniz_sl2\n"
+        "from .claims import CLAIMS  # noqa: F401\n",
+        (
+            "tests/test_cli.py::test_each_command_imports_the_layers_it_runs",
+            "tests/test_cli.py::test_import_skips_modules_no_command_needs",
+        ),
     ),
     Mutant(
         "integral_as_int_takes_every_numerator",

@@ -3,12 +3,14 @@
     python3 tools/rawrun.py PARENT CHANGE --pairs 4 -- verify-paper --m-range 60..60 --format json
     python3 tools/rawrun.py PARENT CHANGE --pairs 10 --json out.json -- derivations --algebra F
 
-Each side is a checkout holding ``src/leibcohom``. A run is
-``python3 -m leibcohom.cli ARGS``, ARGS being every argument after
-``--``, with ``PYTHONPATH`` at that side's ``src``, started in the
-current directory (so a relative path in ARGS names the same file for
-both sides) as a child of this small process, which imports nothing of
-the package: the child's CPU time (user plus system) and peak RSS come
+Each side is a checkout holding ``src/leibcohom``. A run starts as the
+benchmark's runs do, ``python3 -c ENTRY ARGS``, ENTRY being :data:`ENTRY`
+(import ``leibcohom.cli``, call its ``main`` on ARGS and exit with its
+code) and ARGS every argument after ``--``, so ``cli`` is imported as a
+module, not run as ``__main__``. ``PYTHONPATH`` is at that side's
+``src``, and the run is started in the current directory (so a relative
+path in ARGS names the same file for both sides) as a child of this
+small process, which imports nothing of the package: the child's CPU time (user plus system) and peak RSS come
 from ``os.wait4``, its wall time from the clock around it. So a run
 includes the interpreter's start and the package's imports. Every run
 compiles the package from source, as the benchmark does: the child gets
@@ -38,11 +40,14 @@ import tempfile
 import time
 from pathlib import Path
 
+# the child's program, as bench/run.py starts each command
+ENTRY = "import sys; from leibcohom.cli import main; sys.exit(main(sys.argv[1:]))"
+
 
 def run_once(checkout: Path, command: list[str]) -> dict:
     """One child run: its CPU and wall seconds, peak RSS in MB, exit code
     and the sha256 of its report."""
-    cmd = [sys.executable, "-m", "leibcohom.cli", *command]
+    cmd = [sys.executable, "-c", ENTRY, *command]
     with tempfile.TemporaryDirectory(prefix="rawrun-pycache-") as cache:
         env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
                "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
