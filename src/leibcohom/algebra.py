@@ -253,9 +253,9 @@ def leibniz_defects(algebra: AlgebraStructure) -> list[IdentityViolation]:
 def squares_ideal(algebra: AlgebraStructure) -> Subspace:
     """Span of all squares, i.e. of [b_i, b_j] + [b_j, b_i] over i <= j.
 
-    When the Leibniz identity holds this span is a two-sided ideal; a
-    debug assertion verifies closure under multiplication from both
-    sides.
+    When the Leibniz identity holds this span is a two-sided ideal; its
+    closure under multiplication from both sides is checked on every call,
+    ``python -O`` included, and a failure raises AssertionError.
     """
     n = algebra.dim
     vectors = []
@@ -266,15 +266,12 @@ def squares_ideal(algebra: AlgebraStructure) -> Subspace:
             if v:
                 vectors.append(v)
     span = Subspace.from_spanning(vectors, n)
-    if __debug__:
-        for vec in span.basis:
-            for i in range(n):
-                assert span.contains(algebra.bracket_basis_vector(i, vec)), (
-                    "squares span not closed under left multiplication"
-                )
-                assert span.contains(algebra.bracket_vector_basis(vec, i)), (
-                    "squares span not closed under right multiplication"
-                )
+    for vec in span.basis:
+        for i in range(n):
+            if not span.contains(algebra.bracket_basis_vector(i, vec)):
+                raise AssertionError("squares span not closed under left multiplication")
+            if not span.contains(algebra.bracket_vector_basis(vec, i)):
+                raise AssertionError("squares span not closed under right multiplication")
     return span
 
 

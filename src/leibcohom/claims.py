@@ -23,14 +23,14 @@ from .algebra import (
 )
 from .catalog import irreducible_sl2_module, simple_leibniz_sl2, sl2
 from .cochain import coboundary_matrix
-from .cohomology import AdjointCohomology, leibniz_h_with_coefficients, lie_ce_h
+from .cohomology import AdjointCohomology, _annihilates, leibniz_h_with_coefficients, lie_ce_h
 from .derivations import (
     cochain_to_matrix,
     decompose_derivation,
     delta_generator,
     derivation_space,
 )
-from .linalg import SparseRationalMatrix, Subspace, _integer_row, rank, subspace_equal
+from .linalg import Subspace, _integer_row, rank, subspace_equal
 
 
 class _Member:
@@ -67,10 +67,14 @@ class _Member:
 
     def der_is_ker_d1(self) -> bool:
         """Whether Der = ker d^1 on the full d^1, which is built apart
-        from the engine's blocks and holds int entries for the family;
-        certified by d^1 Der = 0 (one pass over d^1 for the whole basis)
-        and one rank (_is_kernel) instead of a second kernel."""
-        return _is_kernel(coboundary_matrix(self.algebra, self.coh.module, 1), self.der)
+        from the engine's blocks and holds int entries for the family: d^1
+        kills each basis derivation, scaled to integers, by the engine's
+        kill check (_annihilates), and cols - rank d^1 = dim Der, so Der
+        is the kernel without a second kernel computed."""
+        d1 = coboundary_matrix(self.algebra, self.coh.module, 1)
+        ints = [_integer_row(vec) for vec in self.der.basis]
+        return (_annihilates(d1.columns, range(d1.cols), ints)
+                and d1.cols - rank(d1) == self.der.dim)
 
     def der_decomposes(self) -> bool:
         derivs = [cochain_to_matrix(dict(vec), self.algebra.dim) for vec in self.der.basis]
@@ -92,27 +96,6 @@ class _Member:
     @cached_property
     def hl_zero_left(self):
         return leibniz_h_with_coefficients(self.lie, self.module, _defects=self.module_defects)
-
-
-def _is_kernel(matrix: SparseRationalMatrix, space: Subspace) -> bool:
-    """Whether ``space`` is the kernel of ``matrix``: the matrix kills each
-    basis vector, so the space lies in the kernel, and cols - rank equals
-    its dimension, so the two are equal. The images of all the basis
-    vectors, each scaled to integers, come from one pass over the
-    matrix's columns, with the vectors grouped by coordinate: column c
-    is added into the image of each vector that holds c."""
-    by_coord: dict[int, list[tuple[int, int]]] = {}
-    for j, vec in enumerate(space.basis):
-        for c, v in _integer_row(vec).items():
-            by_coord.setdefault(c, []).append((j, v))
-    images: list[dict[int, int]] = [{} for _ in space.basis]
-    for c, col in matrix.columns.items():
-        for j, x in by_coord.get(c, ()):
-            image = images[j]
-            for r, v in col.items():
-                image[r] = image.get(r, 0) + v * x
-    return (not any(any(image.values()) for image in images)
-            and matrix.cols - rank(matrix) == space.dim)
 
 
 # a computed value that marks its claim as skipped

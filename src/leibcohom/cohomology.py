@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
 from fractions import Fraction
 
 from .algebra import (
@@ -223,12 +223,13 @@ def _weight_flip(algebra: AlgebraStructure,
     return list(zip(p, c))
 
 
-def _annihilates(upper: dict[int, dict[int, int]], cells: set[int],
+def _annihilates(upper: dict[int, dict[int, int]], cells: Container[int],
                  columns: Iterable[dict[int, int]]) -> bool:
-    """Whether the block ``upper`` of d^{n+1}, the nonzero columns among
-    the cochains ``cells``, maps every column of d^n in ``columns`` to
-    zero. A row outside ``cells`` would mean that the block keys are no
-    grading. The sums are accumulated inline, in integers."""
+    """Whether the columns ``upper``, the nonzero ones among ``cells``, send
+    every integer vector in ``columns``, each coordinate inside ``cells``,
+    to zero: a block of d^{n+1} applied to the columns of d^n (a coordinate
+    outside the block means its keys are no grading), or d^1 to a basis of
+    Der. The sums are accumulated inline, in integers."""
     for col in columns:
         acc: dict[int, int] = {}
         for r, v in col.items():

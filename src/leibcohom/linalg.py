@@ -20,8 +20,8 @@ survives to become a pivot, so every stored pivot row is content free.
 Rows are processed sparsest first, which keeps fill-in low on the highly
 structured matrices this package produces, and each pivot row leads at
 its smallest column. :func:`rank` counts its pivots: it eliminates the
-shorter side of the matrix (the columns of a tall one), with the
-coordinates relabelled in increasing order of the number of lines they
+columns, the short side of every matrix the package ranks, with the
+coordinates relabelled in increasing order of the number of columns they
 occur in. Everything else keeps the natural order, on which its
 canonical form depends, and adds one back-substitution,
 :func:`_reduce`, which brings the pivot rows to reduced echelon form:
@@ -66,13 +66,13 @@ Sparse vectors from outside the module pass through one check,
 :func:`_sparse` (indices in range, exact scalars, zeros dropped), and
 every sparse accumulation in the package goes through :func:`_add` (one
 entry) or :func:`_axpy` (a scaled vector), which drop entries that
-cancel. Five accumulators stay inline, for speed: the integer row
+cancel. Four accumulators stay inline, for speed: the integer row
 update inside :func:`_eliminate`, the modular loop of
 :func:`rank_modular`, :func:`leibcohom.cochain._merge`, which adds each
 coboundary term into its column, and the integer sums of
-:func:`leibcohom.cohomology._annihilates` (d^{n+1} applied to columns
-of d^n) and of :func:`leibcohom.claims._is_kernel` (a matrix applied to a
-whole basis in one pass over its columns). A matrix applied to a vector
+:func:`leibcohom.cohomology._annihilates`, the one check that columns
+send vectors to zero (d^{n+1} applied to the columns of d^n, and d^1 to
+a basis of Der). A matrix applied to a vector
 is one :func:`_axpy` of a column per nonzero coordinate, and the one
 sparse matrix product, ``@``, which only the tests use, applies the left
 factor to each column of the right one.
@@ -365,14 +365,13 @@ def rank(matrix: SparseRationalMatrix) -> int:
     """Exact rank over the rationals.
 
     Rank ignores both the side eliminated and the order of the
-    coordinates, so this eliminates the columns of a tall matrix and the
-    rows otherwise, with the coordinates in increasing-count order: a
-    coordinate that few lines share leads few eliminations, which keeps
-    fill-in low on the tall, dense coboundaries of an ungraded basis.
+    coordinates, so this eliminates the columns, the short side of every
+    matrix the package ranks, with the coordinates in increasing-count
+    order: a coordinate that few columns share leads few eliminations,
+    which keeps fill-in low on the tall, dense coboundaries of an
+    ungraded basis.
     """
-    # a wide matrix's rows are a temporary, freed before the elimination runs
-    lines = matrix.columns if matrix.rows > matrix.cols else matrix.row_dicts()
-    return len(_echelon(_count_ordered(lines.values())))
+    return len(_echelon(_count_ordered(matrix.columns.values())))
 
 
 def rank_modular(

@@ -1,10 +1,14 @@
 """Structure tensors, identity checking, gradings and bimodule axioms."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import leibcohom.algebra
 from leibcohom.algebra import (
     AlgebraStructure,
     Bimodule,
@@ -138,6 +142,22 @@ class TestSquaresIdeal:
 
     def test_lie_algebra_squares_vanish(self):
         assert squares_ideal(sl2()).dim == 0
+
+    def test_closure_checked_under_optimize(self):
+        # not Leibniz: the squares span <b1>, but [b2, b1] = -b0 leaves it,
+        # and the check must hold with asserts stripped too
+        src = str(Path(leibcohom.algebra.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from leibcohom.algebra import AlgebraStructure, squares_ideal; "
+            "tensor = {(0, 0): {1: 1}, (1, 2): {0: 1}, (2, 1): {0: -1}}; "
+            "squares_ideal(AlgebraStructure(3, ('b0', 'b1', 'b2'), tensor))"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "AssertionError: squares span not closed under left multiplication")
 
 
 class TestGrading:

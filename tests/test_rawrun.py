@@ -74,14 +74,15 @@ def test_needs_a_command_after_the_separator():
 
 def run_fake_side(tmp_path, cli_source, *command):
     """rawrun with a fake checkout, whose ``leibcohom/cli.py`` is
-    ``cli_source``, on both sides, one pair, in ``tmp_path``."""
+    ``cli_source``, on both sides, one pair, in ``tmp_path``; rawrun
+    inherits bytecode writing on and a pycache prefix ``tmp_path/cache``."""
     package = tmp_path / "fake" / "src" / "leibcohom"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "cli.py").write_text(cli_source)
     fake = tmp_path / "fake"
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path / "cache")
     proc = subprocess.run(
         [sys.executable, str(RAWRUN), fake, fake, "--pairs", "1", "--", *command],
         capture_output=True, text=True, cwd=tmp_path, env=env)
@@ -107,26 +108,23 @@ def test_runs_start_as_the_benchmark_does(tmp_path):
 
 def test_runs_compile_from_source(tmp_path):
     # a fake side whose cli records, in the current directory, what the
-    # child sees of the bytecode cache
+    # child sees of the bytecode cache and where it was imported from
     fake = run_fake_side(
         tmp_path,
-        "import importlib.util, os, sys\n"
-        "prefix = sys.pycache_prefix\n"
+        "import sys\n"
         "with open('seen.txt', 'a') as out:\n"
-        "    print(bool(sys.flags.dont_write_bytecode), prefix, os.listdir(prefix),\n"
-        "          importlib.util.cache_from_source(__file__).startswith(prefix + os.sep),\n"
+        "    print(sys.pycache_prefix, bool(sys.flags.dont_write_bytecode), __file__,\n"
         "          file=out)\n"
         "def main(argv):\n"
         "    return 0\n",
         "x")
     lines = (tmp_path / "seen.txt").read_text().splitlines()
     assert len(lines) == 2
-    prefixes = set()
     for line in lines:
-        flag, prefix, listing, under = line.split(" ")
-        assert (flag, listing, under) == ("True", "[]", "True")
-        assert not prefix.startswith(str(fake)) and not Path(prefix).exists()
-        prefixes.add(prefix)
-    # a fresh directory for each run, and no cache in the tree
-    assert len(prefixes) == 2
+        prefix, flag, imported = line.split(" ")
+        # no pycache prefix, the inherited one included, and no bytecode written
+        assert (prefix, flag) == ("None", "True")
+        # the package was imported from a copy outside the checkout
+        assert not Path(imported).resolve().is_relative_to(fake.resolve())
+        assert Path(imported).name == "cli.py"
     assert not list(fake.rglob("__pycache__"))

@@ -13,12 +13,14 @@ path in ARGS names the same file for both sides) as a child of this
 small process, which imports nothing of the package: the child's CPU time (user plus system) and peak RSS come
 from ``os.wait4``, its wall time from the clock around it. So a run
 includes the interpreter's start and the package's imports. Every run
-compiles the package from source, as the benchmark does: the child gets
-``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to a fresh
-empty temporary directory, so it neither reads nor writes a bytecode
-cache, an in-tree ``__pycache__`` left by a test run included. Each pair
-runs both sides once, the first side first in even pairs and second in
-odd ones.
+compiles the package from source, as the benchmark's runs do: at start
+each side's ``src`` is copied once, without any ``__pycache__``, into a
+temporary directory, ``PYTHONPATH`` is at that copy, and the child gets
+``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``. So an
+in-tree cache left by a test run is never read and the copy never gets
+one, while the standard library loads from its installed cache, as it
+does under ``bench/run.py``. Each pair runs both sides once, the first
+side first in even pairs and second in odd ones.
 
 For each side it prints the quartiles and median of the CPU time, the
 median wall time, the peak RSS over its runs and the sha256 of its
@@ -34,6 +36,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -44,19 +47,18 @@ from pathlib import Path
 ENTRY = "import sys; from leibcohom.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_once(checkout: Path, command: list[str]) -> dict:
-    """One child run: its CPU and wall seconds, peak RSS in MB, exit code
-    and the sha256 of its report."""
+def run_once(src: Path, command: list[str]) -> dict:
+    """One child run on the package copy in ``src``: its CPU and wall
+    seconds, peak RSS in MB, exit code and the sha256 of its report."""
     cmd = [sys.executable, "-c", ENTRY, *command]
-    with tempfile.TemporaryDirectory(prefix="rawrun-pycache-") as cache:
-        env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
-               "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
-        start = time.perf_counter()
-        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, env=env)
-        report = proc.stdout.read()
-        proc.stdout.close()
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, env=env)
+    report = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
@@ -101,10 +103,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{checkout} holds no src/leibcohom")
 
     runs: dict[str, list[dict]] = {name: [] for name in sides}
-    for pair in range(args.pairs):
-        order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
-        for name in order:
-            runs[name].append(run_once(sides[name], command))
+    with tempfile.TemporaryDirectory(prefix="rawrun-src-") as tmp:
+        copies = {name: shutil.copytree(checkout / "src", Path(tmp) / name,
+                                        ignore=shutil.ignore_patterns("__pycache__"))
+                  for name, checkout in sides.items()}
+        for pair in range(args.pairs):
+            order = list(sides) if pair % 2 == 0 else list(sides)[::-1]
+            for name in order:
+                runs[name].append(run_once(copies[name], command))
 
     print(f"{' '.join(command)}, {args.pairs} pair(s)")
     digests = {}
