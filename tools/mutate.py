@@ -285,6 +285,13 @@ MUTANTS = (
         ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_fails_when_d1_moves_off_der",),
     ),
     Mutant(
+        "der_is_ker_d1_skips_the_last_basis_vector",
+        "src/leibcohom/claims.py",
+        "ints = [_integer_row(vec) for vec in self.der.basis]",
+        "ints = [_integer_row(vec) for vec in self.der.basis[:-1]]",
+        ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_checks_the_last_derivation",),
+    ),
+    Mutant(
         "der_is_ker_d1_drops_the_rank_equality",
         "src/leibcohom/claims.py",
         "\n                and d1.cols - rank(d1) == self.der.dim)",
