@@ -2,19 +2,30 @@
 
 An algebra is a bilinear bracket on a based vector space, stored as the
 tensor ``(i, j) -> [b_i, b_j]`` with sparse rational coefficient vectors.
-The checkers in this module are exhaustive over basis tuples and report
-every violation they find, so a clean run is a finite certificate for the
-bilinear identity in question.
+The checkers in this module report every violation they find, so a clean
+run is a finite certificate for the identity in question: the identities
+are multilinear, so the basis tuples span every case, and the checkers
+read only the nonzero products. A basis triple whose three products
+[y, z], [x, y] and [x, z] all vanish has zero Leibniz defect, so skipping
+it is exact, not a sample.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
-from .linalg import Subspace, _Value, _as_rational, _axpy, _sparse
+from .linalg import (
+    Subspace,
+    _Value,
+    _as_rational,
+    _axpy,
+    _echelon,
+    _eliminate,
+    _integer_row,
+    _sparse,
+)
 
 _EMPTY: dict[int, Fraction] = {}
 
@@ -199,43 +210,62 @@ def _semidirect_tensor(algebra: AlgebraStructure, module: Bimodule) -> dict:
     return tensor
 
 
-def _defects(algebra: AlgebraStructure, groups) -> list[IdentityViolation]:
-    """The triples (i, j, k), for each k in ks of every group (i, j, ks),
-    where [x,[y,z]] - [[x,y],z] + [[x,z],y] != 0.
-
-    The tensor is scaled once to integers by the lcm s of its
-    denominators; every term is a product of two structure constants, so
-    the integer defect is s^2 times the rational one, which is reported.
-    """
-    n = algebra.dim
+def _scaled_tensor(algebra: AlgebraStructure) -> tuple[int, dict]:
+    """The lcm s of the tensor's denominators and s times the tensor, as
+    integers."""
     scale = lcm(*(v.denominator for vec in algebra.tensor.values() for v in vec.values()))
+    return scale, {key: _integral(vec, scale) for key, vec in algebra.tensor.items()}
+
+
+def _defects(algebra: AlgebraStructure, boxes) -> list[IdentityViolation]:
+    """The triples (x, y, z) of the boxes, each a product xs × ys × zs of
+    index ranges, where [x,[y,z]] - [[x,y],z] + [[x,z],y] != 0, sorted.
+
+    With R_y x = [x, y], the defect at (x, y, z) is column x of
+    R_[y,z] - R_z R_y + R_y R_z. Each pair (y, z) builds these columns
+    from the nonzero products alone, the columns [x, t] of R_t keyed by
+    x: a column no product reaches is zero, and a pair whose products
+    all vanish costs nothing. The tensor is scaled once to integers by
+    the lcm s of its denominators; every term is a product of two
+    structure constants, so the integer defect is s^2 times the rational
+    one, which is reported.
+    """
+    scale, tensor = _scaled_tensor(algebra)
     square = scale * scale
-    # the products [b_i, b_t] by i and [b_t, b_k] by k, each keyed by t
-    lefts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-    rights: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-    for (i, t), vec in algebra.tensor.items():
-        lefts[i][t] = rights[t][i] = _integral(vec, scale)
+    # rights[t][x] = [b_x, b_t]
+    rights: list[dict[int, dict[int, int]]] = [{} for _ in range(algebra.dim)]
+    for (x, t), vec in tensor.items():
+        rights[t][x] = vec
     violations = []
-    for i, j, ks in groups:
-        p_ij = lefts[i].get(j)
-        for k in ks:
-            p_jk = lefts[j].get(k)
-            p_ik = lefts[i].get(k)
-            if not (p_jk or p_ij or p_ik):
-                continue
-            defect: dict[int, int] = {}
-            for vec, products, sign in (
-                (p_jk, lefts[i], 1), (p_ij, rights[k], -1), (p_ik, rights[j], 1)
-            ):
-                if vec:
-                    for t, c in vec.items():
-                        prod = products.get(t)
-                        if prod:
-                            _axpy(defect, prod, sign * c)
-            if defect:
-                violations.append(IdentityViolation(
-                    (i, j, k), {t: Fraction(v, square) for t, v in defect.items()}
-                ))
+    for xs, ys, zs in boxes:
+        for y in ys:
+            r_y = rights[y]
+            for z in zs:
+                r_z = rights[z]
+                p_yz = r_z.get(y)
+                columns: dict[int, dict[int, int]] = {}
+                if p_yz:  # + [x, [y, z]]
+                    for t, c in p_yz.items():
+                        for x, prod in rights[t].items():
+                            _axpy(columns.setdefault(x, {}), prod, c)
+                if r_z:  # - [[x, y], z]
+                    for x, p_xy in r_y.items():
+                        for s, c in p_xy.items():
+                            prod = r_z.get(s)
+                            if prod:
+                                _axpy(columns.setdefault(x, {}), prod, -c)
+                if r_y:  # + [[x, z], y]
+                    for x, p_xz in r_z.items():
+                        for s, c in p_xz.items():
+                            prod = r_y.get(s)
+                            if prod:
+                                _axpy(columns.setdefault(x, {}), prod, c)
+                for x, defect in columns.items():
+                    if defect and x in xs:
+                        violations.append(IdentityViolation(
+                            (x, y, z), {t: Fraction(v, square) for t, v in defect.items()}
+                        ))
+    violations.sort(key=lambda v: v.triple)
     return violations
 
 
@@ -247,7 +277,7 @@ def leibniz_defects(algebra: AlgebraStructure) -> list[IdentityViolation]:
     defects are exact rationals; see :func:`_defects`.
     """
     xs = range(algebra.dim)
-    return _defects(algebra, itertools.product(xs, xs, [xs]))
+    return _defects(algebra, [(xs, xs, xs)])
 
 
 def squares_ideal(algebra: AlgebraStructure) -> Subspace:
@@ -255,22 +285,40 @@ def squares_ideal(algebra: AlgebraStructure) -> Subspace:
 
     When the Leibniz identity holds this span is a two-sided ideal; its
     closure under multiplication from both sides is checked on every call,
-    ``python -O`` included, and a failure raises AssertionError.
+    ``python -O`` included, and a failure raises AssertionError. Only the
+    nonzero products are read: a pair (i, j) whose products vanish adds
+    nothing to the span, and the products [b_i, v] and [v, b_i] of a basis
+    vector v are built from the columns of the tensor it meets. Each one
+    is reduced, scaled to integers, against the span's basis rows, and
+    the first that adds a pivot fails the check, in the order (v, i,
+    left before right).
     """
     n = algebra.dim
     vectors = []
-    for i in range(n):
-        for j in range(i, n):
-            v = dict(algebra.product(i, j))
-            _axpy(v, algebra.product(j, i), Fraction(1))
-            if v:
-                vectors.append(v)
+    for i, j in sorted({(min(i, j), max(i, j)) for i, j in algebra.tensor}):
+        v = dict(algebra.product(i, j))
+        _axpy(v, algebra.product(j, i), Fraction(1))
+        vectors.append(v)
     span = Subspace.from_spanning(vectors, n)
-    for vec in span.basis:
-        for i in range(n):
-            if not span.contains(algebra.bracket_basis_vector(i, vec)):
+    # lefts[t][i] = [b_i, b_t] and rights[t][i] = [b_t, b_i], scaled to integers
+    lefts: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    rights: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    for (i, j), vec in _scaled_tensor(algebra)[1].items():
+        lefts[j][i] = rights[i][j] = vec
+    basis = [_integer_row(vec) for vec in span.basis]
+    pivots = _echelon(list(basis))
+    for row in basis:
+        left: dict[int, dict[int, int]] = {}
+        right: dict[int, dict[int, int]] = {}
+        for t, c in row.items():
+            for i, prod in lefts[t].items():
+                _axpy(left.setdefault(i, {}), prod, c)
+            for i, prod in rights[t].items():
+                _axpy(right.setdefault(i, {}), prod, c)
+        for i in sorted(left.keys() | right.keys()):
+            if _eliminate(left.get(i, {}), pivots) is not None:
                 raise AssertionError("squares span not closed under left multiplication")
-            if not span.contains(algebra.bracket_vector_basis(vec, i)):
+            if _eliminate(right.get(i, {}), pivots) is not None:
                 raise AssertionError("squares span not closed under right multiplication")
     return span
 
@@ -309,11 +357,8 @@ def check_bimodule_axioms(algebra: AlgebraStructure, module: Bimodule) -> list[I
     total = n + module.module_dim
     semidirect = AlgebraStructure(total, ("",) * total, _semidirect_tensor(algebra, module))
     xs, ms = range(n), range(n, total)
-    groups = [(mu, i, xs) for mu in ms for i in xs]
-    groups += [(i, mu, xs) for i in xs for mu in ms]
-    groups += [(i, j, ms) for i in xs for j in xs]
     violations = []
-    for v in _defects(semidirect, groups):
+    for v in _defects(semidirect, [(ms, xs, xs), (xs, ms, xs), (xs, xs, ms)]):
         pos = next(p for p, x in enumerate(v.triple) if x >= n)
         i, j = (x for x in v.triple if x < n)
         sign = -1 if pos == 0 else 1

@@ -22,9 +22,10 @@ structured matrices this package produces, and each pivot row leads at
 its smallest column. :func:`rank` counts its pivots: it eliminates the
 columns, the short side of every matrix the package ranks, with the
 coordinates relabelled in increasing order of the number of columns they
-occur in. Everything else keeps the natural order, on which its
-canonical form depends, and adds one back-substitution,
-:func:`_reduce`, which brings the pivot rows to reduced echelon form:
+occur in; its callers are named in its docstring. Everything else keeps
+the natural order, on which its canonical form depends, and adds one
+back-substitution, :func:`_reduce`, which brings the pivot rows to
+reduced echelon form:
 
 * :meth:`Subspace.from_spanning` (and so :func:`column_space` and
   :func:`project`) stores the reduced rows of a spanning set as its
@@ -56,6 +57,13 @@ coboundary it reads by the same rule as :func:`kernel_basis`,
 :func:`_kernel_vectors` on the integer columns of a d^2 block, tagged
 past the last 3-cochain, so the vectors come out in flat coordinates
 and as integers, and their count is the kernel's dimension.
+
+The Der = ker d^1 claim of :mod:`leibcohom.claims` counts the pivots of
+one :func:`_echelon` of the integer d^1 columns in natural order too, and
+:func:`leibcohom.algebra.squares_ideal` reduces the products of the
+squares span's basis by :func:`_eliminate` against its basis rows, where
+a surviving row is a product outside the span; so only the tests call
+:meth:`Subspace.contains`.
 
 :func:`rank_modular` runs its own elimination mod a few word-size primes.
 It is an independent cross-check of :func:`rank` for the tests, never the
@@ -369,7 +377,12 @@ def rank(matrix: SparseRationalMatrix) -> int:
     matrix the package ranks, with the coordinates in increasing-count
     order: a coordinate that few columns share leads few eliminations,
     which keeps fill-in low on the tall, dense coboundaries of an
-    ungraded basis.
+    ungraded basis. Its callers are the ungraded totals of
+    :mod:`leibcohom.cochain` and the spanning-family check of
+    :func:`leibcohom.derivations.decompose_derivation`. On the sparse
+    columns of a graded basis the relabel costs more than it saves, so
+    the graded engine, the Lie layer and the Der = ker d^1 claim count
+    the pivots of :func:`_echelon` on integer columns in natural order.
     """
     return len(_echelon(_count_ordered(matrix.columns.values())))
 

@@ -1,5 +1,6 @@
 """Structure tensors, identity checking, gradings and bimodule axioms."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from leibcohom.algebra import (
     Bimodule,
     Grading,
     IdentityViolation,
+    _defects,
     adjoint_bimodule,
     check_bimodule_axioms,
     check_grading,
@@ -128,6 +130,33 @@ class TestLeibnizIdentity:
         algebra = conjugate(simple_leibniz_sl2(m)[0], seed)
         assert leibniz_defects(algebra) == reference_leibniz_defects(algebra) == []
 
+    def test_defect_only_through_x_z_y(self):
+        # [a, b] = c and [c, a] = c: at (a, a, b) the defect is
+        # 0 - 0 + [[a, b], a] = c, and at (a, b, a) it is 0 - [[a, b], a] + 0
+        algebra = AlgebraStructure(3, ("a", "b", "c"), {(0, 1): {2: F(1)}, (2, 0): {2: F(1)}})
+        expected = [IdentityViolation((0, 0, 1), {2: F(1)}),
+                    IdentityViolation((0, 1, 0), {2: F(-1)})]
+        assert leibniz_defects(algebra) == expected
+        assert reference_leibniz_defects(algebra) == expected
+
+    def test_random_tensors_match_reference(self):
+        # seeded random tensors with fractional entries, most of them not
+        # Leibniz; every box of index ranges reads the reference's
+        # violations inside it, in (x, y, z) order
+        rng = random.Random(3)
+        found = boxed = 0
+        for _ in range(80):
+            algebra = random_algebra(rng)
+            reference = reference_leibniz_defects(algebra)
+            assert leibniz_defects(algebra) == reference
+            found += len(reference)
+            box = [range(a, rng.randint(a, algebra.dim))
+                   for a in (rng.randrange(algebra.dim) for _ in range(3))]
+            inside = [v for v in reference if all(t in r for t, r in zip(v.triple, box))]
+            assert _defects(algebra, [box]) == inside
+            boxed += len(inside)
+        assert found > 1000 and boxed > 20
+
 
 class TestSquaresIdeal:
     def test_family_squares(self):
@@ -158,6 +187,17 @@ class TestSquaresIdeal:
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1] == (
             "AssertionError: squares span not closed under left multiplication")
+
+    def test_span_not_closed_on_the_right_fails(self):
+        # the squares span <b1>, and [b1, b2] = b3 leaves it on the right.
+        # [v, b_i] + [b_i, v] lies in the span for each v in it, so the
+        # left product [b2, b1] = b1 - b3 leaves it at the same (v, i), and
+        # the left check, which runs first there, reports it
+        tensor = {(0, 0): {1: F(1)}, (1, 2): {3: F(1)}, (2, 1): {1: F(1), 3: F(-1)}}
+        algebra = AlgebraStructure(4, ("b0", "b1", "b2", "b3"), tensor)
+        with pytest.raises(AssertionError) as failure:
+            squares_ideal(algebra)
+        assert str(failure.value) == "squares span not closed under left multiplication"
 
 
 class TestGrading:
@@ -319,6 +359,16 @@ class TestBimoduleAxiomsReference:
             assert violations == reference_bimodule_axioms(sl2(), module)
             axioms.update(v.axiom for v in violations)
         assert axioms == {1, 2, 3}
+
+    def test_broken_sl2_modules_unchanged(self):
+        # the sha256 of the repr of the 60 lists, defect key order included,
+        # as the evaluator that checked the triples group by group (i, j,
+        # all k) returned them; the pair-by-pair one must return the same
+        rng = random.Random(1)
+        lists = [check_bimodule_axioms(sl2(), broken_sl2_module(rng)) for _ in range(60)]
+        assert sum(map(len, lists)) == 1308
+        assert hashlib.sha256(repr(lists).encode()).hexdigest() == (
+            "2d5c90689fe68d4e88a4cbc6cfff478daf4bbc1bec635d68655e022b37fd5969")
 
     def test_adjoint_bimodules_of_random_algebras(self):
         rng = random.Random(2)

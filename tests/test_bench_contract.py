@@ -174,6 +174,7 @@ UNCALLED_PINS = {
     "cochain.graded_submatrix",
     "cohomology.hl_dim",
     "linalg.SparseRationalMatrix.__matmul__",
+    "linalg.Subspace.contains",
     "linalg.column_space",
     "linalg.embed",
     "linalg.project",

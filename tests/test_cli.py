@@ -588,7 +588,7 @@ class TestClaimTable:
                 (r, c): 2 * v if c == col else v for (r, c), v in cells(d1).items()})
 
         assert self.der_equals_zl1(capsys, monkeypatch, scaled) == ("fail", [
-            "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])
+            "  FAIL der_equals_zl1  (expected True, computed False; stage cochain.assemble)"])
 
     def test_der_equals_zl1_checks_the_last_derivation(self, capsys, monkeypatch):
         # doubling the d^1 column at the pivot of the last basis derivation
@@ -605,7 +605,7 @@ class TestClaimTable:
                 (r, c): 2 * v if c == col else v for (r, c), v in cells(d1).items()})
 
         assert self.der_equals_zl1(capsys, monkeypatch, scaled) == ("fail", [
-            "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])
+            "  FAIL der_equals_zl1  (expected True, computed False; stage cochain.assemble)"])
 
     def test_der_equals_zl1_fails_when_ker_d1_grows(self, capsys, monkeypatch):
         # zeroing a column outside the support of every derivation keeps
@@ -619,7 +619,7 @@ class TestClaimTable:
                 (r, c): v for (r, c), v in cells(d1).items() if c != col})
 
         assert self.der_equals_zl1(capsys, monkeypatch, dropped) == ("fail", [
-            "  FAIL der_equals_zl1  (expected True, computed False; stage linalg.rank)"])
+            "  FAIL der_equals_zl1  (expected True, computed False; stage cochain.assemble)"])
 
     @staticmethod
     def count_builders(monkeypatch):

@@ -294,14 +294,14 @@ MUTANTS = (
     Mutant(
         "der_is_ker_d1_drops_the_rank_equality",
         "src/leibcohom/claims.py",
-        "\n                and d1.cols - rank(d1) == self.der.dim)",
+        "\n                and d1.cols - len(_echelon(columns)) == self.der.dim)",
         ")",
         ("tests/test_cli.py::TestClaimTable::test_der_equals_zl1_fails_when_ker_d1_grows",),
     ),
     Mutant(
         "squares_ideal_skips_the_left_closure_check",
         "src/leibcohom/algebra.py",
-        "            if not span.contains(algebra.bracket_basis_vector(i, vec)):\n"
+        "            if _eliminate(left.get(i, {}), pivots) is not None:\n"
         '                raise AssertionError("squares span not closed under left multiplication")\n',
         "",
         ("tests/test_algebra.py::TestSquaresIdeal::test_closure_checked_under_optimize",),
@@ -342,6 +342,21 @@ MUTANTS = (
         ("tests/test_algebra.py::TestLeibnizIdentity::test_fractional_defects_match_reference",),
     ),
     Mutant(
+        "leibniz_defects_drop_the_x_z_y_term",
+        "src/leibcohom/algebra.py",
+        "                if r_y:  # + [[x, z], y]\n"
+        "                    for x, p_xz in r_z.items():\n"
+        "                        for s, c in p_xz.items():\n"
+        "                            prod = r_y.get(s)\n"
+        "                            if prod:\n"
+        "                                _axpy(columns.setdefault(x, {}), prod, c)\n",
+        "",
+        (
+            "tests/test_algebra.py::TestLeibnizIdentity::test_defect_only_through_x_z_y",
+            "tests/test_algebra.py::TestLeibnizIdentity::test_random_tensors_match_reference",
+        ),
+    ),
+    Mutant(
         "grading_parts_accept_any_degree",
         "src/leibcohom/algebra.py",
         "if not set(classes) <= {0, 1}:",
@@ -361,8 +376,8 @@ MUTANTS = (
     Mutant(
         "bimodule_check_drops_the_i_m_j_groups",
         "src/leibcohom/algebra.py",
-        "    groups += [(i, mu, xs) for i in xs for mu in ms]\n",
-        "",
+        "[(ms, xs, xs), (xs, ms, xs), (xs, xs, ms)]",
+        "[(ms, xs, xs), (xs, xs, ms)]",
         (
             "tests/test_algebra.py::TestBimoduleAxiomsReference::test_axiom_2_alone_fails",
             "tests/test_algebra.py::TestBimoduleAxiomsReference::test_broken_sl2_modules",
